@@ -22,6 +22,7 @@ from .states import PureState
 
 CLOSURE_TOLERANCE = 1e-12
 MIN_OVERLAP = 1e-9
+MAX_SEGMENTS = 1_000_000  # a loop holds about 190 B per segment
 
 
 class PhaseConvention(Enum):
@@ -114,6 +115,13 @@ def holonomy_numeric(path: Sequence[PureState]) -> GeometricPhase:
     return GeometricPhase.wrapped(total)
 
 
+def _check_segments(segments: int) -> None:
+    if segments < 2:
+        raise DomainError("a loop needs at least 2 segments")
+    if segments > MAX_SEGMENTS:
+        raise DomainError(f"a loop takes at most {MAX_SEGMENTS} segments")
+
+
 def spinor_loop(orientation: Orientation, theta: float, segments: int) -> list[PureState]:
     """Closed loop of gauge-fixed spinors at fixed theta, azimuth winding once around.
 
@@ -123,8 +131,7 @@ def spinor_loop(orientation: Orientation, theta: float, segments: int) -> list[P
     the negative of its phase (equal to the UP value mod 2*pi).
     """
     check_theta(theta)
-    if segments < 2:
-        raise DomainError("a loop needs at least 2 segments")
+    _check_segments(segments)
     sign = 1.0 if orientation is Orientation.UP else -1.0
     out = []
     for k in range(segments + 1):
@@ -141,8 +148,7 @@ def entangled_family_loop(theta: float, segments: int) -> list[PureState]:
     rejected as degenerate.
     """
     check_theta(theta)
-    if segments < 2:
-        raise DomainError("a loop needs at least 2 segments")
+    _check_segments(segments)
     out = []
     for k in range(segments + 1):
         phi = TWO_PI * (k / segments)

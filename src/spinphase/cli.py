@@ -3,6 +3,9 @@
 Records are emitted as JSON (default) or CSV.  Identical invocations produce
 byte-identical output.  Exit codes: 0 success, 1 domain error (bad physics
 input), 2 usage error (bad flags).
+
+Each command is one ``_COMMANDS`` entry (help, runner, flag specs).  The parser
+is generated from it, and a sweep reads its fixed flags once by the same specs.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,6 +37,7 @@ from .entangle import (
     entanglement_entropy,
     evolve_bell,
     monopole_strength_rg,
+    monopole_strength_unclamped,
     swap_expectation,
 )
 from .errors import DomainError
@@ -47,12 +51,7 @@ from .noise import (
 from .rabi import RabiParams, evolve_coefficients, spin_echo_ledger
 from .states import ket
 
-_SWEEP_FLAGS = {
-    "theta": "--theta",
-    "delta_theta": "--delta-theta",
-    "omega_t": "--t",
-    "separation": "--separation",
-}
+MAX_STEPS = 100_000  # grid points per sweep; each point holds one record
 
 
 class _UsageError(Exception):
@@ -96,14 +95,16 @@ class SweepSpec:
     steps: int
 
     def __post_init__(self) -> None:
-        if self.parameter not in _SWEEP_FLAGS:
-            raise DomainError(f"parameter must be one of {sorted(_SWEEP_FLAGS)}")
+        if self.parameter not in _SWEEPABLE:
+            raise DomainError(f"parameter must be one of {sorted(_SWEEPABLE)}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise DomainError("start and stop must be finite")
         if not self.start < self.stop:
             raise DomainError("start must be below stop")
         if self.steps < 2:
             raise DomainError("steps must be at least 2")
+        if self.steps > MAX_STEPS:
+            raise DomainError(f"steps must be at most {MAX_STEPS}")
 
 
 def _csv_real(value: float) -> str:
@@ -137,99 +138,62 @@ def emit(records: Sequence[RunRecord], format: str) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# flag parsing
+# flag specs
 
 
 def _complex_flag(text: str) -> complex:
-    parts = text.split(",")
-    try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected 're' or 're,im', got {text!r}")
+    try:  # one or two reals; a third part is a TypeError
+        return complex(*map(float, text.split(",")))
+    except (TypeError, ValueError):
+        raise argparse.ArgumentTypeError(f"expected 're' or 're,im', got {text!r}") from None
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    common.add_argument("--format", choices=("csv", "json"), default="json")
-    common.add_argument("--output", default=None, metavar="PATH")
+class _Flag(NamedTuple):
+    """One command flag, named as typed after ``--``: ``type`` converts its text
+    (``bool`` marks a bare switch), a flag without a default is required, and
+    ``sweep`` names the sweep parameter that drives it."""
 
-    parser = argparse.ArgumentParser(
-        prog="spinphase",
-        description="Geometric phases of driven spin-1/2 systems, from the command line.",
-        allow_abbrev=False,
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    name: str
+    type: Callable[[str], object] = float
+    default: object = None
+    choices: tuple[str, ...] | None = None
+    metavar: str | None = None
+    help: str | None = None
+    sweep: str | None = None
 
-    p = sub.add_parser("phase", parents=[common], allow_abbrev=False,
-                       help="analytic closed-loop phase of one spinor")
-    p.add_argument("--spin", choices=("up", "down"), required=True)
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--degrees", action="store_true", help="read --theta in degrees")
+    @property
+    def dest(self) -> str:
+        return self.name.replace("-", "_")
 
-    p = sub.add_parser("holonomy", parents=[common], allow_abbrev=False,
-                       help="discrete loop-transport phase against the analytic value")
-    p.add_argument("--spin", choices=("up", "down"), required=True)
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--segments", type=int, default=20000)
 
-    p = sub.add_parser("circuit", parents=[common], allow_abbrev=False,
-                       help="run a circuit file on |0>")
-    p.add_argument("--file", required=True, metavar="PATH")
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--phi", type=float, default=0.0)
+class _Command(NamedTuple):
+    """A subcommand: help line, runner taking the flag dests as keywords, flags."""
 
-    p = sub.add_parser("rabi", parents=[common], allow_abbrev=False,
-                       help="resonant coefficient evolution")
-    p.add_argument("--omega", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--c0", type=_complex_flag, required=True, metavar="RE[,IM]")
-    p.add_argument("--c1", type=_complex_flag, required=True, metavar="RE[,IM]")
+    help: str
+    run: Callable[..., list[RunRecord]]
+    flags: tuple[_Flag, ...]
 
-    p = sub.add_parser("echo", parents=[common], allow_abbrev=False,
-                       help="two-pulse echo phase ledger")
-    p.add_argument("--phi", type=float, required=True)
-    p.add_argument("--chi", type=float, required=True)
 
-    p = sub.add_parser("entangle", parents=[common], allow_abbrev=False,
-                       help="Bell-state evolution under one spinor loop")
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--alpha", type=_complex_flag, required=True, metavar="RE[,IM]")
-    p.add_argument("--beta", type=_complex_flag, required=True, metavar="RE[,IM]")
+_SPIN = _Flag("spin", str, choices=("up", "down"))
+_THETA = _Flag("theta", sweep="theta")
+_COMPLEX = dict(type=_complex_flag, metavar="RE[,IM]")
 
-    p = sub.add_parser("noise", parents=[common], allow_abbrev=False,
-                       help="first-order phase shifts from polar-angle noise")
-    p.add_argument("--spin", choices=("up", "down", "entangled"), required=True)
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--delta-theta", dest="delta_theta", type=float, required=True)
 
-    p = sub.add_parser("rgflow", parents=[common], allow_abbrev=False,
-                       help="monopole strength under the length-scale flow")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--separation", type=float, required=True)
-
-    p = sub.add_parser("sweep", parents=[common], allow_abbrev=False,
-                       help="run another command over a uniform parameter grid")
-    p.add_argument("--cmd", required=True, metavar="COMMAND")
-    p.add_argument("--param", required=True, choices=sorted(_SWEEP_FLAGS))
-    p.add_argument("--start", type=float, required=True)
-    p.add_argument("--stop", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-
-    return parser
+def _re_im(**values: complex) -> dict[str, float]:
+    """Each complex value as two record reals, name_re and name_im."""
+    reals = {}
+    for name, value in values.items():
+        reals[f"{name}_re"], reals[f"{name}_im"] = value.real, value.imag
+    return reals
 
 
 # ---------------------------------------------------------------------------
 # command runners
 
 
-def _run_phase(args: argparse.Namespace) -> list[RunRecord]:
-    orientation = Orientation(args.spin)
-    theta = math.radians(args.theta) if args.degrees else args.theta
+def _run_phase(spin: str, theta: float, degrees: bool) -> list[RunRecord]:
+    orientation = Orientation(spin)
+    theta = math.radians(theta) if degrees else theta
     gp = berry_phase_analytic(orientation, theta)
     return [RunRecord(
         command="phase",
@@ -239,71 +203,61 @@ def _run_phase(args: argparse.Namespace) -> list[RunRecord]:
             "gamma_mod_2pi": gp.mod_2pi(),
             "connection": connection(orientation, theta),
         },
-        metadata={"spin": args.spin, "phase_convention": "raw", "angle_unit": "radians"},
+        metadata={"spin": spin, "phase_convention": "raw", "angle_unit": "radians"},
     )]
 
 
-def _run_holonomy(args: argparse.Namespace) -> list[RunRecord]:
-    orientation = Orientation(args.spin)
-    loop = spinor_loop(orientation, args.theta, args.segments)
+def _run_holonomy(spin: str, theta: float, segments: int) -> list[RunRecord]:
+    orientation = Orientation(spin)
+    loop = spinor_loop(orientation, theta, segments)
     transported = holonomy_numeric(loop)
-    reference = berry_phase_analytic(orientation, args.theta)
+    reference = berry_phase_analytic(orientation, theta)
     deviation = abs(transported.value - reference.mod_2pi())
     deviation = min(deviation, TWO_PI - deviation)  # circular distance
     return [RunRecord(
         command="holonomy",
-        inputs={"theta": args.theta, "segments": float(args.segments)},
+        inputs={"theta": theta, "segments": float(segments)},
         outputs={
             "holonomy": transported.value,
             "gamma_analytic": reference.value,
             "deviation": deviation,
         },
-        metadata={"spin": args.spin, "phase_convention": "mod2pi"},
+        metadata={"spin": spin, "phase_convention": "mod2pi"},
     )]
 
 
-def _run_circuit(args: argparse.Namespace) -> list[RunRecord]:
+def _run_circuit(file: str, theta: float, phi: float) -> list[RunRecord]:
     try:
-        text = Path(args.file).read_text(encoding="utf-8")
+        text = Path(file).read_text(encoding="utf-8")
     except OSError as exc:
         raise DomainError(f"cannot read circuit file: {exc}") from exc
     circuit = parse_circuit(text)
-    state = run_circuit(circuit, {"theta": args.theta, "phi": args.phi}, ket("0"))
+    state = run_circuit(circuit, {"theta": theta, "phi": phi}, ket("0"))
     a = state.amplitudes
     return [RunRecord(
         command="circuit",
-        inputs={"theta": args.theta, "phi": args.phi},
-        outputs={
-            "amp0_re": a[0].real, "amp0_im": a[0].imag,
-            "amp1_re": a[1].real, "amp1_im": a[1].imag,
-        },
+        inputs={"theta": theta, "phi": phi},
+        outputs=_re_im(amp0=a[0], amp1=a[1]),
         metadata={"circuit": format_circuit(circuit), "phase_convention": "none"},
     )]
 
 
-def _run_rabi(args: argparse.Namespace) -> list[RunRecord]:
-    params = RabiParams(omega0=0.0, omega=args.omega, duration=args.t)
-    c0, c1 = evolve_coefficients(args.c0, args.c1, params)
+def _run_rabi(omega: float, t: float, c0: complex, c1: complex) -> list[RunRecord]:
+    params = RabiParams(omega0=0.0, omega=omega, duration=t)
+    c0_out, c1_out = evolve_coefficients(c0, c1, params)
     return [RunRecord(
         command="rabi",
-        inputs={
-            "omega": args.omega, "t": args.t,
-            "c0_re": args.c0.real, "c0_im": args.c0.imag,
-            "c1_re": args.c1.real, "c1_im": args.c1.imag,
-        },
-        outputs={
-            "c0_out_re": c0.real, "c0_out_im": c0.imag,
-            "c1_out_re": c1.real, "c1_out_im": c1.imag,
-        },
+        inputs={"omega": omega, "t": t, **_re_im(c0=c0, c1=c1)},
+        outputs=_re_im(c0_out=c0_out, c1_out=c1_out),
         metadata={"phase_convention": "none"},
     )]
 
 
-def _run_echo(args: argparse.Namespace) -> list[RunRecord]:
-    ledger = spin_echo_ledger(SpinorParams(theta=math.pi, phi=args.phi, chi=args.chi))
+def _run_echo(phi: float, chi: float) -> list[RunRecord]:
+    ledger = spin_echo_ledger(SpinorParams(theta=math.pi, phi=phi, chi=chi))
     return [RunRecord(
         command="echo",
-        inputs={"phi": args.phi, "chi": args.chi},
+        inputs={"phi": phi, "chi": chi},
         outputs={
             "geometric": ledger.geometric,
             "dynamical": ledger.dynamical,
@@ -314,150 +268,186 @@ def _run_echo(args: argparse.Namespace) -> list[RunRecord]:
     )]
 
 
-def _run_entangle(args: argparse.Namespace) -> list[RunRecord]:
-    coeffs = BellCoefficients(args.alpha, args.beta)
-    state, relative_phase = evolve_bell(coeffs, args.theta)
+def _run_entangle(theta: float, alpha: complex, beta: complex) -> list[RunRecord]:
+    state, relative_phase = evolve_bell(BellCoefficients(alpha, beta), theta)
     conc = concurrence_general(BipartiteCoefficients.from_state(state))
     conc_norm = min(abs(conc), 1.0)  # guard the last-ulp overshoot
     a = state.amplitudes
     return [RunRecord(
         command="entangle",
-        inputs={
-            "theta": args.theta,
-            "alpha_re": args.alpha.real, "alpha_im": args.alpha.imag,
-            "beta_re": args.beta.real, "beta_im": args.beta.imag,
-        },
+        inputs={"theta": theta, **_re_im(alpha=alpha, beta=beta)},
         outputs={
-            "amp00_re": a[0].real, "amp00_im": a[0].imag,
-            "amp01_re": a[1].real, "amp01_im": a[1].imag,
-            "amp10_re": a[2].real, "amp10_im": a[2].imag,
-            "amp11_re": a[3].real, "amp11_im": a[3].imag,
+            **_re_im(amp00=a[0], amp01=a[1], amp10=a[2], amp11=a[3]),
             "relative_phase": relative_phase,
             "swap_expectation": swap_expectation(state),
             "concurrence_norm": conc_norm,
             "entropy_bits": entanglement_entropy(conc_norm),
-            "gamma_ent": berry_phase_entangled(args.theta).value,
+            "gamma_ent": berry_phase_entangled(theta).value,
         },
         metadata={"phase_convention": "gamma_ent=raw,relative_phase=mod2pi"},
     )]
 
 
-def _run_noise(args: argparse.Namespace) -> list[RunRecord]:
-    target = NoiseTarget(args.spin)
-    spec = NoiseSpec(args.delta_theta, target)
-    inputs = {"theta": args.theta, "delta_theta": args.delta_theta}
+def _run_noise(spin: str, theta: float, delta_theta: float) -> list[RunRecord]:
+    target = NoiseTarget(spin)
+    spec = NoiseSpec(delta_theta, target)
+    metadata = {"spin": spin, "phase_convention": "raw"}
     if target is NoiseTarget.ENTANGLED:
-        return [RunRecord(
-            command="noise",
-            inputs=inputs,
-            outputs={
-                "entangled_shift": entangled_noise_shift(args.theta, spec),
-                "post_echo_shift": post_echo_noise_shift(args.theta, spec),
-            },
-            metadata={
-                "spin": args.spin,
-                "phase_convention": "raw",
-                "post_echo_comparison": "qualitative",
-            },
-        )]
-    gp, shift = noisy_phase(Orientation(args.spin), args.theta, spec)
+        outputs = {
+            "entangled_shift": entangled_noise_shift(theta, spec),
+            "post_echo_shift": post_echo_noise_shift(theta, spec),
+        }
+        metadata["post_echo_comparison"] = "qualitative"
+    else:
+        gp, shift = noisy_phase(Orientation(spin), theta, spec)
+        outputs = {"gamma_noisy": gp.value, "shift": shift}
     return [RunRecord(
         command="noise",
-        inputs=inputs,
-        outputs={"gamma_noisy": gp.value, "shift": shift},
-        metadata={"spin": args.spin, "phase_convention": "raw"},
+        inputs={"theta": theta, "delta_theta": delta_theta},
+        outputs=outputs,
+        metadata=metadata,
     )]
 
 
-def _run_rgflow(args: argparse.Namespace) -> list[RunRecord]:
-    params = RgFlowParams(args.a, args.c, args.separation)
-    unclamped = -params.a * math.log(params.separation) + params.c
+def _run_rgflow(a: float, c: float, separation: float) -> list[RunRecord]:
+    params = RgFlowParams(a, c, separation)
     return [RunRecord(
         command="rgflow",
-        inputs={"a": args.a, "c": args.c, "separation": args.separation},
+        inputs={"a": a, "c": c, "separation": separation},
         outputs={"mu": monopole_strength_rg(params)},
         metadata={
-            "mu_clamped": "true" if unclamped < 0.0 else "false",
+            "mu_clamped": "true" if monopole_strength_unclamped(params) < 0.0 else "false",
             "phase_convention": "none",
         },
     )]
 
 
-_RUNNERS = {
-    "phase": _run_phase,
-    "holonomy": _run_holonomy,
-    "circuit": _run_circuit,
-    "rabi": _run_rabi,
-    "echo": _run_echo,
-    "entangle": _run_entangle,
-    "noise": _run_noise,
-    "rgflow": _run_rgflow,
+def _run_sweep(cmd: str, param: str, start: float, stop: float, steps: int,
+               **fixed: object) -> list[RunRecord]:
+    try:
+        spec = SweepSpec(param, start, stop, steps)
+    except DomainError as exc:
+        raise _UsageError(str(exc)) from exc
+    return _sweep(cmd, spec, {dest.replace("_", "-"): value for dest, value in fixed.items()})
+
+
+_COMMANDS = {
+    "phase": _Command("analytic closed-loop phase of one spinor", _run_phase, (
+        _SPIN, _THETA, _Flag("degrees", bool, False, help="read --theta in degrees"))),
+    "holonomy": _Command("discrete loop-transport phase against the analytic value",
+                         _run_holonomy, (_SPIN, _THETA, _Flag("segments", int, 20000))),
+    "circuit": _Command("run a circuit file on |0>", _run_circuit, (
+        _Flag("file", str, metavar="PATH"), _Flag("theta", default=0.0, sweep="theta"),
+        _Flag("phi", default=0.0))),
+    "rabi": _Command("resonant coefficient evolution", _run_rabi, (
+        _Flag("omega"), _Flag("t", sweep="omega_t"),
+        _Flag("c0", **_COMPLEX), _Flag("c1", **_COMPLEX))),
+    "echo": _Command("two-pulse echo phase ledger", _run_echo, (_Flag("phi"), _Flag("chi"))),
+    "entangle": _Command("Bell-state evolution under one spinor loop", _run_entangle, (
+        _THETA, _Flag("alpha", **_COMPLEX), _Flag("beta", **_COMPLEX))),
+    "noise": _Command("first-order phase shifts from polar-angle noise", _run_noise, (
+        _Flag("spin", str, choices=("up", "down", "entangled")), _THETA,
+        _Flag("delta-theta", sweep="delta_theta"))),
+    "rgflow": _Command("monopole strength under the length-scale flow", _run_rgflow, (
+        _Flag("a"), _Flag("c"), _Flag("separation", sweep="separation"))),
 }
+_SWEEP_TARGETS = sorted(_COMMANDS)
+_TARGET_FLAGS = {f.name: f for command in _COMMANDS.values() for f in command.flags}
+# sweep parameter -> a flag it drives
+_SWEEPABLE = {f.sweep: f for f in _TARGET_FLAGS.values() if f.sweep}
+_COMMANDS["sweep"] = _Command("run another command over a uniform parameter grid", _run_sweep, (
+    _Flag("cmd", str, metavar="COMMAND"), _Flag("param", str, choices=tuple(sorted(_SWEEPABLE))),
+    _Flag("start"), _Flag("stop"), _Flag("steps", int),
+    # the target's flags, kept as given and read later by the target's own specs
+    *(_Flag(f.name, bool if f.type is bool else str, argparse.SUPPRESS, help=argparse.SUPPRESS)
+      for f in _TARGET_FLAGS.values())))
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="spinphase",
+        description="Geometric phases of driven spin-1/2 systems, from the command line.",
+        allow_abbrev=False,
+    )
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
+        p.add_argument("--format", choices=("csv", "json"), default="json")
+        p.add_argument("--output", default=None, metavar="PATH")
+        for flag in command.flags:
+            kind = dict(action="store_true") if flag.type is bool else dict(
+                type=flag.type, required=flag.default is None, choices=flag.choices,
+                metavar=flag.metavar)
+            p.add_argument(f"--{flag.name}", default=flag.default, help=flag.help, **kind)
+    return parser
 
 
 # ---------------------------------------------------------------------------
 # sweeps
 
 
-def _sweep_argv(subcommand: str, spec: SweepSpec, extra_argv: list[str]) -> list[RunRecord]:
-    if subcommand not in _RUNNERS:
-        raise _UsageError(f"--cmd must be one of {sorted(_RUNNERS)}")
-    flag = _SWEEP_FLAGS[spec.parameter]
-    parser = _build_parser()
+def _sweep(name: str, spec: SweepSpec, fixed: Mapping[str, object]) -> list[RunRecord]:
+    if name not in _SWEEP_TARGETS:
+        raise _UsageError(f"--cmd must be one of {_SWEEP_TARGETS}")
+    command = _COMMANDS[name]
+    flags = {flag.name: flag for flag in command.flags}
+    kwargs = {f.dest: f.default for f in command.flags if f.default is not None}
+    for key, value in fixed.items():
+        key = key.removeprefix("--")
+        if value is False or value is None:
+            continue
+        if key not in flags:
+            raise _UsageError(f"unrecognized arguments: --{key} {value}")
+        flag = flags[key]
+        try:  # read once, from the value's text, as on the command line
+            if (value is True) != (flag.type is bool):
+                raise ValueError(value)
+            kwargs[flag.dest] = value if value is True else flag.type(str(value))
+            if flag.choices and kwargs[flag.dest] not in flag.choices:
+                raise ValueError(value)
+        except (ValueError, argparse.ArgumentTypeError):
+            raise _UsageError(f"fixed flags do not fit {name}: --{key} {value}") from None
+    swept = next((f for f in command.flags if f.sweep == spec.parameter), None)
+    missing = [f"--{f.name}" for f in command.flags if f.dest not in kwargs and f is not swept]
+    if missing:
+        raise _UsageError(f"fixed flags do not fit {name}: missing {', '.join(missing)}")
+    if swept is None:
+        flag = _SWEEPABLE[spec.parameter].name
+        raise _UsageError(f"unrecognized arguments: --{flag} {float(spec.start)!r}")
     records: list[RunRecord] = []
     for value in np.linspace(spec.start, spec.stop, spec.steps):
-        value = float(value)
-        argv = [subcommand, *extra_argv, flag, repr(value)]
+        kwargs[swept.dest] = value = float(value)
         try:
-            args, leftover = parser.parse_known_args(argv)
-        except SystemExit as exc:
-            raise _UsageError(
-                f"fixed flags do not fit {subcommand}: {' '.join(extra_argv)}"
-            ) from exc
-        if leftover:
-            raise _UsageError(f"unrecognized arguments: {' '.join(leftover)}")
-        try:
-            produced = _RUNNERS[subcommand](args)
+            produced = command.run(**kwargs)
         except DomainError as exc:
             raise DomainError(f"at {spec.parameter}={value!r}: {exc}") from exc
-        for record in produced:
-            records.append(replace(record, metadata={**record.metadata, "swept": spec.parameter}))
+        records += [replace(r, metadata={**r.metadata, "swept": spec.parameter}) for r in produced]
     return records
 
 
 def sweep(subcommand: str, spec: SweepSpec, fixed: Mapping[str, object]) -> list[RunRecord]:
     """Run one subcommand over the grid, one record per point, in grid order.
 
-    fixed supplies the non-swept flags by name (leading dashes optional);
-    True/False switch bare flags on and off, other values are stringified.
+    fixed supplies the non-swept flags by their dashed names (leading dashes
+    optional).  Each value is read once by its flag's converter, from its text
+    as on the command line; True/False switch bare flags on and off.
     """
-    extra: list[str] = []
-    for name, value in fixed.items():
-        flag = name if name.startswith("--") else f"--{name}"
-        if value is True:
-            extra.append(flag)
-        elif value is False or value is None:
-            continue
-        elif isinstance(value, float):
-            extra.extend([flag, repr(value)])
-        else:
-            extra.extend([flag, str(value)])
     try:
-        return _sweep_argv(subcommand, spec, extra)
+        return _sweep(subcommand, spec, fixed)
     except _UsageError as exc:
         raise DomainError(str(exc)) from exc
 
 
-def _run_sweep(args: argparse.Namespace, extras: list[str]) -> list[RunRecord]:
-    try:
-        spec = SweepSpec(args.param, args.start, args.stop, args.steps)
-    except DomainError as exc:
-        raise _UsageError(str(exc)) from exc
-    return _sweep_argv(args.cmd, spec, extras)
-
-
 # ---------------------------------------------------------------------------
 # entry points
+
+
+def _run(args: argparse.Namespace, extras: list[str]) -> list[RunRecord]:
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    command = _COMMANDS[args.command]
+    return command.run(**{f.dest: getattr(args, f.dest) for f in command.flags
+                          if hasattr(args, f.dest)})
 
 
 def run_records(argv: Sequence[str]) -> list[RunRecord]:
@@ -466,24 +456,17 @@ def run_records(argv: Sequence[str]) -> list[RunRecord]:
     Raises SystemExit (from argparse), _UsageError, or DomainError; mainly a
     seam for tests and for callers who want records rather than bytes.
     """
-    parser = _build_parser()
-    args, extras = parser.parse_known_args(list(argv))
-    if args.command == "sweep":
-        return _run_sweep(args, extras)
-    if extras:
-        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
-    return _RUNNERS[args.command](args)
+    return _run(*_build_parser().parse_known_args(list(argv)))
 
 
 def dispatch(argv: Sequence[str]) -> int:
     """Run one invocation; returns the process exit code instead of exiting."""
     try:
-        records = run_records(argv)
-        parser_args, _ = _build_parser().parse_known_args(list(argv))
-        payload = emit(records, parser_args.format)
-        if parser_args.output:
+        args, extras = _build_parser().parse_known_args(list(argv))
+        payload = emit(_run(args, extras), args.format)
+        if args.output:
             try:
-                Path(parser_args.output).write_bytes(payload)
+                Path(args.output).write_bytes(payload)
             except OSError as exc:
                 raise DomainError(f"cannot write output file: {exc}") from exc
         else:

@@ -149,10 +149,15 @@ def entanglement_entropy(concurrence_norm: float) -> float:
     return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
 
 
+def monopole_strength_unclamped(params: RgFlowParams) -> float:
+    """The flow mu(L) = -a ln(L) + c itself, negative past its zero crossing."""
+    return -params.a * math.log(params.separation) + params.c
+
+
 def monopole_strength_rg(params: RgFlowParams) -> float:
     """Monopole strength mu(L) = -a ln(L) + c, clamped at zero from below.
 
     The linear-in-ln(L) flow crosses zero at large separation; the physical
     strength is reported as max(0, .) since mu only tends to zero there.
     """
-    return max(0.0, -params.a * math.log(params.separation) + params.c)
+    return max(0.0, monopole_strength_unclamped(params))

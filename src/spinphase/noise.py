@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from ._angles import check_theta
+from ._angles import TWO_PI, check_theta
 from .berry import GeometricPhase
 from .circuits import Orientation
 from .errors import DomainError
@@ -48,15 +48,19 @@ def _single_shift(theta: float, delta_theta: float) -> float:
     return math.pi * math.sin(theta) * delta_theta
 
 
+def _tilted_connection(orientation: Orientation, theta: float, delta_theta: float) -> float:
+    tilt = math.sin(theta) * delta_theta
+    if orientation is Orientation.UP:
+        return 0.5 * (1.0 - math.cos(theta) + tilt)
+    return 0.5 * (1.0 + math.cos(theta) - tilt)
+
+
 def perturbed_connection(theta: float, noise: NoiseSpec) -> float:
     """Connection with the first-order noise term, branch chosen by noise.applies_to."""
     check_theta(theta)
-    tilt = math.sin(theta) * noise.delta_theta
-    if noise.applies_to is NoiseTarget.UP:
-        return 0.5 * (1.0 - math.cos(theta) + tilt)
-    if noise.applies_to is NoiseTarget.DOWN:
-        return 0.5 * (1.0 + math.cos(theta) - tilt)
-    raise DomainError("the entangled family has no single-spinor connection")
+    if noise.applies_to is NoiseTarget.ENTANGLED:
+        raise DomainError("the entangled family has no single-spinor connection")
+    return _tilted_connection(Orientation(noise.applies_to.value), theta, noise.delta_theta)
 
 
 def noisy_phase(
@@ -68,12 +72,10 @@ def noisy_phase(
     DOWN: pi (1 + cos theta - sin theta delta_theta), shift -pi sin theta delta_theta
     """
     check_theta(theta)
-    tilt = math.sin(theta) * noise.delta_theta
-    if orientation is Orientation.UP:
-        gamma = math.pi * (1.0 - math.cos(theta) + tilt)
-        return GeometricPhase.raw(gamma), _single_shift(theta, noise.delta_theta)
-    gamma = math.pi * (1.0 + math.cos(theta) - tilt)
-    return GeometricPhase.raw(gamma), -_single_shift(theta, noise.delta_theta)
+    # 2 pi times the connection: the factor 2 against pi (...) is exact
+    gamma = TWO_PI * _tilted_connection(orientation, theta, noise.delta_theta)
+    shift = _single_shift(theta, noise.delta_theta)
+    return GeometricPhase.raw(gamma), shift if orientation is Orientation.UP else -shift
 
 
 def entangled_noise_shift(theta: float, noise: NoiseSpec) -> float:

@@ -31,6 +31,7 @@ from spinphase import (
     spinor_loop,
     winding_phase,
 )
+from spinphase import berry
 
 TWO_PI = 2.0 * math.pi
 
@@ -231,6 +232,18 @@ class TestSpinorLoop:
     def test_degenerate_segment_count_rejected(self):
         with pytest.raises(DomainError):
             spinor_loop(Orientation.UP, 1.0, 1)
+
+    @pytest.mark.parametrize("build", [
+        lambda n: spinor_loop(Orientation.DOWN, 1.0, n),
+        lambda n: entangled_family_loop(1.0, n),
+    ], ids=["spinor", "entangled"])
+    def test_segment_count_bounded(self, build, monkeypatch):
+        with pytest.raises(DomainError, match="at most 1000000 segments"):
+            build(berry.MAX_SEGMENTS + 1)
+        monkeypatch.setattr(berry, "MAX_SEGMENTS", 10)
+        assert len(build(10)) == 11
+        with pytest.raises(DomainError, match="at most 10 segments"):
+            build(11)
 
 
 class TestEntangledFamily:

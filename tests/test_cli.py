@@ -1,5 +1,6 @@
 """Command-line dispatch: records, serialization, sweeps, exit codes."""
 
+import argparse
 import json
 import math
 
@@ -16,6 +17,7 @@ from spinphase import (
     run_records,
     sweep,
 )
+from spinphase.cli import MAX_STEPS
 
 TWO_PI = 2.0 * math.pi
 
@@ -54,6 +56,11 @@ class TestSweepSpec:
     def test_minimum_steps(self):
         with pytest.raises(DomainError, match="at least 2"):
             SweepSpec("theta", 0.0, 1.0, 1)
+
+    def test_maximum_steps(self):
+        assert SweepSpec("theta", 0.0, 1.0, MAX_STEPS).steps == 100_000
+        with pytest.raises(DomainError, match="at most 100000"):
+            SweepSpec("theta", 0.0, 1.0, MAX_STEPS + 1)
 
 
 class TestEmit:
@@ -146,6 +153,13 @@ class TestHolonomyCommand:
         assert out["gamma_analytic"] == pytest.approx(
             math.pi * (1 + math.cos(2.0)), abs=1e-12
         )
+
+    def test_segments_above_bound_domain_error(self, capsys):
+        code = dispatch(
+            ["holonomy", "--spin", "up", "--theta", "1.0", "--segments", "1000001"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "holonomy: a loop takes at most 1000000 segments\n"
 
 
 class TestCircuitCommand:
@@ -280,6 +294,15 @@ class TestRgflowCommand:
         )
         assert recs[0]["metadata"]["mu_clamped"] == "false"
 
+    def test_flow_exactly_at_zero_is_not_clamped(self, capsys):
+        code, recs = run_json(
+            ["rgflow", "--a", "1.0", "--c", repr(math.log(2.0)), "--separation", "2.0"],
+            capsys,
+        )
+        assert code == 0
+        assert recs[0]["outputs"]["mu"] == 0.0
+        assert recs[0]["metadata"]["mu_clamped"] == "false"
+
     def test_bad_separation_domain_error(self, capsys):
         assert dispatch(["rgflow", "--a", "1", "--c", "1", "--separation", "0"]) == 1
 
@@ -345,11 +368,75 @@ class TestSweepCommand:
              "--stop", "1", "--steps", "1", "--spin", "up"]
         ) == 2
 
+    def test_steps_above_bound_usage_error(self, capsys):
+        assert dispatch(
+            ["sweep", "--cmd", "phase", "--param", "theta", "--start", "0",
+             "--stop", "1", "--steps", "100001", "--spin", "up"]
+        ) == 2
+        assert capsys.readouterr().err == "spinphase: steps must be at most 100000\n"
+
     def test_stray_flag_usage_error(self, capsys):
         assert dispatch(
             ["sweep", "--cmd", "phase", "--param", "theta", "--start", "0",
              "--stop", "1", "--steps", "2", "--spin", "up", "--bogus", "7"]
         ) == 2
+
+    def test_tiny_negative_grid_value(self, capsys):
+        spec = SweepSpec("delta_theta", -3e-05, 0.2, 3)
+        recs = sweep("noise", spec, {"spin": "up", "theta": 1.0})
+        assert [r.inputs["delta_theta"] for r in recs][::2] == [-3e-05, 0.2]
+        argv_recs = run_records(
+            ["sweep", "--cmd", "noise", "--param", "delta_theta", "--start=-3e-05",
+             "--stop", "0.2", "--steps", "3", "--spin", "up", "--theta", "1.0"]
+        )
+        assert [r.as_dict() for r in argv_recs] == [r.as_dict() for r in recs]
+        assert capsys.readouterr().err == ""
+
+    def test_fixed_flag_forms_agree(self):
+        plain = run_records(
+            ["sweep", "--cmd", "noise", "--param", "theta", "--start", "0", "--stop", "1",
+             "--steps", "2", "--spin", "down", "--delta-theta=-3e-05"]
+        )
+        assert [r.inputs["delta_theta"] for r in plain] == [-3e-05, -3e-05]
+        assert sweep("noise", SweepSpec("theta", 0, 1, 2),
+                     {"--spin": "down", "delta-theta": -3e-05}) == plain
+        degrees = ["sweep", "--cmd", "phase", "--param", "theta", "--start", "0",
+                   "--stop", "90", "--steps", "2"]
+        assert run_records(degrees + ["--degrees", "--spin", "up"]) == \
+            run_records(degrees + ["--spin", "up", "--degrees"])
+
+    @pytest.mark.parametrize("fixed, message", [
+        ({"spin": "left"}, "fixed flags do not fit phase: --spin left"),
+        ({"spin": True}, "fixed flags do not fit phase: --spin True$"),
+        ({"spin": "up", "degrees": "yes"}, "fixed flags do not fit phase: --degrees yes"),
+        ({}, "fixed flags do not fit phase: missing --spin$"),
+        ({"spin": "up", "segments": 3}, "unrecognized arguments: --segments 3"),
+    ])
+    def test_fixed_flags_are_checked_by_the_target_specs(self, fixed, message, capsys):
+        with pytest.raises(DomainError, match=message):
+            sweep("phase", SweepSpec("theta", 0.0, 1.0, 2), fixed)
+        argv = ["sweep", "--cmd", "phase", "--param", "theta", "--start", "0", "--stop", "1",
+                "--steps", "2"]
+        for name, value in fixed.items():
+            argv += [f"--{name}"] if value is True else [f"--{name}", str(value)]
+        assert dispatch(argv) == 2
+
+    def test_sweeps_parse_argv_at_most_once(self, monkeypatch, capsys):
+        parsed = []
+        original = argparse.ArgumentParser.parse_known_args
+
+        def counting(self, *args, **kwargs):
+            parsed.append(self.prog)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        sweep("phase", SweepSpec("theta", 0.0, 1.0, 50), {"spin": "up"})
+        assert parsed == []
+        assert dispatch(
+            ["sweep", "--cmd", "phase", "--param", "theta", "--start", "0",
+             "--stop", "1", "--steps", "50", "--spin", "up"]
+        ) == 0
+        assert parsed == ["spinphase", "spinphase sweep"]  # the subparser re-enters
 
     def test_library_sweep_matches_cli_route(self, capsys):
         spec = SweepSpec("theta", 0.0, 1.0, 3)

@@ -1,0 +1,160 @@
+"""Golden CLI corpus: fixed invocations pinned byte for byte.
+
+Every command in JSON and CSV, sweeps on the argv route (``dispatch``) and on
+the library route (``sweep`` then ``emit``), domain errors (exit 1) and usage
+errors (exit 2).  Each case pins stdout, stderr and the exit code stored in
+``golden/cli_corpus.json``.  Usage and help text are argparse's, laid out at a
+fixed 80-column width.
+
+The expected file is written by running this module as a script:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+
+Regenerate it only for an intended change of output, and review the diff.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from spinphase import SweepSpec, dispatch, emit, sweep
+
+GOLDEN = Path(__file__).with_name("golden") / "cli_corpus.json"
+CIRCUIT_TEXT = "# golden circuit\nH P(2*theta) H P(pi/2 + phi)\n"
+CIRCUIT = "{circuit}"  # argv placeholder for the circuit file written per run
+
+PHASE_SWEEP = ["sweep", "--cmd", "phase", "--param", "theta", "--start", "0",
+               "--stop", "1", "--steps", "2"]
+
+# name -> argv for dispatch, or ("sweep", cmd, (param, start, stop, steps), fixed, format)
+CASES = {
+    "phase-json": ["phase", "--spin", "up", "--theta", "1.0471975511965976"],
+    "phase-csv": ["phase", "--spin", "down", "--theta", "2.5", "--format", "csv"],
+    "phase-degrees": ["phase", "--spin", "up", "--theta", "60", "--degrees"],
+    "holonomy-json": ["holonomy", "--spin", "down", "--theta", "2.0", "--segments", "800"],
+    "holonomy-csv": ["holonomy", "--spin", "up", "--theta", "0.7", "--segments", "64",
+                     "--format", "csv"],
+    "circuit-json": ["circuit", "--file", CIRCUIT, "--theta", "0.7", "--phi", "1.1"],
+    "circuit-csv": ["circuit", "--file", CIRCUIT, "--phi", "0.3", "--format", "csv"],
+    "rabi-json": ["rabi", "--omega", "1.5", "--t", "2.0", "--c0", "0.6", "--c1", "0,0.8"],
+    "rabi-csv": ["rabi", "--omega", "1", "--t", "3.141592653589793", "--c0=-0.6,0.0",
+                 "--c1", "0,0.8", "--format", "csv"],
+    "echo-json": ["echo", "--phi", "0", "--chi", "-3.141592653589793"],
+    "echo-csv": ["echo", "--phi", "0.4", "--chi", "1.3", "--format", "csv"],
+    "entangle-json": ["entangle", "--theta", "2.2", "--alpha", "0.6", "--beta", "0,0.8"],
+    "entangle-csv": ["entangle", "--theta", "1.0471975511965976", "--alpha",
+                     "0.7071067811865476", "--beta", "0.7071067811865476", "--format", "csv"],
+    "noise-json": ["noise", "--spin", "down", "--theta", "1.2", "--delta-theta", "0.03"],
+    "noise-csv": ["noise", "--spin", "entangled", "--theta", "0.9", "--delta-theta", "0.02",
+                  "--format", "csv"],
+    "rgflow-json": ["rgflow", "--a", "2.0", "--c", "0.1", "--separation", "10.0"],
+    "rgflow-csv": ["rgflow", "--a", "0.3", "--c", "1.0", "--separation", "2.0",
+                   "--format", "csv"],
+    "sweep-argv-phase": ["sweep", "--cmd", "phase", "--param", "theta", "--start", "0",
+                         "--stop", "3.141592653589793", "--steps", "5", "--spin", "up"],
+    "sweep-argv-degrees": ["sweep", "--cmd", "phase", "--param", "theta", "--start", "0",
+                           "--stop", "180", "--steps", "3", "--spin", "down", "--degrees"],
+    "sweep-argv-omega-t": ["sweep", "--cmd", "rabi", "--param", "omega_t", "--start", "0",
+                           "--stop", "1", "--steps", "3", "--omega", "2.0", "--c0", "1",
+                           "--c1", "0"],
+    "sweep-argv-rgflow-csv": ["sweep", "--cmd", "rgflow", "--param", "separation", "--start",
+                              "1", "--stop", "2", "--steps", "4", "--a", "1.0", "--c", "0.5",
+                              "--format", "csv"],
+    "sweep-argv-holonomy": ["sweep", "--cmd", "holonomy", "--param", "theta", "--start", "0.5",
+                            "--stop", "2.5", "--steps", "3", "--spin", "up", "--segments", "16"],
+    "sweep-lib-noise": ("sweep", "noise", ("delta_theta", 0.01, 0.2, 3),
+                        {"spin": "down", "theta": 1.0}, "json"),
+    "sweep-lib-omega-t-csv": ("sweep", "rabi", ("omega_t", 0, 2, 3),
+                              {"omega": 1.0, "c0": "0.6", "c1": "0,0.8"}, "csv"),
+    "sweep-lib-dashed-name": ("sweep", "noise", ("theta", 0.2, 2.9, 4),
+                              {"spin": "entangled", "delta-theta": 0.05}, "json"),
+    "sweep-lib-int-segments": ("sweep", "holonomy", ("theta", 0.3, 2.8, 3),
+                               {"--spin": "up", "segments": 32}, "csv"),
+    "sweep-lib-bare-flag": ("sweep", "phase", ("theta", 0, 90, 3),
+                            {"spin": "up", "degrees": True}, "json"),
+    "domain-phase-theta": ["phase", "--spin", "up", "--theta", "4.0"],
+    "domain-holonomy-segments": ["holonomy", "--spin", "up", "--theta", "1.0",
+                                 "--segments", "1"],
+    "domain-circuit-missing-file": ["circuit", "--file", "/nonexistent/x.circ"],
+    "domain-rgflow-separation": ["rgflow", "--a", "1", "--c", "1", "--separation", "0"],
+    "domain-sweep-grid-point": ["sweep", "--cmd", "phase", "--param", "theta", "--start",
+                                "3.0", "--stop", "4.0", "--steps", "3", "--spin", "up"],
+    "usage-stray-flag": ["phase", "--spin", "up", "--theta", "1.0", "--bogus", "1"],
+    "usage-sweep-stray-flag": PHASE_SWEEP + ["--spin", "up", "--bogus", "7"],
+    "usage-sweep-cmd-sweep": ["sweep", "--cmd", "sweep", "--param", "theta", "--start", "0",
+                              "--stop", "1", "--steps", "2"],
+    "usage-sweep-steps-1": ["sweep", "--cmd", "phase", "--param", "theta", "--start", "0",
+                            "--stop", "1", "--steps", "1", "--spin", "up"],
+    "usage-sweep-param-not-in-target": ["sweep", "--cmd", "echo", "--param", "theta",
+                                        "--start", "0", "--stop", "1", "--steps", "2",
+                                        "--phi", "0", "--chi", "1"],
+    "usage-missing-flag": ["phase", "--spin", "up"],
+    "usage-bad-complex": ["rabi", "--omega", "1", "--t", "1", "--c0", "a,b", "--c1", "0"],
+    "usage-unknown-command": ["nope"],
+    "usage-no-command": [],
+    "help-top": ["--help"],
+    "help-rabi": ["rabi", "--help"],
+    "help-sweep": ["sweep", "--help"],
+}
+
+
+def run_case(case, circuit_path: str) -> dict:
+    """stdout, stderr and exit code of one case (library cases exit 0)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        if isinstance(case, tuple):
+            _, cmd, (param, start, stop, steps), fixed, fmt = case
+            records = sweep(cmd, SweepSpec(param, start, stop, steps), fixed)
+            assert all(r.metadata["swept"] == param for r in records)
+            out.write(emit(records, fmt).decode("utf-8"))
+            code = 0
+        else:
+            code = dispatch([circuit_path if a == CIRCUIT else a for a in case])
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.fixture
+def circuit_path(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    path = tmp_path / "golden.circ"
+    path.write_text(CIRCUIT_TEXT, encoding="utf-8")
+    return str(path)
+
+
+def test_corpus_names_every_case(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_case_matches_golden_bytes(name, golden, circuit_path):
+    assert run_case(CASES[name], circuit_path) == golden[name]
+
+
+def test_corpus_covers_every_exit_code(golden):
+    assert {entry["exit"] for entry in golden.values()} == {0, 1, 2}
+    for entry in golden.values():
+        if entry["exit"] == 1:
+            assert entry["stdout"] == "" and entry["stderr"].count("\n") == 1
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    os.environ["COLUMNS"] = "80"
+    with tempfile.TemporaryDirectory() as tmp:
+        circuit = Path(tmp) / "golden.circ"
+        circuit.write_text(CIRCUIT_TEXT, encoding="utf-8")
+        corpus = {name: run_case(case, str(circuit)) for name, case in sorted(CASES.items())}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -23,6 +23,7 @@ from spinphase import (
     swap_expectation,
     tensor_product,
 )
+from spinphase.entangle import monopole_strength_unclamped
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -244,6 +245,13 @@ class TestStrengthFlow:
     def test_crossing_point(self):
         assert monopole_strength_rg(RgFlowParams(1.0, math.log(2.0), 2.0)) == 0.0
         assert monopole_strength_rg(RgFlowParams(1.0, math.log(2.0), 1.9)) > 0.0
+
+    def test_unclamped_flow_keeps_its_sign(self):
+        assert monopole_strength_unclamped(RgFlowParams(1.0, math.log(2.0), 2.0)) == 0.0
+        assert monopole_strength_unclamped(RgFlowParams(2.0, 0.1, 10.0)) == pytest.approx(
+            0.1 - 2.0 * math.log(10.0), abs=1e-15)
+        params = RgFlowParams(0.3, 1.0, 2.0)
+        assert monopole_strength_unclamped(params) == monopole_strength_rg(params)
 
     @given(st.floats(0.0, 5.0), st.floats(-5.0, 5.0),
            st.floats(0.01, 100.0), st.floats(0.01, 100.0))

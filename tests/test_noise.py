@@ -52,6 +52,17 @@ class TestNoiseSpec:
 
 
 class TestPerturbedConnection:
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 1.0, math.pi / 2, 2.2, math.pi])
+    @pytest.mark.parametrize("d", [-0.5, -0.013, 0.0, 3e-05, 0.2, 0.5])
+    def test_phase_is_exactly_two_pi_times_connection(self, theta, d):
+        tilt = math.sin(theta) * d
+        up, _ = noisy_phase(Orientation.UP, theta, up_spec(d))
+        down, _ = noisy_phase(Orientation.DOWN, theta, down_spec(d))
+        assert up.value == TWO_PI * perturbed_connection(theta, up_spec(d))
+        assert down.value == TWO_PI * perturbed_connection(theta, down_spec(d))
+        assert up.value == math.pi * (1.0 - math.cos(theta) + tilt)
+        assert down.value == math.pi * (1.0 + math.cos(theta) - tilt)
+
     def test_frozen_values_at_equator(self):
         assert perturbed_connection(math.pi / 2, up_spec(0.01)) == pytest.approx(
             0.505, abs=1e-15
