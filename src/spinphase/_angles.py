@@ -1,12 +1,28 @@
-"""Angle bookkeeping helpers shared by the physics modules."""
+"""Angle bookkeeping and input checks shared by the physics modules."""
 
 from __future__ import annotations
 
 import math
+import operator
 
 from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
+
+
+def check_finite(obj, *names: str) -> None:
+    """Reject the first named attribute of obj that is not a finite real."""
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise DomainError(f"{name} must be finite")
+
+
+def check_integer(value, name: str) -> None:
+    """Reject a size input that is not an integer (floats such as 3.0 included)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer") from None
 
 
 def check_theta(theta: float) -> float:

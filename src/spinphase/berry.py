@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._angles import TWO_PI, check_theta, mod_two_pi
+from ._angles import TWO_PI, check_integer, check_theta, mod_two_pi
 from .circuits import Orientation, SpinorParams, prepare_spinor
 from .errors import DegeneratePathError, DomainError
 from .states import PureState
@@ -116,6 +116,7 @@ def holonomy_numeric(path: Sequence[PureState]) -> GeometricPhase:
 
 
 def _check_segments(segments: int) -> None:
+    check_integer(segments, "segments")
     if segments < 2:
         raise DomainError("a loop needs at least 2 segments")
     if segments > MAX_SEGMENTS:
@@ -161,12 +162,3 @@ def entangled_family_loop(theta: float, segments: int) -> list[PureState]:
         out.append(PureState(raw / norm))
     return out
 
-
-def entangled_holonomy_diagnostic(theta: float, segments: int = 2000) -> GeometricPhase:
-    """Numeric loop transport over the antisymmetric spinor family.
-
-    Exploratory diagnostic only: the transported phase of this particular
-    family is identically zero, which is useful for seeing that the closed
-    form pi(1 + cos 2 theta) is not the holonomy of this loop and gauge.
-    """
-    return holonomy_numeric(entangled_family_loop(theta, segments))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Union
 
-from ._angles import check_theta
+from ._angles import check_finite, check_theta
 from .errors import (
     CircuitSyntaxError,
     DomainError,
@@ -424,24 +424,18 @@ class SpinorParams:
 
     def __post_init__(self) -> None:
         check_theta(self.theta)
-        for name in ("phi", "chi", "mu"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+        check_finite(self, "phi", "chi", "mu")
 
 
 def prepare_spinor(
     params: SpinorParams,
     orientation: Orientation,
     include_overall_phase: bool = False,
-    down_azimuth_half: bool = False,
 ) -> PureState:
     """Spinor state at (theta, phi), optionally carrying its overall winding phase.
 
     UP:   (cos(theta/2), sin(theta/2) e^{-i phi}) times e^{+i(phi-chi)/2}
     DOWN: (sin(theta/2), cos(theta/2) e^{+i phi}) times e^{-i(phi-chi)/2}
-
-    down_azimuth_half selects the alternative DOWN bracket with e^{+i phi/2} on
-    the |1> amplitude; kept constructible for sensitivity checks only.
     """
     half = params.theta / 2.0
     c, s = math.cos(half), math.sin(half)
@@ -449,8 +443,7 @@ def prepare_spinor(
         amps = [c, s * cmath.exp(-1j * params.phi)]
         phase = cmath.exp(0.5j * (params.phi - params.chi))
     else:
-        azimuth = params.phi / 2.0 if down_azimuth_half else params.phi
-        amps = [s, c * cmath.exp(1j * azimuth)]
+        amps = [s, c * cmath.exp(1j * params.phi)]
         phase = cmath.exp(-0.5j * (params.phi - params.chi))
     if include_overall_phase:
         amps = [a * phase for a in amps]

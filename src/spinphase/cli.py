@@ -20,7 +20,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ._angles import TWO_PI
+from ._angles import TWO_PI, check_integer
 from .berry import (
     berry_phase_analytic,
     berry_phase_entangled,
@@ -101,6 +101,7 @@ class SweepSpec:
             raise DomainError("start and stop must be finite")
         if not self.start < self.stop:
             raise DomainError("start must be below stop")
+        check_integer(self.steps, "steps")
         if self.steps < 2:
             raise DomainError("steps must be at least 2")
         if self.steps > MAX_STEPS:

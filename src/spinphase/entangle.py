@@ -15,13 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._angles import check_theta, mod_two_pi
+from ._angles import check_finite, check_theta, mod_two_pi
 from .berry import berry_phase_analytic
 from .circuits import Orientation
 from .errors import DomainError
-from .states import NORM_TOLERANCE, PureState
+from .states import PureState, unit_vector
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+
+def _set_unit(coeffs, *names: str) -> None:
+    """Replace the named fields of a frozen dataclass by their unit-norm scaling."""
+    values = unit_vector([getattr(coeffs, name) for name in names], "coefficients")
+    for name, value in zip(names, values.tolist()):
+        object.__setattr__(coeffs, name, value)
 
 
 @dataclass(frozen=True)
@@ -32,14 +39,7 @@ class BellCoefficients:
     beta: complex
 
     def __post_init__(self) -> None:
-        values = (self.alpha, self.beta)
-        if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in values):
-            raise DomainError("coefficients must be finite")
-        norm = math.sqrt(abs(self.alpha) ** 2 + abs(self.beta) ** 2)
-        if abs(norm - 1.0) > NORM_TOLERANCE:
-            raise DomainError(f"coefficient norm {norm!r} not within {NORM_TOLERANCE} of 1")
-        object.__setattr__(self, "alpha", self.alpha / norm)
-        object.__setattr__(self, "beta", self.beta / norm)
+        _set_unit(self, "alpha", "beta")
 
     @classmethod
     def equal_weight(cls) -> "BellCoefficients":
@@ -56,14 +56,7 @@ class BipartiteCoefficients:
     a_uu: complex
 
     def __post_init__(self) -> None:
-        values = (self.a_dd, self.a_du, self.a_ud, self.a_uu)
-        if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in values):
-            raise DomainError("coefficients must be finite")
-        norm = math.sqrt(sum(abs(v) ** 2 for v in values))
-        if abs(norm - 1.0) > NORM_TOLERANCE:
-            raise DomainError(f"coefficient norm {norm!r} not within {NORM_TOLERANCE} of 1")
-        for name, value in zip(("a_dd", "a_du", "a_ud", "a_uu"), values):
-            object.__setattr__(self, name, value / norm)
+        _set_unit(self, "a_dd", "a_du", "a_ud", "a_uu")
 
     @classmethod
     def from_state(cls, state: PureState) -> "BipartiteCoefficients":
@@ -82,9 +75,7 @@ class RgFlowParams:
     separation: float
 
     def __post_init__(self) -> None:
-        for name in ("a", "c", "separation"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+        check_finite(self, "a", "c", "separation")
         if self.a < 0.0:
             raise DomainError("decay rate a must be nonnegative")
         if self.separation <= 0.0:

@@ -18,14 +18,13 @@ from enum import Enum
 
 import numpy as np
 
-from ._angles import wrap_pm_pi
+from ._angles import check_finite, wrap_pm_pi
 from .circuits import SpinorParams
 from .errors import DomainError
-from .states import PureState
+from .states import PureState, unit_vector
 
 _LEDGER_TOLERANCE = 1e-12
 _PULSE_TOLERANCE = 1e-12
-_NORM_TOLERANCE = 1e-9
 
 _SIGMA = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -43,9 +42,7 @@ class RabiParams:
     duration: float
 
     def __post_init__(self) -> None:
-        for name in ("omega0", "omega", "duration"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+        check_finite(self, "omega0", "omega", "duration")
         if self.duration < 0.0:
             raise DomainError("duration must be nonnegative")
 
@@ -98,9 +95,7 @@ class PhaseLedger:
     total: float
 
     def __post_init__(self) -> None:
-        for name in ("geometric", "dynamical", "total"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+        check_finite(self, "geometric", "dynamical", "total")
         if abs(self.total - (self.geometric + self.dynamical)) > _LEDGER_TOLERANCE:
             raise DomainError("ledger total must equal geometric + dynamical")
 
@@ -112,10 +107,9 @@ class PhaseLedger:
 def hamiltonian_matrix(params: RabiParams, direction) -> np.ndarray:
     """Two-level Hamiltonian (omega0 * I + omega * n.sigma) / 2 for unit vector n."""
     n = np.asarray(direction, dtype=float)
-    if n.shape != (3,) or not np.all(np.isfinite(n)):
-        raise DomainError("direction must be a finite 3-vector")
-    if abs(float(np.linalg.norm(n)) - 1.0) > _NORM_TOLERANCE:
-        raise DomainError("direction must be a unit vector")
+    if n.shape != (3,):
+        raise DomainError("direction must be a 3-vector")
+    n = unit_vector(n, "direction").real
     h = params.omega0 * np.eye(2, dtype=complex)
     for component, sigma in zip(n, _SIGMA):
         h = h + params.omega * component * sigma
@@ -124,8 +118,7 @@ def hamiltonian_matrix(params: RabiParams, direction) -> np.ndarray:
 
 def evolve_coefficients(c0: complex, c1: complex, params: RabiParams) -> tuple[complex, complex]:
     """Rotate normalized coefficients through the resonant drive for params.duration."""
-    if abs((abs(c0) ** 2 + abs(c1) ** 2) - 1.0) > _NORM_TOLERANCE:
-        raise DomainError("coefficients must be normalized")
+    c0, c1 = unit_vector((c0, c1), "coefficients").tolist()
     half = 0.5 * params.omega * params.duration
     cos_half = math.cos(half)
     sin_half = math.sin(half)

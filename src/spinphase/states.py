@@ -1,9 +1,13 @@
 """Exact complex state algebra for one and two qubits.
 
 Amplitude vectors are ordered |0>, |1> for one qubit and |00>, |01>, |10>, |11>
-for two, with the first tensor factor as the most significant qubit.  States
-renormalize on construction when within 1e-6 of unit norm and are rejected
-otherwise, so silent normalization drift is distinguished from caller bugs.
+for two, with the first tensor factor as the most significant qubit.
+
+One normalization contract covers every unit vector in the package (states,
+Bell and bipartite weights, Rabi coefficients, Hamiltonian directions):
+``unit_vector`` accepts finite values whose 2-norm is within 1e-6 of 1 and
+renormalizes them, and rejects anything else, so silent normalization drift is
+distinguished from caller bugs.
 """
 
 from __future__ import annotations
@@ -15,21 +19,31 @@ from .errors import DomainError
 NORM_TOLERANCE = 1e-6
 
 
+def unit_vector(values, what: str) -> np.ndarray:
+    """values as a new complex array scaled to unit 2-norm.
+
+    Raises DomainError unless every component is finite and the 2-norm lies
+    within NORM_TOLERANCE of 1.
+    """
+    arr = np.array(values, dtype=np.complex128)
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{what} must be finite")
+    norm = float(np.linalg.norm(arr))
+    if abs(norm - 1.0) > NORM_TOLERANCE:
+        raise DomainError(f"{what} norm {norm!r} not within {NORM_TOLERANCE} of 1")
+    arr /= norm
+    return arr
+
+
 class PureState:
     """Immutable normalized pure state of one or two qubits."""
 
     __slots__ = ("_amps",)
 
     def __init__(self, amplitudes) -> None:
-        arr = np.array(amplitudes, dtype=np.complex128)
+        arr = unit_vector(amplitudes, "state")
         if arr.ndim != 1 or arr.shape[0] not in (2, 4):
             raise DomainError("amplitude vector must have length 2 or 4")
-        if not np.all(np.isfinite(arr.view(np.float64))):
-            raise DomainError("amplitudes must be finite")
-        norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > NORM_TOLERANCE:
-            raise DomainError(f"state norm {norm!r} not within {NORM_TOLERANCE} of 1")
-        arr /= norm
         arr.flags.writeable = False
         self._amps = arr
 

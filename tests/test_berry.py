@@ -24,7 +24,6 @@ from spinphase import (
     berry_phase_entangled,
     connection,
     entangled_family_loop,
-    entangled_holonomy_diagnostic,
     holonomy_numeric,
     ket,
     prepare_spinor,
@@ -240,8 +239,12 @@ class TestSpinorLoop:
     def test_segment_count_bounded(self, build, monkeypatch):
         with pytest.raises(DomainError, match="at most 1000000 segments"):
             build(berry.MAX_SEGMENTS + 1)
+        for bad in (2.5, 3.0, "3"):
+            with pytest.raises(DomainError, match="segments must be an integer"):
+                build(bad)
         monkeypatch.setattr(berry, "MAX_SEGMENTS", 10)
         assert len(build(10)) == 11
+        assert len(build(np.int64(4))) == 5
         with pytest.raises(DomainError, match="at most 10 segments"):
             build(11)
 
@@ -257,9 +260,8 @@ class TestEntangledFamily:
 
     def test_transported_phase_is_zero_not_the_closed_form(self):
         # the closed form pi(1 + cos 2 theta) is nonzero here; the transported
-        # phase of this family is identically zero, and that contrast is the
-        # point of the diagnostic
+        # phase of this family is identically zero
         theta = 0.4
-        diag = entangled_holonomy_diagnostic(theta, segments=400)
+        diag = holonomy_numeric(entangled_family_loop(theta, 400))
         assert diag.value == pytest.approx(0.0, abs=1e-9)
         assert berry_phase_entangled(theta).value > 1.0

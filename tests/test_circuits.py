@@ -328,13 +328,6 @@ class TestSpinorConstructors:
             atol=1e-15,
         )
 
-    def test_down_azimuth_half_variant_differs(self):
-        p = SpinorParams(theta=1.0, phi=1.0, chi=0.0)
-        a = prepare_spinor(p, Orientation.DOWN)
-        b = prepare_spinor(p, Orientation.DOWN, down_azimuth_half=True)
-        assert not equal_up_to_global_phase(a, b, 1e-6)
-        assert b.amplitudes[1] == pytest.approx(math.cos(0.5) * np.exp(0.5j))
-
     def test_down_equals_up_at_antipode_with_reversed_azimuth(self):
         theta, phi = 0.9, 2.2
         down = prepare_spinor(SpinorParams(theta, phi, 0.0), Orientation.DOWN)

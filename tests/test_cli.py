@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 
+import numpy as np
 import pytest
 
 from spinphase import (
@@ -56,6 +57,12 @@ class TestSweepSpec:
     def test_minimum_steps(self):
         with pytest.raises(DomainError, match="at least 2"):
             SweepSpec("theta", 0.0, 1.0, 1)
+        for bad in (2.5, 3.0):
+            with pytest.raises(DomainError, match="steps must be an integer"):
+                SweepSpec("theta", 0.0, 1.0, bad)
+        with pytest.raises(DomainError, match="steps must be an integer"):
+            sweep("phase", SweepSpec("theta", 0, 1, 2.5), {"spin": "up"})
+        assert len(sweep("phase", SweepSpec("theta", 0, 1, np.int64(3)), {"spin": "up"})) == 3
 
     def test_maximum_steps(self):
         assert SweepSpec("theta", 0.0, 1.0, MAX_STEPS).steps == 100_000
@@ -211,6 +218,19 @@ class TestRabiCommand:
     def test_unnormalized_coefficients_domain_error(self, capsys):
         code = dispatch(["rabi", "--omega", "1", "--t", "1", "--c0", "1", "--c1", "1"])
         assert code == 1
+
+    def test_coefficients_within_contract_renormalized(self, capsys):
+        code, recs = run_json(
+            ["rabi", "--omega", "1", "--t", "0", "--c0", "1.0000005", "--c1", "0"], capsys
+        )
+        assert code == 0
+        assert recs[0]["inputs"]["c0_re"] == 1.0000005
+        assert recs[0]["outputs"]["c0_out_re"] == 1.0
+
+    def test_nan_coefficient_domain_error(self, capsys):
+        code = dispatch(["rabi", "--omega", "1", "--t", "1", "--c0", "nan", "--c1", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == "rabi: coefficients must be finite\n"
 
 
 class TestEchoCommand:

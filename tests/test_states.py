@@ -8,9 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinphase import (
+    BellCoefficients,
+    BipartiteCoefficients,
     DomainError,
     PureState,
+    RabiParams,
     equal_up_to_global_phase,
+    evolve_coefficients,
+    hamiltonian_matrix,
     inner_product,
     ket,
     tensor_product,
@@ -22,6 +27,63 @@ SQRT_HALF = 1.0 / math.sqrt(2.0)
 def random_amplitudes(rng, n):
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)
+
+
+def _state_norm(values):
+    return np.linalg.norm(PureState(values).amplitudes)
+
+
+def _bell_norm(values):
+    c = BellCoefficients(*values)
+    return np.linalg.norm([c.alpha, c.beta])
+
+
+def _bipartite_norm(values):
+    c = BipartiteCoefficients(*values)
+    return np.linalg.norm([c.a_dd, c.a_du, c.a_ud, c.a_uu])
+
+
+def _rabi_norm(values):
+    # a zero-length pulse hands the renormalized coefficients straight back
+    return np.linalg.norm(evolve_coefficients(*values, RabiParams(0.0, 1.0, 0.0)))
+
+
+def _direction_norm(values):
+    h = hamiltonian_matrix(RabiParams(0.0, 2.0, 1.0), values)  # h = n . sigma
+    return np.linalg.norm([h[1, 0].real, h[1, 0].imag, h[0, 0].real])
+
+
+# every caller of the one normalization contract, with a unit input vector
+CONTRACT_SITES = {
+    "state": (_state_norm, [0.6, 0.8j]),
+    "bell": (_bell_norm, [0.6, 0.8j]),
+    "bipartite": (_bipartite_norm, [0.5, 0.5j, -0.5, 0.5]),
+    "rabi": (_rabi_norm, [0.6, 0.8j]),
+    "direction": (_direction_norm, [0.48, 0.6, 0.64]),
+}
+
+
+@pytest.mark.parametrize("site", sorted(CONTRACT_SITES))
+class TestNormalizationContract:
+    @pytest.mark.parametrize("scale", [1.0 - 0.9e-6, 1.0 + 0.9e-6])
+    def test_within_tolerance_renormalized(self, site, scale):
+        norm_of, unit = CONTRACT_SITES[site]
+        assert abs(norm_of([scale * v for v in unit]) - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("scale", [1.0 - 1.1e-6, 1.0 + 1.1e-6])
+    def test_beyond_tolerance_rejected(self, site, scale):
+        norm_of, unit = CONTRACT_SITES[site]
+        with pytest.raises(DomainError, match="not within 1e-06 of 1"):
+            norm_of([scale * v for v in unit])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_component_rejected(self, site, bad):
+        norm_of, unit = CONTRACT_SITES[site]
+        for k in range(len(unit)):
+            values = list(unit)
+            values[k] = bad
+            with pytest.raises(DomainError, match="must be finite"):
+                norm_of(values)
 
 
 class TestConstruction:
