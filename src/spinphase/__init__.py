@@ -13,6 +13,7 @@ from .berry import (
     CLOSURE_TOLERANCE,
     MIN_OVERLAP,
     GeometricPhase,
+    Loop,
     PhaseConvention,
     berry_phase_analytic,
     berry_phase_entangled,

@@ -9,20 +9,25 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
 from ._angles import TWO_PI, check_integer, check_theta, mod_two_pi
-from .circuits import Orientation, SpinorParams, prepare_spinor
+from .circuits import Orientation, spinor_amplitudes
 from .errors import DegeneratePathError, DomainError
-from .states import PureState
+from .states import PureState, unit_rows
 
 CLOSURE_TOLERANCE = 1e-12
 MIN_OVERLAP = 1e-9
-MAX_SEGMENTS = 1_000_000  # a loop holds about 190 B per segment
+# A Loop stores 32 B per segment (spinor) or 64 B (entangled family).  Building
+# and transporting a 10^6-segment loop peaks about 108 MiB (spinor) or 276 MiB
+# (entangled) above the interpreter's resident size, temporaries included
+# (numpy 2.4, x86-64 Linux).
+MAX_SEGMENTS = 1_000_000
 
 
 class PhaseConvention(Enum):
@@ -93,6 +98,40 @@ def berry_phase_entangled(theta: float) -> GeometricPhase:
     return GeometricPhase.raw(math.pi * (1.0 + math.cos(2.0 * theta)))
 
 
+class Loop(Sequence):
+    """Read-only sequence of states backed by one (n, d) complex amplitude array.
+
+    Building a Loop holds every row to the package's normalization contract
+    (``unit_rows``: finite, 2-norm within 1e-6 of 1, renormalized) and
+    freezes the array.  Items are ``PureState`` views of the rows and slices
+    are Loops; nothing is copied on access.
+    """
+
+    __slots__ = ("_amps",)
+
+    def __init__(self, amplitudes) -> None:
+        arr = unit_rows(amplitudes, "state")
+        if arr.ndim != 2 or arr.shape[1] not in (2, 4):
+            raise DomainError("loop amplitudes must have shape (n, 2) or (n, 4)")
+        arr.flags.writeable = False
+        self._amps = arr
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """Read-only (n, d) complex amplitudes, one state per row."""
+        return self._amps
+
+    def __len__(self) -> int:
+        return self._amps.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            view = object.__new__(Loop)
+            view._amps = self._amps[index]
+            return view
+        return PureState._from_unit_row(self._amps[operator.index(index)])
+
+
 def holonomy_numeric(path: Sequence[PureState]) -> GeometricPhase:
     """Discrete loop transport phase -arg prod_k <psi_k | psi_{k+1}>, in [0, 2*pi).
 
@@ -100,12 +139,17 @@ def holonomy_numeric(path: Sequence[PureState]) -> GeometricPhase:
     1e-12 componentwise.  Consecutive overlaps below 1e-9 in magnitude leave
     the transported phase ill-defined and are rejected.  The result is
     insensitive to per-point global phases (endpoints rephased together).
+    A ``Loop`` is read as its amplitude array; any other sequence of states
+    is stacked first.
     """
     if len(path) < 2:
         raise DomainError("a loop needs at least two states")
-    if len({s.num_qubits for s in path}) != 1:
-        raise DomainError("all loop states must have the same qubit count")
-    amps = np.stack([s.amplitudes for s in path])
+    if isinstance(path, Loop):
+        amps = path.amplitudes
+    else:
+        if len({s.num_qubits for s in path}) != 1:
+            raise DomainError("all loop states must have the same qubit count")
+        amps = np.stack([s.amplitudes for s in path])
     if float(np.max(np.abs(amps[0] - amps[-1]))) > CLOSURE_TOLERANCE:
         raise DomainError("open path: first and last states differ beyond 1e-12")
     overlaps = np.einsum("ij,ij->i", np.conj(amps[:-1]), amps[1:])
@@ -123,7 +167,12 @@ def _check_segments(segments: int) -> None:
         raise DomainError(f"a loop takes at most {MAX_SEGMENTS} segments")
 
 
-def spinor_loop(orientation: Orientation, theta: float, segments: int) -> list[PureState]:
+def _azimuths(sign: float, segments: int) -> np.ndarray:
+    """The closed azimuth grid sign * 2*pi * k/segments for k = 0..segments."""
+    return sign * TWO_PI * (np.arange(segments + 1) / segments)
+
+
+def spinor_loop(orientation: Orientation, theta: float, segments: int) -> Loop:
     """Closed loop of gauge-fixed spinors at fixed theta, azimuth winding once around.
 
     The loop is traversed with its orientation referred to the spinor's own
@@ -134,14 +183,10 @@ def spinor_loop(orientation: Orientation, theta: float, segments: int) -> list[P
     check_theta(theta)
     _check_segments(segments)
     sign = 1.0 if orientation is Orientation.UP else -1.0
-    out = []
-    for k in range(segments + 1):
-        phi = sign * TWO_PI * (k / segments)
-        out.append(prepare_spinor(SpinorParams(theta, phi, 0.0), orientation))
-    return out
+    return Loop(spinor_amplitudes(theta, _azimuths(sign, segments), orientation))
 
 
-def entangled_family_loop(theta: float, segments: int) -> list[PureState]:
+def entangled_family_loop(theta: float, segments: int) -> Loop:
     """Closed loop of the normalized two-spinor antisymmetric family over phi.
 
     The family is up(phi) x down(phi) - down(phi) x up(phi), renormalized.  It
@@ -150,15 +195,15 @@ def entangled_family_loop(theta: float, segments: int) -> list[PureState]:
     """
     check_theta(theta)
     _check_segments(segments)
-    out = []
-    for k in range(segments + 1):
-        phi = TWO_PI * (k / segments)
-        up = prepare_spinor(SpinorParams(theta, phi, 0.0), Orientation.UP).amplitudes
-        down = prepare_spinor(SpinorParams(theta, phi, 0.0), Orientation.DOWN).amplitudes
-        raw = np.kron(up, down) - np.kron(down, up)
-        norm = float(np.linalg.norm(raw))
-        if norm < MIN_OVERLAP:
-            raise DegeneratePathError("antisymmetric spinor family vanishes near theta = pi/2")
-        out.append(PureState(raw / norm))
-    return out
-
+    phi = _azimuths(1.0, segments)
+    up = spinor_amplitudes(theta, phi, Orientation.UP)
+    down = spinor_amplitudes(theta, phi, Orientation.DOWN)
+    # row k is kron(up_k, down_k) - kron(down_k, up_k)
+    raw = up[:, :, np.newaxis] * down[:, np.newaxis, :]
+    raw -= down[:, :, np.newaxis] * up[:, np.newaxis, :]
+    raw = raw.reshape(-1, 4)
+    norms = np.linalg.norm(raw, axis=1)
+    if float(norms.min()) < MIN_OVERLAP:
+        raise DegeneratePathError("antisymmetric spinor family vanishes near theta = pi/2")
+    raw /= norms[:, np.newaxis]
+    return Loop(raw)

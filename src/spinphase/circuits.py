@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Union
 
+import numpy as np
+
 from ._angles import check_finite, check_theta
 from .errors import (
     CircuitSyntaxError,
@@ -427,6 +429,28 @@ class SpinorParams:
         check_finite(self, "phi", "chi", "mu")
 
 
+def spinor_amplitudes(theta: float, phi, orientation: Orientation) -> np.ndarray:
+    """Gauge-fixed spinor amplitudes at polar angle theta, one row per azimuth in phi.
+
+    UP:   (cos(theta/2), sin(theta/2) e^{-i phi})
+    DOWN: (sin(theta/2), cos(theta/2) e^{+i phi})
+
+    The result has shape ``np.shape(phi) + (2,)``; its rows are neither checked
+    nor renormalized (``PureState`` and ``unit_rows`` do that).
+    """
+    half = theta / 2.0
+    c, s = math.cos(half), math.sin(half)
+    phi = np.asarray(phi, dtype=np.float64)
+    out = np.empty(phi.shape + (2,), dtype=np.complex128)
+    if orientation is Orientation.UP:
+        out[..., 0] = c
+        out[..., 1] = s * np.exp(-1j * phi)
+    else:
+        out[..., 0] = s
+        out[..., 1] = c * np.exp(1j * phi)
+    return out
+
+
 def prepare_spinor(
     params: SpinorParams,
     orientation: Orientation,
@@ -437,14 +461,12 @@ def prepare_spinor(
     UP:   (cos(theta/2), sin(theta/2) e^{-i phi}) times e^{+i(phi-chi)/2}
     DOWN: (sin(theta/2), cos(theta/2) e^{+i phi}) times e^{-i(phi-chi)/2}
     """
-    half = params.theta / 2.0
-    c, s = math.cos(half), math.sin(half)
-    if orientation is Orientation.UP:
-        amps = [c, s * cmath.exp(-1j * params.phi)]
-        phase = cmath.exp(0.5j * (params.phi - params.chi))
-    else:
-        amps = [s, c * cmath.exp(1j * params.phi)]
-        phase = cmath.exp(-0.5j * (params.phi - params.chi))
+    amps = spinor_amplitudes(params.theta, params.phi, orientation)
     if include_overall_phase:
-        amps = [a * phase for a in amps]
+        if orientation is Orientation.UP:
+            phase = cmath.exp(0.5j * (params.phi - params.chi))
+        else:
+            phase = cmath.exp(-0.5j * (params.phi - params.chi))
+        # Python's complex multiply, not numpy's: numpy rounds differently in the last bit
+        amps = [complex(a) * phase for a in amps]
     return PureState(amps)

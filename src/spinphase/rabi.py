@@ -106,10 +106,12 @@ class PhaseLedger:
 
 def hamiltonian_matrix(params: RabiParams, direction) -> np.ndarray:
     """Two-level Hamiltonian (omega0 * I + omega * n.sigma) / 2 for unit vector n."""
-    n = np.asarray(direction, dtype=float)
-    if n.shape != (3,):
+    if np.shape(direction) != (3,):
         raise DomainError("direction must be a 3-vector")
-    n = unit_vector(n, "direction").real
+    n = unit_vector(direction, "direction")
+    if n.imag.any():
+        raise DomainError("direction must be real")
+    n = n.real
     h = params.omega0 * np.eye(2, dtype=complex)
     for component, sigma in zip(n, _SIGMA):
         h = h + params.omega * component * sigma

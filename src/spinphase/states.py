@@ -7,7 +7,8 @@ One normalization contract covers every unit vector in the package (states,
 Bell and bipartite weights, Rabi coefficients, Hamiltonian directions):
 ``unit_vector`` accepts finite values whose 2-norm is within 1e-6 of 1 and
 renormalizes them, and rejects anything else, so silent normalization drift is
-distinguished from caller bugs.
+distinguished from caller bugs.  ``unit_rows`` applies the same contract to
+every row of an array at once, for loops of states.
 """
 
 from __future__ import annotations
@@ -19,19 +20,43 @@ from .errors import DomainError
 NORM_TOLERANCE = 1e-6
 
 
+def _finite_array(values, what: str) -> np.ndarray:
+    arr = np.array(values, dtype=np.complex128)
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{what} must be finite")
+    return arr
+
+
+def _off_unit(norm: float, what: str) -> DomainError:
+    return DomainError(f"{what} norm {norm!r} not within {NORM_TOLERANCE} of 1")
+
+
 def unit_vector(values, what: str) -> np.ndarray:
     """values as a new complex array scaled to unit 2-norm.
 
     Raises DomainError unless every component is finite and the 2-norm lies
     within NORM_TOLERANCE of 1.
     """
-    arr = np.array(values, dtype=np.complex128)
-    if not np.isfinite(arr).all():
-        raise DomainError(f"{what} must be finite")
+    arr = _finite_array(values, what)
     norm = float(np.linalg.norm(arr))
     if abs(norm - 1.0) > NORM_TOLERANCE:
-        raise DomainError(f"{what} norm {norm!r} not within {NORM_TOLERANCE} of 1")
+        raise _off_unit(norm, what)
     arr /= norm
+    return arr
+
+
+def unit_rows(values, what: str) -> np.ndarray:
+    """The row-wise ``unit_vector``: a new complex array with every row at unit 2-norm.
+
+    Every row is held to the ``unit_vector`` contract, with its messages; the
+    first offending row's norm is the one reported.
+    """
+    arr = _finite_array(values, what)
+    norms = np.linalg.norm(arr, axis=-1)
+    off = norms[np.abs(norms - 1.0) > NORM_TOLERANCE]
+    if off.size:
+        raise _off_unit(float(off[0]), what)
+    arr /= norms[..., np.newaxis]
     return arr
 
 
@@ -46,6 +71,13 @@ class PureState:
             raise DomainError("amplitude vector must have length 2 or 4")
         arr.flags.writeable = False
         self._amps = arr
+
+    @classmethod
+    def _from_unit_row(cls, row: np.ndarray) -> "PureState":
+        """Wrap a read-only row that has already passed ``unit_rows``, without copying it."""
+        state = object.__new__(cls)
+        state._amps = row
+        return state
 
     @property
     def amplitudes(self) -> np.ndarray:

@@ -5,6 +5,7 @@ states segment by segment and accumulates overlap arguments, so agreement is
 evidence, not tautology.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from spinphase import (
     DegeneratePathError,
     DomainError,
     GeometricPhase,
+    Loop,
     Orientation,
     PhaseConvention,
     PureState,
@@ -33,6 +35,42 @@ from spinphase import (
 from spinphase import berry
 
 TWO_PI = 2.0 * math.pi
+
+def circular_distance(a, b):
+    d = abs(a - b) % TWO_PI
+    return min(d, TWO_PI - d)
+
+
+# the per-state loop construction that the array-native builders replaced,
+# kept as their reference
+
+
+def reference_spinor_loop(orientation, theta, segments):
+    sign = 1.0 if orientation is Orientation.UP else -1.0
+    return [
+        prepare_spinor(SpinorParams(theta, sign * TWO_PI * (k / segments), 0.0), orientation)
+        for k in range(segments + 1)
+    ]
+
+
+def reference_entangled_loop(theta, segments):
+    out = []
+    for k in range(segments + 1):
+        params = SpinorParams(theta, TWO_PI * (k / segments), 0.0)
+        up = prepare_spinor(params, Orientation.UP).amplitudes
+        down = prepare_spinor(params, Orientation.DOWN).amplitudes
+        raw = np.kron(up, down) - np.kron(down, up)
+        out.append(PureState(raw / np.linalg.norm(raw)))
+    return out
+
+
+def exact_discrete_transport(orientation, theta, segments):
+    """-N arg of the one overlap every segment of the latitude loop shares."""
+    c2, s2 = math.cos(theta / 2.0) ** 2, math.sin(theta / 2.0) ** 2
+    if orientation is Orientation.DOWN:
+        c2, s2 = s2, c2
+    return -segments * cmath.phase(c2 + s2 * cmath.exp(-2j * math.pi / segments))
+
 
 # loop phases at hand-checked angles: (theta, up value, down value)
 FROZEN_PHASES = [
@@ -247,6 +285,128 @@ class TestSpinorLoop:
         assert len(build(np.int64(4))) == 5
         with pytest.raises(DomainError, match="at most 10 segments"):
             build(11)
+
+
+LOOP_THETAS = [0.0, 0.3, 1.1, math.pi / 2, 2.5, math.pi]
+
+
+class TestLoopMatchesReference:
+    # the builders vectorize the per-state arithmetic; row norms are summed in a
+    # different order, so rows may move in the last bit and transports by a few ulp
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    @pytest.mark.parametrize("segments", [2, 3, 64, 2000])
+    def test_spinor_rows_and_transport(self, orientation, segments):
+        for theta in LOOP_THETAS:
+            loop = spinor_loop(orientation, theta, segments)
+            ref = reference_spinor_loop(orientation, theta, segments)
+            np.testing.assert_allclose(
+                loop.amplitudes, np.stack([s.amplitudes for s in ref]), rtol=0, atol=1e-15
+            )
+            if segments == 2 and theta == math.pi / 2:
+                # c^2 - s^2 = 0: the half-turn states are orthogonal on both paths
+                for path in (loop, ref):
+                    with pytest.raises(DegeneratePathError):
+                        holonomy_numeric(path)
+                continue
+            got = holonomy_numeric(loop).value
+            assert circular_distance(got, holonomy_numeric(ref).value) <= 1e-12
+
+    @pytest.mark.parametrize("segments", [2, 3, 64, 2000])
+    def test_entangled_rows_and_transport(self, segments):
+        for theta in (0.0, 0.4, 1.2, 2.0, math.pi):
+            loop = entangled_family_loop(theta, segments)
+            ref = reference_entangled_loop(theta, segments)
+            np.testing.assert_allclose(
+                loop.amplitudes, np.stack([s.amplitudes for s in ref]), rtol=0, atol=1e-15
+            )
+            got = holonomy_numeric(loop).value
+            assert circular_distance(got, holonomy_numeric(ref).value) <= 1e-12
+
+    @pytest.mark.parametrize("build", [
+        lambda: spinor_loop(Orientation.UP, 1.1, 300),
+        lambda: spinor_loop(Orientation.DOWN, 2.5, 300),
+        lambda: entangled_family_loop(0.4, 300),
+    ], ids=["up", "down", "entangled"])
+    def test_list_of_items_transports_identically(self, build):
+        loop = build()
+        assert holonomy_numeric(list(loop)).value == holonomy_numeric(loop).value
+
+
+class TestLoopSequence:
+    def test_items_are_row_views(self):
+        loop = spinor_loop(Orientation.DOWN, 1.0, 8)
+        assert len(loop) == 9
+        assert all(isinstance(s, PureState) for s in loop)
+        np.testing.assert_array_equal(loop[-1].amplitudes, loop.amplitudes[8])
+        np.testing.assert_array_equal(loop[3].amplitudes, loop.amplitudes[3])
+        with pytest.raises(IndexError):
+            loop[9]
+        with pytest.raises(TypeError):
+            loop[1.0]
+
+    def test_slices_are_loops(self):
+        loop = spinor_loop(Orientation.UP, 1.0, 8)
+        head = loop[:-1]
+        assert isinstance(head, Loop)
+        assert len(head) == 8
+        np.testing.assert_array_equal(loop[::2].amplitudes, loop.amplitudes[::2])
+        with pytest.raises(DomainError, match="open path"):
+            holonomy_numeric(head)
+
+    def test_read_only(self):
+        loop = entangled_family_loop(0.6, 8)
+        with pytest.raises(ValueError):
+            loop.amplitudes[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            loop[2].amplitudes[0] = 1.0
+        with pytest.raises(ValueError):
+            loop[1:3].amplitudes[0, 0] = 1.0
+        with pytest.raises(TypeError):
+            loop[0] = ket("00")
+
+    def test_constructor_holds_rows_to_the_contract(self):
+        # within 1e-6 of unit norm: renormalized, and the caller's array is not touched
+        rows = np.array([[1.0, 0.0], [0.0, 1.0 + 5e-7]])
+        loop = Loop(rows)
+        np.testing.assert_allclose(np.linalg.norm(loop.amplitudes, axis=1), 1.0, atol=1e-15)
+        assert rows[1, 1] == 1.0 + 5e-7
+        with pytest.raises(DomainError, match=r"state norm 1\.1 not within"):
+            Loop([[1.0, 0.0], [1.1, 0.0], [1.2, 0.0]])  # the first offending row
+        for shape in ([1.0, 0.0], [[1.0, 0.0, 0.0]], [[[1.0, 0.0]]]):
+            with pytest.raises(DomainError, match="shape"):
+                Loop(shape)
+
+
+class TestDiscreteOracle:
+    # every segment of the latitude loop has the same overlap c^2 + s^2 e^{-2 pi i/N}
+    # (c and s swapped for DOWN), so the transport has this closed form exactly
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    def test_transport_equals_exact_discrete_form(self, orientation):
+        for theta in (0.0, 0.05, 0.7, 1.3, math.pi / 2, 2.2, 3.0, math.pi):
+            for segments in (2, 3, 5, 64, 999, 20000):
+                if segments == 2 and theta == math.pi / 2:
+                    continue  # the overlap c^2 - s^2 vanishes; rejected as degenerate
+                got = holonomy_numeric(spinor_loop(orientation, theta, segments)).value
+                want = exact_discrete_transport(orientation, theta, segments)
+                assert circular_distance(got, want) <= 1e-12, (theta, segments)
+
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    @pytest.mark.parametrize("theta", [0.4, 1.0, 2.0, 2.8])
+    def test_error_falls_as_inverse_square(self, orientation, theta):
+        # the N^-2 coefficient vanishes at theta = pi/2 and pi, so those are left out
+        continuum = berry_phase_analytic(orientation, theta).mod_2pi()
+
+        def error(segments):
+            got = holonomy_numeric(spinor_loop(orientation, theta, segments)).value
+            return circular_distance(got, continuum)
+
+        for segments in (50, 100, 200, 400):
+            assert 3.5 <= error(segments) / error(2 * segments) <= 4.5
+
+    @pytest.mark.parametrize("theta", [0.0, 0.2, 0.9, 2.4, math.pi])
+    def test_entangled_family_transports_to_zero(self, theta):
+        got = holonomy_numeric(entangled_family_loop(theta, 2000)).value
+        assert circular_distance(got, 0.0) <= 1e-12
 
 
 class TestEntangledFamily:

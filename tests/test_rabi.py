@@ -121,6 +121,22 @@ class TestHamiltonian:
         with pytest.raises(DomainError):
             hamiltonian_matrix(RabiParams(0.0, 1.0, 1.0), (1.0, 0.0))
 
+    @pytest.mark.parametrize("direction", [
+        np.array([0.8 + 0.6j, 0.0, 0.0]),
+        [1j, 0, 0],
+    ], ids=["complex-ndarray", "complex-list"])
+    def test_non_real_direction_rejected(self, direction):
+        # a unit-norm complex vector is no direction; its imaginary part must not be dropped
+        with pytest.raises(DomainError, match="direction must be real"):
+            hamiltonian_matrix(RabiParams(0.0, 1.0, 1.0), direction)
+
+    def test_complex_typed_real_direction_accepted(self):
+        params = RabiParams(0.5, 1.0, 1.0)
+        np.testing.assert_array_equal(
+            hamiltonian_matrix(params, [0.8 + 0j, 0.6, 0]),
+            hamiltonian_matrix(params, [0.8, 0.6, 0.0]),
+        )
+
 
 class TestPulses:
     def test_pi_pulse_duration(self):

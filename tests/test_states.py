@@ -11,6 +11,7 @@ from spinphase import (
     BellCoefficients,
     BipartiteCoefficients,
     DomainError,
+    Loop,
     PureState,
     RabiParams,
     equal_up_to_global_phase,
@@ -53,6 +54,12 @@ def _direction_norm(values):
     return np.linalg.norm([h[1, 0].real, h[1, 0].imag, h[0, 0].real])
 
 
+def _loop_row_norm(values):
+    # the row under test sits between two exact unit rows
+    loop = Loop([[1.0, 0.0], values, [0.0, 1.0]])
+    return np.linalg.norm(loop.amplitudes[1])
+
+
 # every caller of the one normalization contract, with a unit input vector
 CONTRACT_SITES = {
     "state": (_state_norm, [0.6, 0.8j]),
@@ -60,6 +67,7 @@ CONTRACT_SITES = {
     "bipartite": (_bipartite_norm, [0.5, 0.5j, -0.5, 0.5]),
     "rabi": (_rabi_norm, [0.6, 0.8j]),
     "direction": (_direction_norm, [0.48, 0.6, 0.64]),
+    "loop": (_loop_row_norm, [0.6, 0.8j]),
 }
 
 
