@@ -78,6 +78,10 @@ CASES = {
                                {"--spin": "up", "segments": 32}, "csv"),
     "sweep-lib-bare-flag": ("sweep", "phase", ("theta", 0, 90, 3),
                             {"spin": "up", "degrees": True}, "json"),
+    "sweep-argv-circuit": ["sweep", "--cmd", "circuit", "--param", "theta", "--start", "0",
+                           "--stop", "3", "--steps", "4", "--file", CIRCUIT, "--phi", "0.5"],
+    "sweep-lib-circuit-csv": ("sweep", "circuit", ("theta", 0.2, 2.9, 3),
+                              {"file": CIRCUIT, "phi": 1.1}, "csv"),
     "domain-phase-theta": ["phase", "--spin", "up", "--theta", "4.0"],
     "domain-holonomy-segments": ["holonomy", "--spin", "up", "--theta", "1.0",
                                  "--segments", "1"],
@@ -85,6 +89,9 @@ CASES = {
     "domain-rgflow-separation": ["rgflow", "--a", "1", "--c", "1", "--separation", "0"],
     "domain-sweep-grid-point": ["sweep", "--cmd", "phase", "--param", "theta", "--start",
                                 "3.0", "--stop", "4.0", "--steps", "3", "--spin", "up"],
+    "domain-sweep-circuit-missing-file": ["sweep", "--cmd", "circuit", "--param", "theta",
+                                          "--start", "0", "--stop", "1", "--steps", "3",
+                                          "--file", "/nonexistent/x.circ"],
     "usage-stray-flag": ["phase", "--spin", "up", "--theta", "1.0", "--bogus", "1"],
     "usage-sweep-stray-flag": PHASE_SWEEP + ["--spin", "up", "--bogus", "7"],
     "usage-sweep-cmd-sweep": ["sweep", "--cmd", "sweep", "--param", "theta", "--start", "0",
@@ -110,6 +117,7 @@ def run_case(case, circuit_path: str) -> dict:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         if isinstance(case, tuple):
             _, cmd, (param, start, stop, steps), fixed, fmt = case
+            fixed = {k: circuit_path if v == CIRCUIT else v for k, v in fixed.items()}
             records = sweep(cmd, SweepSpec(param, start, stop, steps), fixed)
             assert all(r.metadata["swept"] == param for r in records)
             out.write(emit(records, fmt).decode("utf-8"))
