@@ -41,7 +41,7 @@ def mod_two_pi(x: float) -> float:
         r += TWO_PI
     if r >= TWO_PI:  # fmod(-tiny) + 2*pi can round up to the excluded endpoint
         r = 0.0
-    return r
+    return r + 0.0  # -0.0 becomes +0.0; every other value is unchanged
 
 
 def wrap_pm_pi(x: float) -> float:

@@ -14,7 +14,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -28,7 +30,14 @@ from .berry import (
     holonomy_numeric,
     spinor_loop,
 )
-from .circuits import Orientation, SpinorParams, format_circuit, parse_circuit, run_circuit
+from .circuits import (
+    Circuit,
+    Orientation,
+    SpinorParams,
+    format_circuit,
+    parse_circuit,
+    run_circuit,
+)
 from .entangle import (
     BellCoefficients,
     BipartiteCoefficients,
@@ -112,15 +121,47 @@ def _csv_real(value: float) -> str:
     return format(float(value), ".12g")
 
 
+def _json_group(group: Mapping[str, object]) -> str | None:
+    """A record's inputs, outputs or metadata as json lays it out two levels
+    deep, or None when a key is not a str or a value not a str or finite float."""
+    members = []
+    for key, value in sorted(group.items()):
+        if isinstance(value, str):
+            text = encode_basestring_ascii(value)
+        elif isinstance(value, float) and math.isfinite(value):
+            text = float.__repr__(value)  # json's own float text, for subclasses too
+        else:
+            return None
+        if not isinstance(key, str):
+            return None
+        members.append(f"      {encode_basestring_ascii(key)}: {text}")
+    return "{\n" + ",\n".join(members) + "\n    }" if members else "{}"
+
+
+def _json_record(record: RunRecord) -> str:
+    """One record as it reads inside json.dumps([...], indent=2, sort_keys=True)."""
+    # as_dict's group order, so a group that cannot be sorted fails as it would there
+    inputs, outputs, metadata = map(_json_group, (record.inputs, record.outputs,
+                                                  record.metadata))
+    if not isinstance(record.command, str) or None in (inputs, metadata, outputs):
+        # any other value is json's to encode, or to reject
+        text = json.dumps(record.as_dict(), indent=2, sort_keys=True)
+        return "  " + text.replace("\n", "\n  ")
+    return (f'  {{\n    "command": {encode_basestring_ascii(record.command)},\n'
+            f'    "inputs": {inputs},\n    "metadata": {metadata},\n'
+            f'    "outputs": {outputs}\n  }}')
+
+
 def emit(records: Sequence[RunRecord], format: str) -> bytes:
     """Serialize records to a byte stream, JSON by default or flat CSV.
 
     CSV columns are the sorted input names then the sorted output names, reals
-    printed to 12 significant digits; JSON mirrors the records exactly.
+    printed to 12 significant digits.  JSON mirrors the records exactly, with
+    the bytes of json.dumps(indent=2, sort_keys=True) plus a newline.
     """
     if format == "json":
-        payload = [r.as_dict() for r in records]
-        return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        body = ",\n".join(map(_json_record, records))
+        return (f"[\n{body}\n]\n" if body else "[]\n").encode("utf-8")
     if format != "csv":
         raise DomainError(f"unknown format {format!r}")
     if not records:
@@ -227,19 +268,37 @@ def _run_holonomy(spin: str, theta: float, segments: int) -> list[RunRecord]:
     )]
 
 
-def _run_circuit(file: str, theta: float, phi: float) -> list[RunRecord]:
-    try:
-        text = Path(file).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DomainError(f"cannot read circuit file: {exc}") from exc
-    circuit = parse_circuit(text)
+class _CircuitFile:
+    """A ``--file`` value: the path, and the circuit in it, read on first use.
+
+    One value serves one invocation (a sweep reads its fixed flags once), so the
+    file is read, parsed and formatted once however many grid points run it,
+    and a missing or bad file is still a domain error at the first point.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+
+    @cached_property
+    def loaded(self) -> tuple[Circuit, str]:
+        """The parsed circuit and its canonical text."""
+        try:
+            text = Path(self.path).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise DomainError(f"cannot read circuit file: {exc}") from exc
+        circuit = parse_circuit(text)
+        return circuit, format_circuit(circuit)
+
+
+def _run_circuit(file: _CircuitFile, theta: float, phi: float) -> list[RunRecord]:
+    circuit, text = file.loaded
     state = run_circuit(circuit, {"theta": theta, "phi": phi}, ket("0"))
     a = state.amplitudes
     return [RunRecord(
         command="circuit",
         inputs={"theta": theta, "phi": phi},
         outputs=_re_im(amp0=a[0], amp1=a[1]),
-        metadata={"circuit": format_circuit(circuit), "phase_convention": "none"},
+        metadata={"circuit": text, "phase_convention": "none"},
     )]
 
 
@@ -338,7 +397,7 @@ _COMMANDS = {
     "holonomy": _Command("discrete loop-transport phase against the analytic value",
                          _run_holonomy, (_SPIN, _THETA, _Flag("segments", int, 20000))),
     "circuit": _Command("run a circuit file on |0>", _run_circuit, (
-        _Flag("file", str, metavar="PATH"), _Flag("theta", default=0.0, sweep="theta"),
+        _Flag("file", _CircuitFile, metavar="PATH"), _Flag("theta", default=0.0, sweep="theta"),
         _Flag("phi", default=0.0))),
     "rabi": _Command("resonant coefficient evolution", _run_rabi, (
         _Flag("omega"), _Flag("t", sweep="omega_t"),
@@ -422,7 +481,9 @@ def _sweep(name: str, spec: SweepSpec, fixed: Mapping[str, object]) -> list[RunR
             produced = command.run(**kwargs)
         except DomainError as exc:
             raise DomainError(f"at {spec.parameter}={value!r}: {exc}") from exc
-        records += [replace(r, metadata={**r.metadata, "swept": spec.parameter}) for r in produced]
+        for record in produced:  # a runner builds a fresh metadata dict per record
+            record.metadata["swept"] = spec.parameter
+        records += produced
     return records
 
 

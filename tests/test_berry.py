@@ -106,6 +106,11 @@ class TestPhaseContainer:
         with pytest.raises(DomainError):
             GeometricPhase.raw(math.inf)
 
+    def test_wrapped_negative_zero_is_positive_zero(self):
+        for value in (-0.0, 0.0, -TWO_PI, TWO_PI):
+            wrapped = GeometricPhase.wrapped(value).value
+            assert wrapped == 0.0 and math.copysign(1.0, wrapped) == 1.0
+
 
 class TestWindingPhase:
     def test_half_winding_full_turn_flips_sign(self):
@@ -240,6 +245,17 @@ class TestHolonomyOracle:
     def test_trivial_loop_carries_no_phase(self):
         s = ket("0")
         assert holonomy_numeric([s, s, s]).value == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("build", [
+        lambda n: spinor_loop(Orientation.UP, 0.0, n),
+        lambda n: spinor_loop(Orientation.DOWN, 0.0, n),
+        lambda n: entangled_family_loop(0.0, n),
+        lambda n: [ket("0")] * (n + 1),
+    ], ids=["up", "down", "entangled", "constant"])
+    @pytest.mark.parametrize("segments", [3, 64])
+    def test_phase_free_loops_give_positive_zero(self, build, segments):
+        value = holonomy_numeric(build(segments)).value
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     @given(st.floats(0.05, math.pi - 0.05))
     @settings(max_examples=25, deadline=None)

@@ -3,9 +3,12 @@
 import argparse
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinphase import (
     DomainError,
@@ -18,6 +21,7 @@ from spinphase import (
     run_records,
     sweep,
 )
+from spinphase import cli
 from spinphase.cli import MAX_STEPS
 
 TWO_PI = 2.0 * math.pi
@@ -27,6 +31,41 @@ def run_json(argv, capsys):
     code = dispatch(argv)
     out = capsys.readouterr().out
     return code, json.loads(out) if out else None
+
+
+def outcome(fn):
+    """fn's result, or the type and text of the exception it raised."""
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def json_dumps_bytes(records):
+    """The JSON bytes emit pins itself to."""
+    payload = [r.as_dict() for r in records]
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e22, 1e16, 1.7976931348623157e308, 0.1, -1.5]
+EDGE_TEXTS = ['"', "\\", 'a"b\\c', "\x00\x01\x1f\x7f", "\n\r\t", "\u00e9\u2028\ud83d\ude00", "\ud800", ""]
+reals = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.integers(-2**64, 2**64),
+    st.booleans(),
+)
+texts = st.one_of(st.text(), st.sampled_from(EDGE_TEXTS))
+keys = st.one_of(texts, texts, st.integers(-9, 9))  # a mix of int and str keys cannot sort
+records_strategy = st.lists(st.builds(
+    RunRecord,
+    command=texts,
+    inputs=st.dictionaries(keys, reals),
+    outputs=st.dictionaries(keys, reals, min_size=1),
+    # metadata is the one group the record does not check: non-finite floats too
+    metadata=st.dictionaries(keys, st.one_of(texts, reals, st.floats())),
+), max_size=4)
 
 
 class TestRunRecord:
@@ -112,6 +151,39 @@ class TestEmit:
         with pytest.raises(DomainError):
             emit(self.records(), "yaml")
 
+    @given(records_strategy)
+    @example([])
+    @example([RunRecord("", {}, {"y": 1.0})])
+    @settings(max_examples=150, deadline=None)
+    def test_json_is_json_dumps_bytes(self, records):
+        assert outcome(lambda: emit(records, "json")) == outcome(lambda: json_dumps_bytes(records))
+
+    def test_json_edge_values(self):
+        records = [
+            RunRecord("edge", {f"x{k}": v for k, v in enumerate(EDGE_FLOATS)},
+                      {"f64": np.float64(0.1), "neg_zero": np.float64(-0.0), "int": 3,
+                       "big": 2**70, "yes": True, "no": False},
+                      {t or "empty": t for t in EDGE_TEXTS}),
+            RunRecord("\u00e9\"\\", {}, {"only": 1e22}),
+            *(RunRecord("metadata", {"x": 1.0}, {"y": 2.0}, {"k": value})
+              for value in (math.nan, math.inf, -math.inf, [1, 2.5], {"b": "c"}, None, 7)),
+            RunRecord("int-keys", {2: 1.0, 1: 0.5}, {10: 2.0}, {3: "c"}),
+        ]
+        assert emit(records, "json") == json_dumps_bytes(records)
+        assert emit(records[:1], "json").count(b"\n") > 20
+        assert emit([], "json") == json_dumps_bytes([]) == b"[]\n"
+
+    @pytest.mark.parametrize("group", ["inputs", "outputs", "metadata"])
+    def test_json_rejects_what_json_rejects(self, group):
+        fields = {"inputs": {"x": 1.0}, "outputs": {"y": 1.0}, "metadata": {}}
+        fields[group] = {**fields[group], "q": Fraction(1, 3)}
+        records = [RunRecord("demo", **fields)]
+        with pytest.raises(TypeError) as raised:
+            emit(records, "json")
+        with pytest.raises(TypeError) as expected:
+            json_dumps_bytes(records)
+        assert str(raised.value) == str(expected.value)
+
 
 class TestPhaseCommand:
     def test_basic_run(self, capsys):
@@ -161,6 +233,14 @@ class TestHolonomyCommand:
             math.pi * (1 + math.cos(2.0)), abs=1e-12
         )
 
+    def test_phase_free_loop_prints_positive_zero(self, capsys):
+        argv = ["holonomy", "--spin", "up", "--theta", "0", "--segments", "64"]
+        assert dispatch(argv + ["--format", "csv"]) == 0
+        assert capsys.readouterr().out == "segments,theta,deviation,gamma_analytic,holonomy\n" \
+            "64,0,0,0,0\n"
+        assert dispatch(argv) == 0
+        assert '"holonomy": 0.0\n' in capsys.readouterr().out
+
     def test_segments_above_bound_domain_error(self, capsys):
         code = dispatch(
             ["holonomy", "--spin", "up", "--theta", "1.0", "--segments", "1000001"]
@@ -194,6 +274,54 @@ class TestCircuitCommand:
         code = dispatch(["circuit", "--file", str(path)])
         assert code == 1
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """Every text cli hands to parse_circuit, in call order."""
+        texts = []
+        original = cli.parse_circuit
+
+        def counting(text):
+            texts.append(text)
+            return original(text)
+
+        monkeypatch.setattr(cli, "parse_circuit", counting)
+        return texts
+
+    def test_file_is_parsed_once_per_invocation(self, tmp_path, parses, capsys):
+        path = tmp_path / "prep.circ"
+        path.write_text("H P(2*theta) H P(pi/2 + phi)\n")
+        argv = ["sweep", "--cmd", "circuit", "--param", "theta", "--start", "0", "--stop",
+                "3", "--steps", "1000", "--file", str(path), "--phi", "0.4"]
+        assert len(run_records(argv)) == 1000
+        assert len(parses) == 1
+        records = sweep("circuit", SweepSpec("theta", 0.0, 3.0, 1000),
+                        {"file": str(path), "phi": 0.4})
+        assert len(records) == 1000 and len(parses) == 2
+        assert len(run_records(["circuit", "--file", str(path), "--theta", "0.3"])) == 1
+        assert len(parses) == 3
+        assert dispatch(["circuit", "--file", str(path)]) == 0
+        assert len(parses) == 4
+
+    def test_rewritten_file_is_read_again(self, tmp_path):
+        path = tmp_path / "prep.circ"
+        spec = SweepSpec("theta", 0.0, 1.0, 3)
+        path.write_text("H\n")
+        first = sweep("circuit", spec, {"file": str(path)})
+        path.write_text("H P(2*theta) H\n")
+        second = sweep("circuit", spec, {"file": str(path)})
+        assert {r.metadata["circuit"] for r in first} == {"H"}
+        assert {r.metadata["circuit"] for r in second} == {"H P(2.0*theta) H"}
+        assert [r.outputs["amp1_re"] for r in second] != [r.outputs["amp1_re"] for r in first]
+
+    def test_sweep_file_errors_name_the_first_grid_point(self, tmp_path):
+        spec = SweepSpec("theta", 0.5, 1.0, 3)
+        with pytest.raises(DomainError, match=r"^at theta=0\.5: cannot read circuit file: "):
+            sweep("circuit", spec, {"file": str(tmp_path / "missing.circ")})
+        path = tmp_path / "bad.circ"
+        path.write_text("H P(")
+        with pytest.raises(DomainError, match=r"^at theta=0\.5: .*line 1"):
+            sweep("circuit", spec, {"file": str(path)})
 
 
 class TestRabiCommand:
@@ -457,6 +585,13 @@ class TestSweepCommand:
              "--stop", "1", "--steps", "50", "--spin", "up"]
         ) == 0
         assert parsed == ["spinphase", "spinphase sweep"]  # the subparser re-enters
+
+    def test_one_record_per_grid_point(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(RunRecord, "__post_init__", lambda self: built.append(self))
+        records = sweep("phase", SweepSpec("theta", 0.0, 1.0, 50), {"spin": "up"})
+        assert [id(r) for r in built] == [id(r) for r in records]
+        assert all(r.metadata["swept"] == "theta" for r in records)
 
     def test_library_sweep_matches_cli_route(self, capsys):
         spec = SweepSpec("theta", 0.0, 1.0, 3)
