@@ -143,7 +143,7 @@ def _json_record(record: RunRecord) -> str:
     # as_dict's group order, so a group that cannot be sorted fails as it would there
     inputs, outputs, metadata = map(_json_group, (record.inputs, record.outputs,
                                                   record.metadata))
-    if not isinstance(record.command, str) or None in (inputs, metadata, outputs):
+    if not isinstance(record.command, str) or None in (inputs, outputs, metadata):
         # any other value is json's to encode, or to reject
         text = json.dumps(record.as_dict(), indent=2, sort_keys=True)
         return "  " + text.replace("\n", "\n  ")

@@ -48,7 +48,8 @@ def json_dumps_bytes(records):
 
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e22, 1e16, 1.7976931348623157e308, 0.1, -1.5]
-EDGE_TEXTS = ['"', "\\", 'a"b\\c', "\x00\x01\x1f\x7f", "\n\r\t", "\u00e9\u2028\ud83d\ude00", "\ud800", ""]
+EDGE_TEXTS = ['"', "\\", 'a"b\\c', "\x00\x01\x1f\x7f", "\n\r\t", "\u00e9\u2028\ud83d\ude00",
+              "\ud800", ""]
 reals = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from(EDGE_FLOATS),
@@ -170,7 +171,6 @@ class TestEmit:
             RunRecord("int-keys", {2: 1.0, 1: 0.5}, {10: 2.0}, {3: "c"}),
         ]
         assert emit(records, "json") == json_dumps_bytes(records)
-        assert emit(records[:1], "json").count(b"\n") > 20
         assert emit([], "json") == json_dumps_bytes([]) == b"[]\n"
 
     @pytest.mark.parametrize("group", ["inputs", "outputs", "metadata"])
