@@ -5,24 +5,12 @@ DSL for state preparation, resonant pulse dynamics with an echo phase ledger,
 Bell-state evolution with entanglement measures, polar-angle noise response,
 and a length-scale flow for the effective monopole strength.
 
-The names imported here are the public API.
+The names imported here, and the loop names of ``berry``, are the public
+API.  The loop names load on first access (``spinphase.spinor_loop``), so
+``import spinphase`` does not import numpy.
 """
 
 from ._angles import TWO_PI, mod_two_pi, wrap_pm_pi
-from .berry import (
-    CLOSURE_TOLERANCE,
-    MIN_OVERLAP,
-    GeometricPhase,
-    Loop,
-    PhaseConvention,
-    berry_phase_analytic,
-    berry_phase_entangled,
-    connection,
-    entangled_family_loop,
-    holonomy_numeric,
-    spinor_loop,
-    winding_phase,
-)
 from .circuits import (
     GENERAL_STATE_TEXT,
     SPINOR_STATE_TEXT,
@@ -65,9 +53,18 @@ from .noise import (
     NoiseTarget,
     entangled_noise_shift,
     noisy_phase,
-    noisy_phase_samples,
     perturbed_connection,
     post_echo_noise_shift,
+)
+from .phases import (
+    CLOSURE_TOLERANCE,
+    MIN_OVERLAP,
+    GeometricPhase,
+    PhaseConvention,
+    berry_phase_analytic,
+    berry_phase_entangled,
+    connection,
+    winding_phase,
 )
 from .rabi import (
     PhaseLedger,
@@ -89,3 +86,15 @@ from .states import (
     ket,
     tensor_product,
 )
+
+_BERRY_NAMES = ("Loop", "entangled_family_loop", "holonomy_numeric", "spinor_loop")
+
+
+def __getattr__(name: str):
+    # looked up in berry on every access, not cached here, so a name rebound
+    # in berry (a tracer, a test's monkeypatch) is the one callers get
+    if name in _BERRY_NAMES:
+        from . import berry
+
+        return getattr(berry, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,28 +1,26 @@
-"""Berry connections and phases of quantized spinors, plus a discrete loop oracle.
+"""Discrete loop transport: closed loops of states as arrays, and their phase.
 
-Analytic phases are reported raw: 0 and 2*pi label physically distinct loops
-(trivial versus full solid angle) and must not be collapsed.  The numeric loop
-transport is 2*pi periodic by construction and reports values in [0, 2*pi).
+This is the one module that imports numpy when it loads.  A loop of N segments is an
+(N+1, d) complex array; ``holonomy_numeric`` multiplies its consecutive
+overlaps, and its value is checked against the closed forms of ``phases``.
+The transport is 2*pi periodic by construction and reports values in
+[0, 2*pi).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from ._angles import TWO_PI, check_integer, check_theta, mod_two_pi
-from .circuits import Orientation, spinor_amplitudes
+from ._angles import TWO_PI, check_integer, check_theta
+from .circuits import Orientation
 from .errors import DegeneratePathError, DomainError
-from .states import PureState, unit_rows
+from .phases import CLOSURE_TOLERANCE, MIN_OVERLAP, GeometricPhase
+from .states import NORM_TOLERANCE, PureState, _off_unit
 
-CLOSURE_TOLERANCE = 1e-12
-MIN_OVERLAP = 1e-9
 # A Loop stores 32 B per segment (spinor) or 64 B (entangled family).  Building
 # and transporting a 10^6-segment loop peaks about 108 MiB (spinor) or 276 MiB
 # (entangled) above the interpreter's resident size, temporaries included
@@ -30,72 +28,44 @@ MIN_OVERLAP = 1e-9
 MAX_SEGMENTS = 1_000_000
 
 
-class PhaseConvention(Enum):
-    RAW = "raw"
-    MOD_2PI = "mod2pi"
+def unit_rows(values, what: str) -> np.ndarray:
+    """The row-wise ``states.unit_vector``: a new complex array with every row at unit 2-norm.
 
-
-@dataclass(frozen=True)
-class GeometricPhase:
-    value: float
-    convention: PhaseConvention
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise DomainError("phase must be finite")
-        if self.convention is PhaseConvention.MOD_2PI and not 0.0 <= self.value < TWO_PI:
-            raise DomainError("mod-2pi phase must lie in [0, 2*pi)")
-
-    @classmethod
-    def raw(cls, value: float) -> "GeometricPhase":
-        return cls(value, PhaseConvention.RAW)
-
-    @classmethod
-    def wrapped(cls, value: float) -> "GeometricPhase":
-        return cls(mod_two_pi(value), PhaseConvention.MOD_2PI)
-
-    def mod_2pi(self) -> float:
-        """The phase reduced into [0, 2*pi)."""
-        return mod_two_pi(self.value)
-
-
-def winding_phase(mu: float, delta_chi: float) -> complex:
-    """Unit phasor e^{i mu delta_chi} picked up by winding the chirality angle.
-
-    A full 2*pi winding at mu = 1/2 returns -1: the half-integer case changes
-    sign under one revolution.
+    Every row is held to the ``unit_vector`` contract, with its messages; the
+    first offending row's norm is the one reported.
     """
-    if not (math.isfinite(mu) and math.isfinite(delta_chi)):
-        raise DomainError("mu and delta_chi must be finite")
-    return cmath.exp(1j * (mu * delta_chi))
+    arr = np.array(values, dtype=np.complex128)
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{what} must be finite")
+    norms = np.linalg.norm(arr, axis=-1)
+    off = norms[np.abs(norms - 1.0) > NORM_TOLERANCE]
+    if off.size:
+        raise _off_unit(float(off[0]), what)
+    arr /= norms[..., np.newaxis]
+    return arr
 
 
-def connection(orientation: Orientation, theta: float) -> float:
-    """Berry connection of the spinor family at fixed theta: (1 -+ cos theta)/2."""
-    check_theta(theta)
-    c = math.cos(theta)
-    if orientation is Orientation.UP:
-        return 0.5 * (1.0 - c)
-    return 0.5 * (1.0 + c)
+def spinor_amplitudes(theta: float, phi, orientation: Orientation) -> np.ndarray:
+    """Gauge-fixed spinor amplitudes at polar angle theta, one row per azimuth in phi.
 
+    UP:   (cos(theta/2), sin(theta/2) e^{-i phi})
+    DOWN: (sin(theta/2), cos(theta/2) e^{+i phi})
 
-def berry_phase_analytic(orientation: Orientation, theta: float) -> GeometricPhase:
-    """Closed-loop geometric phase pi(1 -+ cos theta), raw convention.
-
-    This is half the solid angle swept about the spinor's own quantization
-    axis, so the UP and DOWN values always add to 2*pi.
+    The result has shape ``np.shape(phi) + (2,)``; its rows are neither checked
+    nor renormalized (``unit_rows`` does that).  Each row has the bits of
+    ``circuits.prepare_spinor``'s amplitudes before renormalization.
     """
-    check_theta(theta)
-    c = math.cos(theta)
+    half = theta / 2.0
+    c, s = math.cos(half), math.sin(half)
+    phi = np.asarray(phi, dtype=np.float64)
+    out = np.empty(phi.shape + (2,), dtype=np.complex128)
     if orientation is Orientation.UP:
-        return GeometricPhase.raw(math.pi * (1.0 - c))
-    return GeometricPhase.raw(math.pi * (1.0 + c))
-
-
-def berry_phase_entangled(theta: float) -> GeometricPhase:
-    """Geometric phase trapped by the two-spinor antisymmetric state: pi(1 + cos 2 theta)."""
-    check_theta(theta)
-    return GeometricPhase.raw(math.pi * (1.0 + math.cos(2.0 * theta)))
+        out[..., 0] = c
+        out[..., 1] = s * np.exp(-1j * phi)
+    else:
+        out[..., 0] = s
+        out[..., 1] = c * np.exp(1j * phi)
+    return out
 
 
 class Loop(Sequence):
@@ -103,8 +73,8 @@ class Loop(Sequence):
 
     Building a Loop holds every row to the package's normalization contract
     (``unit_rows``: finite, 2-norm within 1e-6 of 1, renormalized) and
-    freezes the array.  Items are ``PureState`` views of the rows and slices
-    are Loops; nothing is copied on access.
+    freezes the array.  Items are ``PureState`` values with the bits of their
+    rows, and slices are Loops that share the array.
     """
 
     __slots__ = ("_amps",)
@@ -129,7 +99,11 @@ class Loop(Sequence):
             view = object.__new__(Loop)
             view._amps = self._amps[index]
             return view
-        return PureState._from_unit_row(self._amps[operator.index(index)])
+        # the row already holds the contract; renormalizing it again would move
+        # the last bit of about one row in eight
+        state = object.__new__(PureState)
+        state._amps = tuple(self._amps[operator.index(index)].tolist())
+        return state
 
 
 def holonomy_numeric(path: Sequence[PureState]) -> GeometricPhase:

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Union
 
-import numpy as np
-
 from ._angles import check_finite, check_theta
 from .errors import (
     CircuitSyntaxError,
@@ -34,7 +32,10 @@ from .states import PureState
 
 FREE_SYMBOLS = ("theta", "phi")
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# A complex, so that scaling by it is a full complex product, as it was in numpy:
+# its signed zeros then do not depend on the Python version (3.14 changed the
+# rules for complex-by-float arithmetic).
+_INV_SQRT2 = complex(1.0 / math.sqrt(2.0))
 _FOUR_PI = 4.0 * math.pi
 
 
@@ -429,28 +430,6 @@ class SpinorParams:
         check_finite(self, "phi", "chi", "mu")
 
 
-def spinor_amplitudes(theta: float, phi, orientation: Orientation) -> np.ndarray:
-    """Gauge-fixed spinor amplitudes at polar angle theta, one row per azimuth in phi.
-
-    UP:   (cos(theta/2), sin(theta/2) e^{-i phi})
-    DOWN: (sin(theta/2), cos(theta/2) e^{+i phi})
-
-    The result has shape ``np.shape(phi) + (2,)``; its rows are neither checked
-    nor renormalized (``PureState`` and ``unit_rows`` do that).
-    """
-    half = theta / 2.0
-    c, s = math.cos(half), math.sin(half)
-    phi = np.asarray(phi, dtype=np.float64)
-    out = np.empty(phi.shape + (2,), dtype=np.complex128)
-    if orientation is Orientation.UP:
-        out[..., 0] = c
-        out[..., 1] = s * np.exp(-1j * phi)
-    else:
-        out[..., 0] = s
-        out[..., 1] = c * np.exp(1j * phi)
-    return out
-
-
 def prepare_spinor(
     params: SpinorParams,
     orientation: Orientation,
@@ -461,12 +440,17 @@ def prepare_spinor(
     UP:   (cos(theta/2), sin(theta/2) e^{-i phi}) times e^{+i(phi-chi)/2}
     DOWN: (sin(theta/2), cos(theta/2) e^{+i phi}) times e^{-i(phi-chi)/2}
     """
-    amps = spinor_amplitudes(params.theta, params.phi, orientation)
+    half = params.theta / 2.0
+    # complex factors, as for _INV_SQRT2: the bits of berry.spinor_amplitudes' rows
+    c, s = complex(math.cos(half)), complex(math.sin(half))
+    if orientation is Orientation.UP:
+        amps = [c, s * cmath.exp(-1j * params.phi)]
+    else:
+        amps = [s, c * cmath.exp(1j * params.phi)]
     if include_overall_phase:
         if orientation is Orientation.UP:
             phase = cmath.exp(0.5j * (params.phi - params.chi))
         else:
             phase = cmath.exp(-0.5j * (params.phi - params.chi))
-        # Python's complex multiply, not numpy's: numpy rounds differently in the last bit
-        amps = [complex(a) * phase for a in amps]
+        amps = [a * phase for a in amps]
     return PureState(amps)

@@ -20,16 +20,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
 from ._angles import TWO_PI, check_integer
-from .berry import (
-    berry_phase_analytic,
-    berry_phase_entangled,
-    connection,
-    holonomy_numeric,
-    spinor_loop,
-)
 from .circuits import (
     Circuit,
     Orientation,
@@ -57,6 +48,7 @@ from .noise import (
     noisy_phase,
     post_echo_noise_shift,
 )
+from .phases import berry_phase_analytic, berry_phase_entangled, connection
 from .rabi import RabiParams, evolve_coefficients, spin_echo_ledger
 from .states import ket
 
@@ -70,7 +62,12 @@ class _UsageError(Exception):
 @dataclass(frozen=True)
 class RunRecord:
     """One completed computation: the command, its real inputs, real outputs,
-    and string metadata (phase conventions, clamp flags, and the like)."""
+    and string metadata (phase conventions, clamp flags, and the like).
+
+    Values are checked when the record is built: inputs and outputs finite,
+    metadata keys and values str, so every record emits as valid JSON.  The
+    dicts stay mutable; a sweep tags each record's metadata after the fact.
+    """
 
     command: str
     inputs: dict[str, float]
@@ -84,6 +81,9 @@ class RunRecord:
             for name, value in group.items():
                 if not math.isfinite(value):
                     raise DomainError(f"record value {name} must be finite")
+        for name, value in self.metadata.items():
+            if not (isinstance(name, str) and isinstance(value, str)):
+                raise DomainError(f"record metadata {name!r}: {value!r} must be str: str")
 
     def as_dict(self) -> dict:
         return {
@@ -250,6 +250,8 @@ def _run_phase(spin: str, theta: float, degrees: bool) -> list[RunRecord]:
 
 
 def _run_holonomy(spin: str, theta: float, segments: int) -> list[RunRecord]:
+    from .berry import holonomy_numeric, spinor_loop  # numpy loads here, for loops only
+
     orientation = Orientation(spin)
     loop = spinor_loop(orientation, theta, segments)
     transported = holonomy_numeric(loop)
@@ -446,6 +448,16 @@ def _build_parser() -> argparse.ArgumentParser:
 # sweeps
 
 
+def _grid(spec: SweepSpec) -> list[float]:
+    """The sweep's grid, with the bits of np.linspace(start, stop, steps)."""
+    div = spec.steps - 1
+    delta = spec.stop - spec.start
+    step = delta / div
+    if step == 0.0:  # delta / div underflowed: linspace then scales by delta last
+        return [spec.start + i / div * delta for i in range(div)] + [spec.stop]
+    return [spec.start + i * step for i in range(div)] + [spec.stop]
+
+
 def _sweep(name: str, spec: SweepSpec, fixed: Mapping[str, object]) -> list[RunRecord]:
     if name not in _SWEEP_TARGETS:
         raise _UsageError(f"--cmd must be one of {_SWEEP_TARGETS}")
@@ -475,8 +487,8 @@ def _sweep(name: str, spec: SweepSpec, fixed: Mapping[str, object]) -> list[RunR
         flag = _SWEEPABLE[spec.parameter].name
         raise _UsageError(f"unrecognized arguments: --{flag} {float(spec.start)!r}")
     records: list[RunRecord] = []
-    for value in np.linspace(spec.start, spec.stop, spec.steps):
-        kwargs[swept.dest] = value = float(value)
+    for value in _grid(spec):
+        kwargs[swept.dest] = value
         try:
             produced = command.run(**kwargs)
         except DomainError as exc:

@@ -13,12 +13,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._angles import check_finite, check_theta, mod_two_pi
-from .berry import berry_phase_analytic
 from .circuits import Orientation
 from .errors import DomainError
+from .phases import berry_phase_analytic
 from .states import PureState, unit_vector
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -27,7 +25,7 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 def _set_unit(coeffs, *names: str) -> None:
     """Replace the named fields of a frozen dataclass by their unit-norm scaling."""
     values = unit_vector([getattr(coeffs, name) for name in names], "coefficients")
-    for name, value in zip(names, values.tolist()):
+    for name, value in zip(names, values):
         object.__setattr__(coeffs, name, value)
 
 
@@ -62,8 +60,7 @@ class BipartiteCoefficients:
     def from_state(cls, state: PureState) -> "BipartiteCoefficients":
         if state.num_qubits != 2:
             raise DomainError("bipartite coefficients need a two-qubit state")
-        a = state.amplitudes
-        return cls(complex(a[0]), complex(a[1]), complex(a[2]), complex(a[3]))
+        return cls(*state.amplitudes)
 
 
 @dataclass(frozen=True)
@@ -108,7 +105,7 @@ def swap_expectation(state: PureState) -> float:
     if state.num_qubits != 2:
         raise DomainError("swap expectation needs a two-qubit state")
     a = state.amplitudes
-    return float(abs(a[0]) ** 2 + abs(a[3]) ** 2 + 2.0 * (np.conj(a[1]) * a[2]).real)
+    return abs(a[0]) ** 2 + abs(a[3]) ** 2 + 2.0 * (a[1].conjugate() * a[2]).real
 
 
 def concurrence_general(coeffs: BipartiteCoefficients) -> complex:

@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 from ._angles import TWO_PI, check_theta
-from .berry import GeometricPhase
 from .circuits import Orientation
 from .errors import DomainError
+from .phases import GeometricPhase
 
 MAX_SHIFT = 0.5
 
@@ -91,11 +90,3 @@ def post_echo_noise_shift(theta: float, noise: NoiseSpec) -> float:
     a qualitative robustness statement, not a derived bound."""
     check_theta(theta)
     return _single_shift(theta, noise.delta_theta)
-
-
-def noisy_phase_samples(
-    orientation: Orientation, theta: float, deltas: Iterable[float]
-) -> list[tuple[GeometricPhase, float]]:
-    """Map a sample list of shifts through noisy_phase, validating each sample."""
-    target = NoiseTarget.UP if orientation is Orientation.UP else NoiseTarget.DOWN
-    return [noisy_phase(orientation, theta, NoiseSpec(d, target)) for d in deltas]

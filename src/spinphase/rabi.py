@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from ._angles import check_finite, wrap_pm_pi
 from .circuits import SpinorParams
 from .errors import DomainError
@@ -26,11 +24,6 @@ from .states import PureState, unit_vector
 _LEDGER_TOLERANCE = 1e-12
 _PULSE_TOLERANCE = 1e-12
 
-_SIGMA = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
 
 
 @dataclass(frozen=True)
@@ -104,23 +97,30 @@ class PhaseLedger:
         return cls(geometric, dynamical, geometric + dynamical)
 
 
-def hamiltonian_matrix(params: RabiParams, direction) -> np.ndarray:
-    """Two-level Hamiltonian (omega0 * I + omega * n.sigma) / 2 for unit vector n."""
+def hamiltonian_matrix(params: RabiParams, direction):
+    """Two-level Hamiltonian (omega0 * I + omega * n.sigma) / 2 for unit vector n,
+    as a 2x2 numpy array (numpy loads on the first call)."""
+    import numpy as np
+
     if np.shape(direction) != (3,):
         raise DomainError("direction must be a 3-vector")
     n = unit_vector(direction, "direction")
-    if n.imag.any():
+    if any(component.imag for component in n):
         raise DomainError("direction must be real")
-    n = n.real
+    sigma = (
+        np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+        np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+        np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+    )
     h = params.omega0 * np.eye(2, dtype=complex)
-    for component, sigma in zip(n, _SIGMA):
-        h = h + params.omega * component * sigma
+    for component, pauli in zip(n, sigma):
+        h = h + params.omega * component.real * pauli
     return 0.5 * h
 
 
 def evolve_coefficients(c0: complex, c1: complex, params: RabiParams) -> tuple[complex, complex]:
     """Rotate normalized coefficients through the resonant drive for params.duration."""
-    c0, c1 = unit_vector((c0, c1), "coefficients").tolist()
+    c0, c1 = unit_vector((c0, c1), "coefficients")
     half = 0.5 * params.omega * params.duration
     cos_half = math.cos(half)
     sin_half = math.sin(half)
@@ -134,9 +134,7 @@ def apply_pulse(state: PureState, pulse: PulseSpec) -> PureState:
     """Drive a single-qubit state through one pulse."""
     if state.num_qubits != 1:
         raise DomainError("pulses act on single-qubit states")
-    a, b = state.amplitudes
-    c0, c1 = evolve_coefficients(complex(a), complex(b), pulse.params)
-    return PureState([c0, c1])
+    return PureState(evolve_coefficients(*state.amplitudes, pulse.params))
 
 
 def pulse_ledger(pulse: PulseSpec) -> PhaseLedger:

@@ -1,63 +1,60 @@
-"""Exact complex state algebra for one and two qubits.
+"""Exact complex state algebra for one and two qubits, in plain Python.
 
 Amplitude vectors are ordered |0>, |1> for one qubit and |00>, |01>, |10>, |11>
-for two, with the first tensor factor as the most significant qubit.
+for two, with the first tensor factor as the most significant qubit.  A state
+holds them as a tuple of Python ``complex``: with 2 or 4 amplitudes, scalar
+arithmetic beats array calls, and nothing here imports numpy.  Only loops of
+states are arrays (``berry``).
 
 One normalization contract covers every unit vector in the package (states,
 Bell and bipartite weights, Rabi coefficients, Hamiltonian directions):
 ``unit_vector`` accepts finite values whose 2-norm is within 1e-6 of 1 and
 renormalizes them, and rejects anything else, so silent normalization drift is
-distinguished from caller bugs.  ``unit_rows`` applies the same contract to
-every row of an array at once, for loops of states.
+distinguished from caller bugs.  ``berry.unit_rows`` applies the same contract
+to every row of an array at once, for loops of states.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import cmath
+import math
 
 from .errors import DomainError
 
 NORM_TOLERANCE = 1e-6
 
 
-def _finite_array(values, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128)
-    if not np.isfinite(arr).all():
-        raise DomainError(f"{what} must be finite")
-    return arr
-
-
 def _off_unit(norm: float, what: str) -> DomainError:
     return DomainError(f"{what} norm {norm!r} not within {NORM_TOLERANCE} of 1")
 
 
-def unit_vector(values, what: str) -> np.ndarray:
-    """values as a new complex array scaled to unit 2-norm.
+def unit_vector(values, what: str) -> tuple[complex, ...]:
+    """values as a tuple of complex scaled to unit 2-norm.
 
-    Raises DomainError unless every component is finite and the 2-norm lies
-    within NORM_TOLERANCE of 1.
+    Raises DomainError unless values is a flat sequence of numbers, every
+    component is finite and the 2-norm lies within NORM_TOLERANCE of 1.
+
+    The norm is the correctly rounded square root of the exact sum of the
+    squared parts (``math.fsum``), so it does not depend on the machine.  The
+    division is numpy's complex-by-real one (Smith's form with a zero
+    imaginary divisor), which keeps the bits, signed zeros included, that
+    array normalization gave.
     """
-    arr = _finite_array(values, what)
-    norm = float(np.linalg.norm(arr))
+    try:
+        # a label such as "10" would read as digits, a dict or set as its keys
+        if isinstance(values, (str, dict, set, frozenset)):
+            raise TypeError(values)
+        amps = [complex(v) for v in values]
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be a flat sequence of numbers") from None
+    if not all(map(cmath.isfinite, amps)):
+        raise DomainError(f"{what} must be finite")
+    norm = math.sqrt(math.fsum([z.real * z.real for z in amps] + [z.imag * z.imag for z in amps]))
     if abs(norm - 1.0) > NORM_TOLERANCE:
         raise _off_unit(norm, what)
-    arr /= norm
-    return arr
-
-
-def unit_rows(values, what: str) -> np.ndarray:
-    """The row-wise ``unit_vector``: a new complex array with every row at unit 2-norm.
-
-    Every row is held to the ``unit_vector`` contract, with its messages; the
-    first offending row's norm is the one reported.
-    """
-    arr = _finite_array(values, what)
-    norms = np.linalg.norm(arr, axis=-1)
-    off = norms[np.abs(norms - 1.0) > NORM_TOLERANCE]
-    if off.size:
-        raise _off_unit(float(off[0]), what)
-    arr /= norms[..., np.newaxis]
-    return arr
+    inv = 1.0 / norm
+    return tuple(complex((z.real + z.imag * 0.0) * inv, (z.imag - z.real * 0.0) * inv)
+                 for z in amps)
 
 
 class PureState:
@@ -66,38 +63,30 @@ class PureState:
     __slots__ = ("_amps",)
 
     def __init__(self, amplitudes) -> None:
-        arr = unit_vector(amplitudes, "state")
-        if arr.ndim != 1 or arr.shape[0] not in (2, 4):
+        amps = unit_vector(amplitudes, "state")
+        if len(amps) not in (2, 4):
             raise DomainError("amplitude vector must have length 2 or 4")
-        arr.flags.writeable = False
-        self._amps = arr
-
-    @classmethod
-    def _from_unit_row(cls, row: np.ndarray) -> "PureState":
-        """Wrap a read-only row that has already passed ``unit_rows``, without copying it."""
-        state = object.__new__(cls)
-        state._amps = row
-        return state
+        self._amps = amps
 
     @property
-    def amplitudes(self) -> np.ndarray:
-        """Read-only complex amplitude vector."""
+    def amplitudes(self) -> tuple[complex, ...]:
+        """The complex amplitudes, as a tuple."""
         return self._amps
 
     @property
     def num_qubits(self) -> int:
-        return 1 if self._amps.shape[0] == 2 else 2
+        return 1 if len(self._amps) == 2 else 2
 
     def __repr__(self) -> str:
-        return f"PureState({self._amps.tolist()!r})"
+        return f"PureState({list(self._amps)!r})"
 
 
 def ket(label: str) -> PureState:
     """Computational basis state from a bit string, e.g. ket("0") or ket("10")."""
     if not label or len(label) > 2 or any(ch not in "01" for ch in label):
         raise DomainError(f"basis label must be 1 or 2 bits, got {label!r}")
-    amps = np.zeros(2 ** len(label), dtype=np.complex128)
-    amps[int(label, 2)] = 1.0
+    amps = [0j] * 2 ** len(label)
+    amps[int(label, 2)] = 1 + 0j
     return PureState(amps)
 
 
@@ -105,14 +94,14 @@ def inner_product(a: PureState, b: PureState) -> complex:
     """<a|b>, conjugate-linear in the first argument."""
     if a.num_qubits != b.num_qubits:
         raise DomainError("inner product requires states with equal qubit count")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
+    return sum(x.conjugate() * y for x, y in zip(a.amplitudes, b.amplitudes))
 
 
 def tensor_product(a: PureState, b: PureState) -> PureState:
     """Two-qubit product state; the first factor is the most significant qubit."""
     if a.num_qubits != 1 or b.num_qubits != 1:
         raise DomainError("tensor product is defined for single-qubit factors only")
-    return PureState(np.kron(a.amplitudes, b.amplitudes))
+    return PureState([x * y for x in a.amplitudes for y in b.amplitudes])
 
 
 def equal_up_to_global_phase(a: PureState, b: PureState, tol: float) -> bool:
@@ -123,9 +112,9 @@ def equal_up_to_global_phase(a: PureState, b: PureState, tol: float) -> bool:
     """
     if a.num_qubits != b.num_qubits:
         raise DomainError("phase comparison requires states with equal qubit count")
-    overlaps = a.amplitudes * np.conj(b.amplitudes)
-    k = int(np.argmax(np.abs(overlaps)))
+    overlaps = [x * y.conjugate() for x, y in zip(a.amplitudes, b.amplitudes)]
+    k = max(range(len(overlaps)), key=lambda i: abs(overlaps[i]))
     if overlaps[k] == 0.0:
         return False
     c = overlaps[k] / abs(overlaps[k])
-    return bool(np.linalg.norm(a.amplitudes - c * b.amplitudes) <= tol)
+    return math.hypot(*(abs(x - c * y) for x, y in zip(a.amplitudes, b.amplitudes))) <= tol

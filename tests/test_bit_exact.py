@@ -1,0 +1,157 @@
+"""Seeded bit-level differentials of the scalar state algebra against numpy.
+
+The small-state code runs in plain Python and must give the bits the array
+code gave: the sweep grid those of ``np.linspace``, ``prepare_spinor`` those
+of the array rows of ``berry.spinor_amplitudes``.  ``unit_vector`` takes its
+norm from ``math.fsum`` rather than numpy's BLAS dot, so it may differ from a
+numpy reference by a rounding or two, but in no sign and in no verdict.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+from spinphase import DomainError, Orientation, PureState, SpinorParams, SweepSpec, prepare_spinor
+from spinphase.berry import spinor_amplitudes
+from spinphase.cli import _grid
+from spinphase.states import NORM_TOLERANCE, unit_vector
+
+MAX_ULP = 2
+
+
+def bits(values) -> np.ndarray:
+    """The raw 64-bit patterns of floats or complexes, signed zeros distinct."""
+    return np.asarray(values).view(np.uint64)
+
+
+def ordered(x: np.ndarray) -> np.ndarray:
+    """Float bits mapped to integers that count ulps monotonically across 0."""
+    i = np.asarray(x, dtype=np.float64).view(np.int64)
+    return np.where(i < 0, np.int64(-(2**63)) - i, i)
+
+
+def random_grid(rng: random.Random) -> tuple[float, float, int]:
+    kind = rng.randrange(4)
+    if kind == 0:  # magnitudes over many decades, either sign
+        a, b = (rng.choice((-1, 1)) * 10.0 ** rng.uniform(-12, 12) for _ in range(2))
+    elif kind == 1:  # straddling zero
+        a, b = -rng.uniform(0, 5), rng.uniform(0, 5)
+    elif kind == 2:  # a narrow span far from zero
+        a = rng.uniform(-1e3, 1e3)
+        b = a + rng.uniform(1e-9, 1e-3) * max(1.0, abs(a))
+    else:  # plain parameter ranges
+        a, b = rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi)
+    if a == b:
+        b = a + 1.0
+    return min(a, b), max(a, b), rng.randrange(2, 300)
+
+
+def test_grid_is_linspace_bit_for_bit():
+    rng = random.Random(20260601)
+    for _ in range(3000):
+        start, stop, steps = random_grid(rng)
+        got = _grid(SweepSpec("theta", start, stop, steps))
+        want = np.linspace(start, stop, steps)
+        assert np.array_equal(bits(got), bits(want)), (start, stop, steps)
+
+
+@pytest.mark.parametrize("start, stop, steps", [
+    (0.0, 5e-324, 3),  # the step underflows to 0
+    (-5e-324, 5e-324, 7),
+    (-1e-300, 1e-300, 1000),
+    (-3e-05, 0.2, 3),
+    (0.0, 1.0, 2),
+    (-1e308, 1e308, 5),
+])
+def test_grid_edges_are_linspace(start, stop, steps):
+    got = _grid(SweepSpec("theta", start, stop, steps))
+    with np.errstate(all="ignore"):  # the last span overflows: both give nan and inf
+        want = np.linspace(start, stop, steps)
+    assert np.array_equal(bits(got), bits(want))
+
+
+def spinor_cases(rng: random.Random, n: int):
+    special = (0.0, -0.0, math.pi / 2, math.pi, -math.pi, 2 * math.pi, 1e-300)
+    for _ in range(n):
+        theta = rng.choice((0.0, math.pi / 2, math.pi, rng.uniform(0, math.pi)))
+        phi = rng.choice(special) if rng.random() < 0.2 else rng.uniform(-50, 50)
+        chi = rng.choice(special) if rng.random() < 0.2 else rng.uniform(-50, 50)
+        yield theta, phi, chi
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+@pytest.mark.parametrize("overall", [False, True], ids=["bare", "overall-phase"])
+def test_prepare_spinor_is_the_array_row(orientation, overall):
+    """The scalar spinor against the array route it replaced, signed zeros included."""
+    rng = random.Random(f"spinor:{orientation.value}:{overall}")
+    for theta, phi, chi in spinor_cases(rng, 3000):
+        row = spinor_amplitudes(theta, phi, orientation).tolist()
+        if overall:
+            sign = 0.5j if orientation is Orientation.UP else -0.5j
+            phase = complex(np.exp(sign * (phi - chi)))
+            row = [complex(a) * phase for a in row]
+        got = prepare_spinor(SpinorParams(theta, phi, chi), orientation, overall)
+        assert np.array_equal(bits(got.amplitudes), bits(PureState(row).amplitudes)), \
+            (theta, phi, chi)
+
+
+def reference_unit_vector(values) -> np.ndarray:
+    """The numpy normalization the scalar one replaced."""
+    arr = np.array(values, dtype=np.complex128)
+    if not np.isfinite(arr).all():
+        raise DomainError("must be finite")
+    norm = float(np.linalg.norm(arr))
+    if abs(norm - 1.0) > NORM_TOLERANCE:
+        raise DomainError("not within")
+    arr /= norm
+    return arr
+
+
+def random_vector(rng: random.Random, n: int) -> list[complex]:
+    parts = [rng.gauss(0, 1) for _ in range(2 * n)]
+    for k in rng.sample(range(2 * n), rng.randrange(2 * n)):
+        parts[k] = rng.choice((0.0, -0.0))  # zeros, of both signs, in some parts
+    if not any(parts):
+        parts[0] = 1.0
+    norm = math.sqrt(math.fsum(p * p for p in parts))
+    # mostly inside the tolerance, some straddling its edge
+    scale = rng.choice((rng.uniform(1 - 2e-6, 1 + 2e-6), 1.0,
+                        1 + rng.choice((-1, 1)) * NORM_TOLERANCE * rng.uniform(0.999, 1.001)))
+    return [complex(parts[2 * k], parts[2 * k + 1]) * (scale / norm) for k in range(n)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_unit_vector_within_two_ulp_of_numpy(n):
+    rng = random.Random(f"unit_vector:{n}")
+    checked = 0
+    for _ in range(4000):
+        values = random_vector(rng, n)
+        try:
+            want = reference_unit_vector(values)
+        except DomainError:
+            with pytest.raises(DomainError, match="not within"):
+                unit_vector(values, "state")
+            continue
+        got = np.array(unit_vector(values, "state"))
+        checked += 1
+        for part in ("real", "imag"):
+            g, w = getattr(got, part), getattr(want, part)
+            assert np.array_equal(np.signbit(g), np.signbit(w)), values
+            assert np.array_equal(g == 0.0, w == 0.0), values
+            assert np.abs(ordered(g) - ordered(w)).max() <= MAX_ULP, values
+    assert checked > 1000
+
+
+def test_unit_vector_rejects_like_numpy():
+    for bad in ([math.nan, 0.0], [1.0, complex(0.0, math.inf)], [1.0 + 1.1e-6, 0.0], [0.0, 0.0]):
+        with pytest.raises(DomainError):
+            reference_unit_vector(bad)
+        with pytest.raises(DomainError):
+            unit_vector(bad, "state")
+    for bad in ([[1.0, 0.0]], "10", [1.0, "x"], 1.0, {1: 0, 0: 0}, {0, 1}):
+        with pytest.raises(DomainError, match="flat sequence of numbers"):
+            unit_vector(bad, "state")

@@ -305,7 +305,7 @@ class TestSpinorConstructors:
         full = prepare_spinor(p, Orientation.UP, include_overall_phase=True)
         np.testing.assert_allclose(
             full.amplitudes,
-            bare.amplitudes * np.exp(0.5j * (0.5 - 0.2)),
+            np.array(bare.amplitudes) * np.exp(0.5j * (0.5 - 0.2)),
             atol=1e-15,
         )
 
@@ -324,7 +324,7 @@ class TestSpinorConstructors:
         bare = prepare_spinor(p, Orientation.DOWN)
         np.testing.assert_allclose(
             full.amplitudes,
-            bare.amplitudes * np.exp(-0.5j * (0.5 - 0.2)),
+            np.array(bare.amplitudes) * np.exp(-0.5j * (0.5 - 0.2)),
             atol=1e-15,
         )
 

@@ -64,8 +64,7 @@ records_strategy = st.lists(st.builds(
     command=texts,
     inputs=st.dictionaries(keys, reals),
     outputs=st.dictionaries(keys, reals, min_size=1),
-    # metadata is the one group the record does not check: non-finite floats too
-    metadata=st.dictionaries(keys, st.one_of(texts, reals, st.floats())),
+    metadata=st.dictionaries(texts, texts),
 ), max_size=4)
 
 
@@ -83,6 +82,20 @@ class TestRunRecord:
     def test_values_must_be_finite(self):
         with pytest.raises(DomainError):
             RunRecord("x", {"a": math.inf}, {"b": 1.0})
+
+    @pytest.mark.parametrize("metadata", [
+        {"k": math.nan}, {"k": 1.0}, {"k": math.inf}, {"k": None}, {"k": [1, 2.5]},
+        {"k": {"b": "c"}}, {"k": 7}, {3: "c"}, {"k": Fraction(1, 3)},
+    ], ids=["nan", "float", "inf", "none", "list", "dict", "int", "int-key", "fraction"])
+    def test_metadata_must_be_str_to_str(self, metadata):
+        # json.dumps would print NaN, which is not JSON, or fail only at emit time
+        with pytest.raises(DomainError, match="must be str: str"):
+            RunRecord("x", {"a": 1.0}, {"b": 1.0}, metadata)
+
+    def test_metadata_stays_mutable_for_sweep_tags(self):
+        record = RunRecord("x", {"a": 1.0}, {"b": 1.0}, {"k": "v"})
+        record.metadata["swept"] = "theta"
+        assert emit([record], "json") == json_dumps_bytes([record])
 
 
 class TestSweepSpec:
@@ -166,16 +179,14 @@ class TestEmit:
                        "big": 2**70, "yes": True, "no": False},
                       {t or "empty": t for t in EDGE_TEXTS}),
             RunRecord("\u00e9\"\\", {}, {"only": 1e22}),
-            *(RunRecord("metadata", {"x": 1.0}, {"y": 2.0}, {"k": value})
-              for value in (math.nan, math.inf, -math.inf, [1, 2.5], {"b": "c"}, None, 7)),
-            RunRecord("int-keys", {2: 1.0, 1: 0.5}, {10: 2.0}, {3: "c"}),
+            RunRecord("int-keys", {2: 1.0, 1: 0.5}, {10: 2.0}, {"3": "c"}),
         ]
         assert emit(records, "json") == json_dumps_bytes(records)
         assert emit([], "json") == json_dumps_bytes([]) == b"[]\n"
 
-    @pytest.mark.parametrize("group", ["inputs", "outputs", "metadata"])
+    @pytest.mark.parametrize("group", ["inputs", "outputs"])
     def test_json_rejects_what_json_rejects(self, group):
-        fields = {"inputs": {"x": 1.0}, "outputs": {"y": 1.0}, "metadata": {}}
+        fields = {"inputs": {"x": 1.0}, "outputs": {"y": 1.0}}
         fields[group] = {**fields[group], "q": Fraction(1, 3)}
         records = [RunRecord("demo", **fields)]
         with pytest.raises(TypeError) as raised:

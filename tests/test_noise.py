@@ -14,7 +14,6 @@ from spinphase import (
     berry_phase_analytic,
     entangled_noise_shift,
     noisy_phase,
-    noisy_phase_samples,
     perturbed_connection,
     post_echo_noise_shift,
 )
@@ -160,23 +159,3 @@ class TestPostEchoShift:
             entangled_noise_shift(theta, ent_spec(d))
         )
 
-
-class TestSampleSweep:
-    def test_matches_individual_calls(self):
-        deltas = [-0.05, 0.0, 0.02, 0.11]
-        got = noisy_phase_samples(Orientation.UP, 0.9, deltas)
-        assert len(got) == len(deltas)
-        for d, (gp, shift) in zip(deltas, got):
-            one_gp, one_shift = noisy_phase(Orientation.UP, 0.9, up_spec(d))
-            assert gp.value == one_gp.value
-            assert shift == one_shift
-
-    def test_bad_sample_rejected(self):
-        with pytest.raises(DomainError):
-            noisy_phase_samples(Orientation.UP, 0.9, [0.01, 0.9])
-
-    def test_down_orientation_uses_down_target(self):
-        got = noisy_phase_samples(Orientation.DOWN, 1.3, [0.07])
-        one = noisy_phase(Orientation.DOWN, 1.3, down_spec(0.07))
-        assert got[0][0].value == one[0].value
-        assert got[0][1] == one[1]

@@ -133,7 +133,8 @@ class TestConstruction:
 
     def test_amplitudes_not_writable(self):
         s = ket("0")
-        with pytest.raises(ValueError):
+        assert isinstance(s.amplitudes, tuple)
+        with pytest.raises(TypeError):
             s.amplitudes[0] = 0.0
 
     @given(st.floats(-1e-6 + 1e-9, 1e-6 - 1e-9))
