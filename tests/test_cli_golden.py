@@ -4,7 +4,8 @@ Every command in JSON and CSV, sweeps on the argv route (``dispatch``) and on
 the library route (``sweep`` then ``emit``), domain errors (exit 1) and usage
 errors (exit 2).  Each case pins stdout, stderr and the exit code stored in
 ``golden/cli_corpus.json``.  Usage and help text are argparse's, laid out at a
-fixed 80-column width.
+fixed 80-column width.  A case that runs a circuit carries the file's text
+(``Circ``); the file is written afresh for each run.
 
 The expected file is written by running this module as a script:
 
@@ -20,14 +21,22 @@ import io
 import json
 import os
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 from spinphase import SweepSpec, dispatch, emit, sweep
 
 GOLDEN = Path(__file__).with_name("golden") / "cli_corpus.json"
-CIRCUIT_TEXT = "# golden circuit\nH P(2*theta) H P(pi/2 + phi)\n"
-CIRCUIT = "{circuit}"  # argv placeholder for the circuit file written per run
+
+
+class Circ(NamedTuple):
+    """A case's circuit file: its text, written to a fresh file on each run."""
+
+    text: str
+
+
+CIRCUIT = Circ("# golden circuit\nH P(2*theta) H P(pi/2 + phi)\n")
 
 PHASE_SWEEP = ["sweep", "--cmd", "phase", "--param", "theta", "--start", "0",
                "--stop", "1", "--steps", "2"]
@@ -82,6 +91,19 @@ CASES = {
                            "--stop", "3", "--steps", "4", "--file", CIRCUIT, "--phi", "0.5"],
     "sweep-lib-circuit-csv": ("sweep", "circuit", ("theta", 0.2, 2.9, 3),
                               {"file": CIRCUIT, "phi": 1.1}, "csv"),
+    # format_circuit's parentheses: right operands of - and /, unary minus
+    "circuit-nested-format": ["circuit", "--file", Circ(
+        "P(theta - (phi - 1)) H P(-theta / (phi / 2))\nP(-(theta + phi) * 3 - -phi) H\n"),
+        "--theta", "0.7", "--phi", "1.1"],
+    "circuit-exponent-constant": ["circuit", "--file", Circ("H P(theta*1e-09 + 2.5E+2) H P(1e-3)"),
+                                  "--theta", "0.4", "--phi", "0"],
+    # a folded angle far outside (-4 pi, 4 pi]: the bits of its canonical representative
+    "circuit-huge-angle": ["circuit", "--file", Circ("H P(1e15*pi + 0.5) H P(-3.5e12*2)")],
+    "domain-circuit-syntax": ["circuit", "--file", Circ("H\n  P(theta +* 2)\n")],
+    "domain-circuit-divide-by-zero": ["circuit", "--file", Circ("H P(theta/0)"),
+                                      "--theta", "1"],
+    "domain-circuit-infinite-angle": ["circuit", "--file", Circ("H P(theta * 1e308 * 10)"),
+                                      "--theta", "0.7"],
     "domain-phase-theta": ["phase", "--spin", "up", "--theta", "4.0"],
     "domain-holonomy-segments": ["holonomy", "--spin", "up", "--theta", "1.0",
                                  "--segments", "1"],
@@ -111,19 +133,27 @@ CASES = {
 }
 
 
-def run_case(case, circuit_path: str) -> dict:
+def run_case(case, workdir: Path) -> dict:
     """stdout, stderr and exit code of one case (library cases exit 0)."""
+
+    def path(value):
+        if not isinstance(value, Circ):
+            return value
+        file = workdir / "golden.circ"
+        file.write_text(value.text, encoding="utf-8")
+        return str(file)
+
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         if isinstance(case, tuple):
             _, cmd, (param, start, stop, steps), fixed, fmt = case
-            fixed = {k: circuit_path if v == CIRCUIT else v for k, v in fixed.items()}
+            fixed = {k: path(v) for k, v in fixed.items()}
             records = sweep(cmd, SweepSpec(param, start, stop, steps), fixed)
             assert all(r.metadata["swept"] == param for r in records)
             out.write(emit(records, fmt).decode("utf-8"))
             code = 0
         else:
-            code = dispatch([circuit_path if a == CIRCUIT else a for a in case])
+            code = dispatch([path(a) for a in case])
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
@@ -133,11 +163,9 @@ def golden():
 
 
 @pytest.fixture
-def circuit_path(tmp_path, monkeypatch):
+def workdir(tmp_path, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    path = tmp_path / "golden.circ"
-    path.write_text(CIRCUIT_TEXT, encoding="utf-8")
-    return str(path)
+    return tmp_path
 
 
 def test_corpus_names_every_case(golden):
@@ -145,8 +173,8 @@ def test_corpus_names_every_case(golden):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_case_matches_golden_bytes(name, golden, circuit_path):
-    assert run_case(CASES[name], circuit_path) == golden[name]
+def test_case_matches_golden_bytes(name, golden, workdir):
+    assert run_case(CASES[name], workdir) == golden[name]
 
 
 def test_corpus_covers_every_exit_code(golden):
@@ -161,8 +189,6 @@ if __name__ == "__main__":
 
     os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as tmp:
-        circuit = Path(tmp) / "golden.circ"
-        circuit.write_text(CIRCUIT_TEXT, encoding="utf-8")
-        corpus = {name: run_case(case, str(circuit)) for name, case in sorted(CASES.items())}
+        corpus = {name: run_case(case, Path(tmp)) for name, case in sorted(CASES.items())}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n", encoding="utf-8")
