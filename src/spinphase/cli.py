@@ -449,13 +449,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _grid(spec: SweepSpec) -> list[float]:
-    """The sweep's grid, with the bits of np.linspace(start, stop, steps)."""
+    """The sweep's grid as floats, with the bits of np.linspace(start, stop, steps)."""
+    start, stop = float(spec.start), float(spec.stop)
     div = spec.steps - 1
-    delta = spec.stop - spec.start
+    delta = stop - start
     step = delta / div
     if step == 0.0:  # delta / div underflowed: linspace then scales by delta last
-        return [spec.start + i / div * delta for i in range(div)] + [spec.stop]
-    return [spec.start + i * step for i in range(div)] + [spec.stop]
+        return [start + i / div * delta for i in range(div)] + [stop]
+    return [start + i * step for i in range(div)] + [stop]
 
 
 def _sweep(name: str, spec: SweepSpec, fixed: Mapping[str, object]) -> list[RunRecord]:

@@ -551,6 +551,11 @@ class TestSweepCommand:
         assert [r.as_dict() for r in argv_recs] == [r.as_dict() for r in recs]
         assert capsys.readouterr().err == ""
 
+    def test_int_bounds_record_float_values(self):
+        records = sweep("phase", SweepSpec("theta", 0, 3, 2), {"spin": "up"})
+        assert [type(r.inputs["theta"]) for r in records] == [float, float]
+        assert b'"theta": 3.0' in emit(records, "json")
+
     def test_fixed_flag_forms_agree(self):
         plain = run_records(
             ["sweep", "--cmd", "noise", "--param", "theta", "--start", "0", "--stop", "1",
