@@ -11,7 +11,6 @@ is generated from it, and a sweep reads its fixed flags once by the same specs.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -64,9 +63,10 @@ class RunRecord:
     """One completed computation: the command, its real inputs, real outputs,
     and string metadata (phase conventions, clamp flags, and the like).
 
-    Values are checked when the record is built: inputs and outputs finite,
-    metadata keys and values str, so every record emits as valid JSON.  The
-    dicts stay mutable; a sweep tags each record's metadata after the fact.
+    Values are checked when the record is built: the command a str, inputs and
+    outputs str keys to finite floats (``np.float64`` included), metadata str
+    keys to str values, so every record emits as valid JSON.  The dicts stay
+    mutable; a sweep tags each record's metadata after the fact.
     """
 
     command: str
@@ -75,10 +75,14 @@ class RunRecord:
     metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.command, str):
+            raise DomainError(f"record command {self.command!r} must be str")
         if not self.outputs:
             raise DomainError("a record needs at least one output")
         for group in (self.inputs, self.outputs):
             for name, value in group.items():
+                if not (isinstance(name, str) and isinstance(value, float)):
+                    raise DomainError(f"record value {name!r}: {value!r} must be str: float")
                 if not math.isfinite(value):
                     raise DomainError(f"record value {name} must be finite")
         for name, value in self.metadata.items():
@@ -121,32 +125,19 @@ def _csv_real(value: float) -> str:
     return format(float(value), ".12g")
 
 
-def _json_group(group: Mapping[str, object]) -> str | None:
-    """A record's inputs, outputs or metadata as json lays it out two levels
-    deep, or None when a key is not a str or a value not a str or finite float."""
-    members = []
-    for key, value in sorted(group.items()):
-        if isinstance(value, str):
-            text = encode_basestring_ascii(value)
-        elif isinstance(value, float) and math.isfinite(value):
-            text = float.__repr__(value)  # json's own float text, for subclasses too
-        else:
-            return None
-        if not isinstance(key, str):
-            return None
-        members.append(f"      {encode_basestring_ascii(key)}: {text}")
+def _json_group(group: Mapping[str, str | float]) -> str:
+    """A record's inputs, outputs or metadata as json lays it out two levels deep."""
+    members = [f"      {encode_basestring_ascii(key)}: " + (
+        encode_basestring_ascii(value) if isinstance(value, str)
+        else float.__repr__(value))  # json's own float text, for subclasses too
+        for key, value in sorted(group.items())]
     return "{\n" + ",\n".join(members) + "\n    }" if members else "{}"
 
 
 def _json_record(record: RunRecord) -> str:
     """One record as it reads inside json.dumps([...], indent=2, sort_keys=True)."""
-    # as_dict's group order, so a group that cannot be sorted fails as it would there
     inputs, outputs, metadata = map(_json_group, (record.inputs, record.outputs,
                                                   record.metadata))
-    if not isinstance(record.command, str) or None in (inputs, outputs, metadata):
-        # any other value is json's to encode, or to reject
-        text = json.dumps(record.as_dict(), indent=2, sort_keys=True)
-        return "  " + text.replace("\n", "\n  ")
     return (f'  {{\n    "command": {encode_basestring_ascii(record.command)},\n'
             f'    "inputs": {inputs},\n    "metadata": {metadata},\n'
             f'    "outputs": {outputs}\n  }}')

@@ -33,14 +33,6 @@ def run_json(argv, capsys):
     return code, json.loads(out) if out else None
 
 
-def outcome(fn):
-    """fn's result, or the type and text of the exception it raised."""
-    try:
-        return fn()
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
 def json_dumps_bytes(records):
     """The JSON bytes emit pins itself to."""
     payload = [r.as_dict() for r in records]
@@ -54,16 +46,13 @@ reals = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from(EDGE_FLOATS),
     st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
-    st.integers(-2**64, 2**64),
-    st.booleans(),
 )
 texts = st.one_of(st.text(), st.sampled_from(EDGE_TEXTS))
-keys = st.one_of(texts, texts, st.integers(-9, 9))  # a mix of int and str keys cannot sort
 records_strategy = st.lists(st.builds(
     RunRecord,
     command=texts,
-    inputs=st.dictionaries(keys, reals),
-    outputs=st.dictionaries(keys, reals, min_size=1),
+    inputs=st.dictionaries(texts, reals),
+    outputs=st.dictionaries(texts, reals, min_size=1),
     metadata=st.dictionaries(texts, texts),
 ), max_size=4)
 
@@ -82,6 +71,24 @@ class TestRunRecord:
     def test_values_must_be_finite(self):
         with pytest.raises(DomainError):
             RunRecord("x", {"a": math.inf}, {"b": 1.0})
+
+    @pytest.mark.parametrize("group", ["inputs", "outputs"])
+    @pytest.mark.parametrize("entry", [
+        {"q": 3}, {"q": 2**70}, {"q": True}, {"q": False}, {3: 1.0},
+        {"q": Fraction(1, 3)}, {"q": "1.0"}, {"q": 1j}, {"q": None},
+    ], ids=["int", "big-int", "true", "false", "int-key", "fraction", "str", "complex", "none"])
+    def test_values_must_be_str_to_float(self, group, entry):
+        # json.dumps would print an int or bool as such, sort int keys apart
+        # from str ones, or reject a Fraction only at emit time
+        fields = {"inputs": {"x": 1.0}, "outputs": {"y": 1.0}}
+        fields[group] = {**fields[group], **entry}
+        with pytest.raises(DomainError, match="must be str: float"):
+            RunRecord("x", **fields)
+
+    @pytest.mark.parametrize("command", [None, 3, b"x"])
+    def test_command_must_be_str(self, command):
+        with pytest.raises(DomainError, match="record command"):
+            RunRecord(command, {}, {"y": 1.0})
 
     @pytest.mark.parametrize("metadata", [
         {"k": math.nan}, {"k": 1.0}, {"k": math.inf}, {"k": None}, {"k": [1, 2.5]},
@@ -170,30 +177,18 @@ class TestEmit:
     @example([RunRecord("", {}, {"y": 1.0})])
     @settings(max_examples=150, deadline=None)
     def test_json_is_json_dumps_bytes(self, records):
-        assert outcome(lambda: emit(records, "json")) == outcome(lambda: json_dumps_bytes(records))
+        assert emit(records, "json") == json_dumps_bytes(records)
 
     def test_json_edge_values(self):
         records = [
             RunRecord("edge", {f"x{k}": v for k, v in enumerate(EDGE_FLOATS)},
-                      {"f64": np.float64(0.1), "neg_zero": np.float64(-0.0), "int": 3,
-                       "big": 2**70, "yes": True, "no": False},
+                      {"f64": np.float64(0.1), "neg_zero": np.float64(-0.0)},
                       {t or "empty": t for t in EDGE_TEXTS}),
             RunRecord("\u00e9\"\\", {}, {"only": 1e22}),
-            RunRecord("int-keys", {2: 1.0, 1: 0.5}, {10: 2.0}, {"3": "c"}),
+            RunRecord("digit-keys", {"2": 1.0, "10": 0.5}, {"1": 2.0}, {"3": "c"}),
         ]
         assert emit(records, "json") == json_dumps_bytes(records)
         assert emit([], "json") == json_dumps_bytes([]) == b"[]\n"
-
-    @pytest.mark.parametrize("group", ["inputs", "outputs"])
-    def test_json_rejects_what_json_rejects(self, group):
-        fields = {"inputs": {"x": 1.0}, "outputs": {"y": 1.0}}
-        fields[group] = {**fields[group], "q": Fraction(1, 3)}
-        records = [RunRecord("demo", **fields)]
-        with pytest.raises(TypeError) as raised:
-            emit(records, "json")
-        with pytest.raises(TypeError) as expected:
-            json_dumps_bytes(records)
-        assert str(raised.value) == str(expected.value)
 
 
 class TestPhaseCommand:
