@@ -16,7 +16,6 @@ from .circuits import (
     SPINOR_STATE_TEXT,
     Circuit,
     Gate,
-    GateKind,
     Orientation,
     SpinorParams,
     apply_gate,

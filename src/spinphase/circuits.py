@@ -9,8 +9,14 @@ Circuit text is applied left to right to the input state:
     factor  := number | "pi" | "theta" | "phi" | "-" factor | "(" expr ")"
 
 "#" starts a comment running to end of line.  theta and phi stay free until
-bind time; every constant subexpression is folded during parsing, so division
+run time; every constant subexpression is folded during parsing, so division
 by zero among constants is a parse error, not a runtime surprise.
+
+A parsed circuit has one form.  An expression is a float (a folded constant),
+a symbol's name, ``("-", operand)`` or ``(op, left, right)`` with op one of
++ - * /.  A ``Gate`` is ``("H", None)`` or ``("P", expression)``, and a
+``Circuit`` is ``(gates, free_symbols)``.  ``run_circuit`` evaluates each phase
+argument under its bindings; nothing is bound ahead of time.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from ._angles import check_finite, check_theta
 from .errors import (
@@ -38,62 +44,31 @@ FREE_SYMBOLS = ("theta", "phi")
 _INV_SQRT2 = complex(1.0 / math.sqrt(2.0))
 _FOUR_PI = 4.0 * math.pi
 
+Expr = Union[float, str, tuple]
+
 
 # ---------------------------------------------------------------------------
-# expression AST
-
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Sym:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * /
-    left: "Expr"
-    right: "Expr"
-
-
-Expr = Union[Num, Sym, Neg, BinOp]
-
-
-def expr_symbols(expr: Expr) -> frozenset[str]:
-    if isinstance(expr, Sym):
-        return frozenset((expr.name,))
-    if isinstance(expr, Neg):
-        return expr_symbols(expr.operand)
-    if isinstance(expr, BinOp):
-        return expr_symbols(expr.left) | expr_symbols(expr.right)
-    return frozenset()
+# expressions
 
 
 def evaluate_expr(expr: Expr, bindings: Mapping[str, float]) -> float:
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Sym):
-        if expr.name not in bindings:
-            raise UnboundSymbolError(f"symbol '{expr.name}' is unbound")
-        return float(bindings[expr.name])
-    if isinstance(expr, Neg):
-        return -evaluate_expr(expr.operand, bindings)
-    left = evaluate_expr(expr.left, bindings)
-    right = evaluate_expr(expr.right, bindings)
-    if expr.op == "+":
+    """expr's value with its symbols read from bindings, left operand first."""
+    if isinstance(expr, str):
+        if expr not in bindings:
+            raise UnboundSymbolError(f"symbol '{expr}' is unbound")
+        return float(bindings[expr])
+    if not isinstance(expr, tuple):
+        return expr
+    if len(expr) == 2:
+        return -evaluate_expr(expr[1], bindings)
+    op, left, right = expr
+    left = evaluate_expr(left, bindings)
+    right = evaluate_expr(right, bindings)
+    if op == "+":
         return left + right
-    if expr.op == "-":
+    if op == "-":
         return left - right
-    if expr.op == "*":
+    if op == "*":
         return left * right
     if right == 0.0:
         raise DomainError("division by zero while evaluating a phase argument")
@@ -102,109 +77,46 @@ def evaluate_expr(expr: Expr, bindings: Mapping[str, float]) -> float:
 
 def _format_expr(expr: Expr, parent_prec: int = 0) -> str:
     # precedence: +,- are 1; *,/ are 2; unary minus binds as a factor
-    if isinstance(expr, Num):
-        text = repr(expr.value)
-        return text
-    if isinstance(expr, Sym):
-        return expr.name
-    if isinstance(expr, Neg):
-        inner = _format_expr(expr.operand, 3)
-        return f"-{inner}"
-    prec = 1 if expr.op in "+-" else 2
-    sep = f" {expr.op} " if prec == 1 else expr.op
-    left = _format_expr(expr.left, prec)
+    if isinstance(expr, str):
+        return expr
+    if not isinstance(expr, tuple):
+        return repr(expr)
+    if len(expr) == 2:
+        return "-" + _format_expr(expr[1], 3)
+    op, left, right = expr
+    prec = 1 if op in "+-" else 2
+    sep = f" {op} " if prec == 1 else op
     # right child of - or / needs parens at equal precedence (a - (b - c))
-    right = _format_expr(expr.right, prec + (1 if expr.op in "-/" else 0))
-    text = f"{left}{sep}{right}"
-    if prec < parent_prec:
-        return f"({text})"
-    return text
+    text = f"{_format_expr(left, prec)}{sep}{_format_expr(right, prec + (op in '-/'))}"
+    return f"({text})" if prec < parent_prec else text
 
 
 # ---------------------------------------------------------------------------
 # gates and circuits
 
 
-class GateKind(Enum):
-    HADAMARD = "H"
-    PHASE = "P"
+class Gate(NamedTuple):
+    """One gate: a Hadamard ("H", None), or a rotation of the |1> amplitude
+    ("P", argument) whose argument expression may hold free symbols."""
 
-
-def _canonical_angle(angle: float) -> float:
-    # phase gates are 2*pi periodic; stored representative lives in (-4*pi, 4*pi]
-    r = math.fmod(angle, 2.0 * _FOUR_PI)
-    if r > _FOUR_PI:
-        r -= 2.0 * _FOUR_PI
-    elif r <= -_FOUR_PI:
-        r += 2.0 * _FOUR_PI
-    return r
-
-
-@dataclass(frozen=True)
-class Gate:
-    """Concrete executable gate: a Hadamard, or a phase rotation of the |1> amplitude."""
-
-    kind: GateKind
-    angle: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind is GateKind.HADAMARD:
-            if self.angle is not None:
-                raise DomainError("Hadamard takes no angle")
-            return
-        if self.angle is None or not math.isfinite(self.angle):
-            raise DomainError("phase gate needs a finite angle")
-        object.__setattr__(self, "angle", _canonical_angle(float(self.angle)))
-
-
-@dataclass(frozen=True)
-class GateNode:
-    """One gate slot of a circuit; phase arguments may still contain free symbols."""
-
-    kind: GateKind
+    kind: str
     argument: Expr | None = None
 
 
-@dataclass(frozen=True)
-class Circuit:
-    gates: tuple[GateNode, ...]
+class Circuit(NamedTuple):
+    """Gates applied left to right, and the symbols their arguments leave free."""
 
-    @property
-    def free_symbols(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for node in self.gates:
-            if node.argument is not None:
-                out |= expr_symbols(node.argument)
-        return out
-
-    def bind(self, bindings: Mapping[str, float]) -> tuple[Gate, ...]:
-        """Evaluate every phase argument, producing executable gates."""
-        missing = sorted(self.free_symbols - set(bindings))
-        if missing:
-            raise UnboundSymbolError(f"unbound symbols: {', '.join(missing)}")
-        bound = []
-        for node in self.gates:
-            if node.kind is GateKind.HADAMARD:
-                bound.append(Gate(GateKind.HADAMARD))
-            else:
-                bound.append(Gate(GateKind.PHASE, evaluate_expr(node.argument, bindings)))
-        return tuple(bound)
+    gates: tuple[Gate, ...]
+    free_symbols: frozenset[str]
 
 
 # ---------------------------------------------------------------------------
 # parsing
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NAME NUMBER ( ) + - * / END
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """Tokens (kind, text, line, column); kind is NAME, NUMBER, END or the character."""
+    tokens = []
     line, col = 1, 1
     i = 0
     n = len(text)
@@ -228,7 +140,7 @@ def _tokenize(text: str) -> list[_Token]:
             j = i
             while j < n and text[j].isalpha():
                 j += 1
-            tokens.append(_Token("NAME", text[i:j], line, start_col))
+            tokens.append(("NAME", text[i:j], line, start_col))
             col += j - i
             i = j
             continue
@@ -249,104 +161,106 @@ def _tokenize(text: str) -> list[_Token]:
                 float(word)
             except ValueError:
                 raise CircuitSyntaxError(f"bad number {word!r}", line, start_col) from None
-            tokens.append(_Token("NUMBER", word, line, start_col))
+            tokens.append(("NUMBER", word, line, start_col))
             col += j - i
             i = j
             continue
         if ch in "()+-*/":
-            tokens.append(_Token(ch, ch, line, start_col))
+            tokens.append((ch, ch, line, start_col))
             i += 1
             col += 1
             continue
         raise CircuitSyntaxError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(_Token("END", "", line, col))
+    tokens.append(("END", "", line, col))
     return tokens
 
 
+def _unexpected(what: str, token: tuple) -> CircuitSyntaxError:
+    _, text, line, column = token
+    return CircuitSyntaxError(f"expected {what}, found {text or 'end of input'!r}", line, column)
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token]) -> None:
+    def __init__(self, tokens: list[tuple]) -> None:
         self._tokens = tokens
         self._pos = 0
+        self._symbols: set[str] = set()
 
-    def _peek(self) -> _Token:
-        return self._tokens[self._pos]
+    def _peek(self) -> str:
+        return self._tokens[self._pos][0]
 
-    def _next(self) -> _Token:
+    def _next(self) -> tuple:
         tok = self._tokens[self._pos]
         self._pos += 1
         return tok
 
-    def _expect(self, kind: str) -> _Token:
+    def _expect(self, kind: str) -> None:
         tok = self._next()
-        if tok.kind != kind:
-            shown = tok.text or "end of input"
-            raise CircuitSyntaxError(f"expected {kind!r}, found {shown!r}", tok.line, tok.column)
-        return tok
+        if tok[0] != kind:
+            raise _unexpected(repr(kind), tok)
 
     def parse_circuit(self) -> Circuit:
-        gates: list[GateNode] = []
-        while self._peek().kind != "END":
+        gates: list[Gate] = []
+        while self._peek() != "END":
             tok = self._next()
-            if tok.kind == "NAME" and tok.text == "H":
-                gates.append(GateNode(GateKind.HADAMARD))
-            elif tok.kind == "NAME" and tok.text == "P":
+            if tok[:2] == ("NAME", "H"):
+                gates.append(Gate("H"))
+            elif tok[:2] == ("NAME", "P"):
                 self._expect("(")
                 arg = self._expr()
                 self._expect(")")
-                gates.append(GateNode(GateKind.PHASE, arg))
+                gates.append(Gate("P", arg))
             else:
-                shown = tok.text or "end of input"
-                raise CircuitSyntaxError(f"expected a gate, found {shown!r}", tok.line, tok.column)
+                raise _unexpected("a gate", tok)
         if not gates:
-            tok = self._peek()
-            raise CircuitSyntaxError("empty circuit", tok.line, tok.column)
-        return Circuit(tuple(gates))
+            _, _, line, column = self._tokens[self._pos]
+            raise CircuitSyntaxError("empty circuit", line, column)
+        return Circuit(tuple(gates), frozenset(self._symbols))
 
     def _expr(self) -> Expr:
         node = self._term()
-        while self._peek().kind in "+-":
+        while self._peek() in "+-":
             op = self._next()
-            right = self._term()
-            node = self._fold(BinOp(op.kind, node, right), op)
+            node = self._fold(op, node, self._term())
         return node
 
     def _term(self) -> Expr:
         node = self._factor()
-        while self._peek().kind in "*/":
+        while self._peek() in "*/":
             op = self._next()
-            right = self._factor()
-            node = self._fold(BinOp(op.kind, node, right), op)
+            node = self._fold(op, node, self._factor())
         return node
 
     def _factor(self) -> Expr:
         tok = self._next()
-        if tok.kind == "NUMBER":
-            return Num(float(tok.text))
-        if tok.kind == "NAME":
-            if tok.text == "pi":
-                return Num(math.pi)
-            if tok.text in FREE_SYMBOLS:
-                return Sym(tok.text)
-            raise UnknownSymbolError(f"unknown symbol {tok.text!r}", tok.line, tok.column)
-        if tok.kind == "-":
+        kind, text, line, column = tok
+        if kind == "NUMBER":
+            return float(text)
+        if kind == "NAME":
+            if text == "pi":
+                return math.pi
+            if text in FREE_SYMBOLS:
+                self._symbols.add(text)
+                return text
+            raise UnknownSymbolError(f"unknown symbol {text!r}", line, column)
+        if kind == "-":
             operand = self._factor()
-            if isinstance(operand, Num):
-                return Num(-operand.value)
-            return Neg(operand)
-        if tok.kind == "(":
+            return -operand if isinstance(operand, float) else ("-", operand)
+        if kind == "(":
             node = self._expr()
             self._expect(")")
             return node
-        shown = tok.text or "end of input"
-        raise CircuitSyntaxError(f"expected a value, found {shown!r}", tok.line, tok.column)
+        raise _unexpected("a value", tok)
 
     @staticmethod
-    def _fold(node: BinOp, op_token: _Token) -> Expr:
-        if not isinstance(node.left, Num) or not isinstance(node.right, Num):
+    def _fold(op_token: tuple, left: Expr, right: Expr) -> Expr:
+        op, _, line, column = op_token
+        node = (op, left, right)
+        if not (isinstance(left, float) and isinstance(right, float)):
             return node
-        if node.op == "/" and node.right.value == 0.0:
-            raise CircuitSyntaxError("division by zero", op_token.line, op_token.column)
-        return Num(evaluate_expr(node, {}))
+        if op == "/" and right == 0.0:
+            raise CircuitSyntaxError("division by zero", line, column)
+        return evaluate_expr(node, {})
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -356,35 +270,61 @@ def parse_circuit(text: str) -> Circuit:
 
 def format_circuit(circuit: Circuit) -> str:
     """Render a circuit back to source text; reparsing yields an identical Circuit."""
-    pieces = []
-    for node in circuit.gates:
-        if node.kind is GateKind.HADAMARD:
-            pieces.append("H")
-        else:
-            pieces.append(f"P({_format_expr(node.argument)})")
-    return " ".join(pieces)
+    return " ".join("H" if kind == "H" else f"P({_format_expr(argument)})"
+                    for kind, argument in circuit.gates)
 
 
 # ---------------------------------------------------------------------------
 # execution
 
 
-def apply_gate(gate: Gate, state: PureState) -> PureState:
-    """Apply one gate to a single-qubit state."""
+def _angle(gate: Gate, bindings: Mapping[str, float]) -> float | None:
+    """A phase gate's angle under bindings, reduced into (-4 pi, 4 pi]; None for H.
+
+    Phase gates are 2 pi periodic; the reduced angle, not the raw one, sets the
+    bits of the rotated amplitude.
+    """
+    if gate.kind == "H":
+        return None
+    angle = evaluate_expr(gate.argument, bindings)
+    if not math.isfinite(angle):
+        raise DomainError("phase gate needs a finite angle")
+    r = math.fmod(angle, 2.0 * _FOUR_PI)
+    if r > _FOUR_PI:
+        r -= 2.0 * _FOUR_PI
+    elif r <= -_FOUR_PI:
+        r += 2.0 * _FOUR_PI
+    return r
+
+
+def _act(angle: float | None, state: PureState) -> PureState:
+    """A Hadamard (angle None) or a phase rotation by angle, on one qubit."""
     if state.num_qubits != 1:
         raise DomainError("gates act on single-qubit states")
     a, b = state.amplitudes
-    if gate.kind is GateKind.HADAMARD:
+    # a checked state per gate: its renormalization sets the bits of the output
+    if angle is None:
         return PureState([(a + b) * _INV_SQRT2, (a - b) * _INV_SQRT2])
-    return PureState([a, b * cmath.exp(1j * gate.angle)])
+    return PureState([a, b * cmath.exp(1j * angle)])
+
+
+def apply_gate(gate: Gate, state: PureState) -> PureState:
+    """Apply one gate, whose argument holds no free symbol, to a single-qubit state."""
+    return _act(_angle(gate, {}), state)
 
 
 def run_circuit(circuit: Circuit, bindings: Mapping[str, float], state: PureState) -> PureState:
-    """Bind free symbols and apply the circuit left to right."""
-    out = state
-    for gate in circuit.bind(bindings):
-        out = apply_gate(gate, out)
-    return out
+    """Apply the circuit left to right, its free symbols read from bindings.
+
+    Every phase angle is evaluated before the first gate acts, so an error in
+    the bindings or the arguments is reported ahead of an error in the state.
+    """
+    missing = sorted(circuit.free_symbols - set(bindings))
+    if missing:
+        raise UnboundSymbolError(f"unbound symbols: {', '.join(missing)}")
+    for angle in [_angle(gate, bindings) for gate in circuit.gates]:
+        state = _act(angle, state)
+    return state
 
 
 GENERAL_STATE_TEXT = "H P(2*theta) H P(pi/2 + phi)"

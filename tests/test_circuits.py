@@ -12,7 +12,6 @@ from spinphase import (
     CircuitSyntaxError,
     DomainError,
     Gate,
-    GateKind,
     Orientation,
     PureState,
     SpinorParams,
@@ -28,7 +27,7 @@ from spinphase import (
     run_circuit,
     spinor_state_circuit,
 )
-from spinphase.circuits import BinOp, Neg, Num, Sym
+from spinphase.circuits import _angle
 
 FOUR_PI = 4.0 * math.pi
 
@@ -36,14 +35,28 @@ FOUR_PI = 4.0 * math.pi
 class TestParsing:
     def test_single_hadamard(self):
         c = parse_circuit("H")
-        assert len(c.gates) == 1
-        assert c.gates[0].kind is GateKind.HADAMARD
+        assert c == Circuit((Gate("H", None),), frozenset())
+        assert c.gates[0].kind == "H"
 
     def test_gate_sequence_and_whitespace(self):
         c = parse_circuit("  H\n\tP( pi )  H ")
-        assert [g.kind for g in c.gates] == [
-            GateKind.HADAMARD, GateKind.PHASE, GateKind.HADAMARD,
-        ]
+        assert [g.kind for g in c.gates] == ["H", "P", "H"]
+
+    def test_circuit_is_plain_tuples(self):
+        c = parse_circuit("H P(-theta + 2*phi)")
+        assert c == ((("H", None), ("P", ("+", ("-", "theta"), ("*", 2.0, "phi")))),
+                     frozenset({"theta", "phi"}))
+        assert type(c.gates[1].argument[1]) is tuple
+
+    @pytest.mark.parametrize("text, symbols", [
+        ("H", set()),
+        ("P(pi/2) H", set()),
+        ("P(-theta*2) P(pi)", {"theta"}),
+        ("P(phi) H P(theta - phi)", {"theta", "phi"}),
+        ("P(0*theta)", {"theta"}),  # a symbol times a constant does not fold away
+    ])
+    def test_free_symbols_collected_by_parser(self, text, symbols):
+        assert parse_circuit(text).free_symbols == frozenset(symbols)
 
     def test_comments_run_to_end_of_line(self):
         c = parse_circuit("H # prepare superposition\nP(pi) # flip sign\n# trailing\nH")
@@ -51,32 +64,33 @@ class TestParsing:
 
     def test_constant_folding(self):
         c = parse_circuit("P(1+2*3)")
-        assert c.gates[0].argument == Num(7.0)
+        assert c.gates[0].argument == 7.0
         c = parse_circuit("P(pi/2)")
-        assert c.gates[0].argument == Num(math.pi / 2)
+        assert c.gates[0].argument == math.pi / 2
         c = parse_circuit("P(-pi)")
-        assert c.gates[0].argument == Num(-math.pi)
+        assert c.gates[0].argument == -math.pi
         c = parse_circuit("P((1+1)/4)")
-        assert c.gates[0].argument == Num(0.5)
+        assert c.gates[0].argument == 0.5
+        assert type(c.gates[0].argument) is float
 
     def test_symbols_stay_free(self):
         c = parse_circuit("P(2*theta) P(pi/2 + phi)")
         assert c.free_symbols == {"theta", "phi"}
-        assert c.gates[0].argument == BinOp("*", Num(2.0), Sym("theta"))
+        assert c.gates[0].argument == ("*", 2.0, "theta")
 
     def test_precedence(self):
         c = parse_circuit("P(theta + 2*phi)")
         arg = c.gates[0].argument
-        assert arg == BinOp("+", Sym("theta"), BinOp("*", Num(2.0), Sym("phi")))
+        assert arg == ("+", "theta", ("*", 2.0, "phi"))
 
     def test_parenthesized_grouping(self):
         c = parse_circuit("P((theta + phi)/2)")
         arg = c.gates[0].argument
-        assert arg == BinOp("/", BinOp("+", Sym("theta"), Sym("phi")), Num(2.0))
+        assert arg == ("/", ("+", "theta", "phi"), 2.0)
 
     def test_unary_minus_on_symbol(self):
         c = parse_circuit("P(-theta)")
-        assert c.gates[0].argument == Neg(Sym("theta"))
+        assert c.gates[0].argument == ("-", "theta")
 
     def test_empty_input_rejected(self):
         with pytest.raises(CircuitSyntaxError, match="empty circuit"):
@@ -154,53 +168,69 @@ class TestFormatting:
     # first parse may fold constants out of a hand-built tree
     @given(st.recursive(
         st.one_of(
-            st.floats(-100.0, 100.0, allow_nan=False).map(Num),
-            st.sampled_from(["theta", "phi"]).map(Sym),
+            st.floats(-100.0, 100.0, allow_nan=False),
+            st.sampled_from(["theta", "phi"]),
         ),
         lambda kids: st.one_of(
-            kids.map(Neg),
-            st.builds(BinOp, st.sampled_from(["+", "-", "*"]), kids, kids),
+            kids.map(lambda operand: ("-", operand)),
+            st.tuples(st.sampled_from(["+", "-", "*"]), kids, kids),
         ),
         max_leaves=8,
     ))
     @settings(max_examples=150)
     def test_round_trip_fixpoint_property(self, expr):
-        from spinphase.circuits import GateNode
-        source = Circuit((GateNode(GateKind.PHASE, expr),))
+        # format reads only the gates, so the hand-built circuit names no symbols
+        source = Circuit((Gate("P", expr),), frozenset())
         c1 = parse_circuit(format_circuit(source))
         c2 = parse_circuit(format_circuit(c1))
         assert c1 == c2
+        assert c1.free_symbols <= {"theta", "phi"}
 
 
 class TestBinding:
     def test_unbound_symbol_listed(self):
         c = general_state_circuit()
-        with pytest.raises(UnboundSymbolError, match="phi"):
-            c.bind({"theta": 0.3})
+        with pytest.raises(UnboundSymbolError, match="unbound symbols: phi$"):
+            run_circuit(c, {"theta": 0.3}, ket("0"))
+        with pytest.raises(UnboundSymbolError, match="unbound symbols: phi, theta$"):
+            run_circuit(c, {}, ket("0"))
 
     def test_extra_bindings_ignored(self):
-        c = parse_circuit("P(theta)")
-        gates = c.bind({"theta": 1.0, "phi": 2.0, "unused": 3.0})
-        assert gates[0].angle == 1.0
+        s = PureState([0.6, 0.8])
+        out = run_circuit(parse_circuit("P(theta)"), {"theta": 1.0, "phi": 2.0, "unused": 3.0}, s)
+        assert out.amplitudes == apply_gate(Gate("P", 1.0), s).amplitudes
 
-    def test_bound_gates_are_concrete(self):
-        gates = general_state_circuit().bind({"theta": 0.25, "phi": 0.5})
-        kinds = [g.kind for g in gates]
-        assert kinds == [GateKind.HADAMARD, GateKind.PHASE] * 2
-        assert gates[1].angle == pytest.approx(0.5)
-        assert gates[3].angle == pytest.approx(math.pi / 2 + 0.5)
+    def test_each_gate_gets_its_evaluated_angle(self):
+        out = run_circuit(general_state_circuit(), {"theta": 0.25, "phi": 0.5}, ket("0"))
+        state = ket("0")
+        for gate in [Gate("H"), Gate("P", 2 * 0.25), Gate("H"), Gate("P", math.pi / 2 + 0.5)]:
+            state = apply_gate(gate, state)
+        assert out.amplitudes == state.amplitudes
+
+    def test_apply_gate_binds_nothing(self):
+        with pytest.raises(UnboundSymbolError, match="symbol 'theta' is unbound"):
+            apply_gate(Gate("P", ("*", 2.0, "theta")), ket("0"))
+
+    @pytest.mark.parametrize("text, message", [
+        ("H P(theta/0)", "division by zero"),
+        ("H P(theta * 1e308 * 10)", "finite angle"),
+        ("H P(theta)", "single-qubit"),
+    ])
+    def test_argument_errors_come_before_state_errors(self, text, message):
+        # every angle is evaluated before the first gate meets the state
+        with pytest.raises(DomainError, match=message):
+            run_circuit(parse_circuit(text), {"theta": 1.0}, ket("00"))
 
 
 class TestGateValidation:
-    def test_hadamard_takes_no_angle(self):
-        with pytest.raises(DomainError):
-            Gate(GateKind.HADAMARD, 1.0)
-
     def test_phase_needs_finite_angle(self):
-        with pytest.raises(DomainError):
-            Gate(GateKind.PHASE)
-        with pytest.raises(DomainError):
-            Gate(GateKind.PHASE, math.nan)
+        for angle in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="phase gate needs a finite angle"):
+                apply_gate(Gate("P", angle), ket("0"))
+        # a constant that overflows folds to inf at parse time and fails at run time
+        circuit = parse_circuit("P(1e308*10)")
+        with pytest.raises(DomainError, match="phase gate needs a finite angle"):
+            run_circuit(circuit, {}, ket("0"))
 
     @pytest.mark.parametrize("raw,canonical", [
         (0.0, 0.0),
@@ -212,11 +242,11 @@ class TestGateValidation:
         (-5.0 * math.pi, 3.0 * math.pi),
     ])
     def test_angle_reduced_into_canonical_interval(self, raw, canonical):
-        assert Gate(GateKind.PHASE, raw).angle == pytest.approx(canonical, abs=1e-12)
+        assert _angle(Gate("P", raw), {}) == pytest.approx(canonical, abs=1e-12)
 
     @given(st.floats(-1e6, 1e6))
     def test_canonical_interval_property(self, raw):
-        angle = Gate(GateKind.PHASE, raw).angle
+        angle = _angle(Gate("P", raw), {})
         assert -FOUR_PI < angle <= FOUR_PI
         # same gate action either way
         assert math.cos(angle) == pytest.approx(math.cos(raw), abs=1e-6)
@@ -225,9 +255,9 @@ class TestGateValidation:
 
 class TestExecution:
     def test_hadamard_action(self):
-        out = apply_gate(Gate(GateKind.HADAMARD), ket("0"))
+        out = apply_gate(Gate("H"), ket("0"))
         np.testing.assert_allclose(out.amplitudes, [2**-0.5, 2**-0.5])
-        out = apply_gate(Gate(GateKind.HADAMARD), ket("1"))
+        out = apply_gate(Gate("H"), ket("1"))
         np.testing.assert_allclose(out.amplitudes, [2**-0.5, -(2**-0.5)])
 
     def test_hadamard_involution(self):
@@ -235,24 +265,24 @@ class TestExecution:
         for _ in range(20):
             v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             s = PureState(v / np.linalg.norm(v))
-            back = apply_gate(Gate(GateKind.HADAMARD), apply_gate(Gate(GateKind.HADAMARD), s))
+            back = apply_gate(Gate("H"), apply_gate(Gate("H"), s))
             np.testing.assert_allclose(back.amplitudes, s.amplitudes, atol=1e-15)
 
     def test_phase_gate_action(self):
         s = PureState(np.array([0.6, 0.8], dtype=complex))
-        out = apply_gate(Gate(GateKind.PHASE, math.pi / 3), s)
+        out = apply_gate(Gate("P", math.pi / 3), s)
         assert out.amplitudes[0] == pytest.approx(0.6)
         assert out.amplitudes[1] == pytest.approx(0.8 * np.exp(1j * math.pi / 3))
 
     def test_phase_gates_compose_additively(self):
         s = PureState(np.array([0.6, 0.8], dtype=complex))
-        one = apply_gate(Gate(GateKind.PHASE, 0.7), apply_gate(Gate(GateKind.PHASE, 0.4), s))
-        both = apply_gate(Gate(GateKind.PHASE, 1.1), s)
+        one = apply_gate(Gate("P", 0.7), apply_gate(Gate("P", 0.4), s))
+        both = apply_gate(Gate("P", 1.1), s)
         np.testing.assert_allclose(one.amplitudes, both.amplitudes, atol=1e-15)
 
     def test_two_qubit_state_rejected(self):
         with pytest.raises(DomainError):
-            apply_gate(Gate(GateKind.HADAMARD), ket("00"))
+            apply_gate(Gate("H"), ket("00"))
 
 
 class TestPreparationCircuits:
