@@ -127,10 +127,11 @@ def _csv_real(value: float) -> str:
 
 def _json_group(group: Mapping[str, str | float]) -> str:
     """A record's inputs, outputs or metadata as json lays it out two levels deep."""
-    members = [f"      {encode_basestring_ascii(key)}: " + (
-        encode_basestring_ascii(value) if isinstance(value, str)
-        else float.__repr__(value))  # json's own float text, for subclasses too
-        for key, value in sorted(group.items())]
+    members = []
+    for key, value in sorted(group.items()):
+        # float.__repr__ is json's own float text, for float subclasses too
+        text = encode_basestring_ascii(value) if isinstance(value, str) else float.__repr__(value)
+        members.append(f"      {encode_basestring_ascii(key)}: {text}")
     return "{\n" + ",\n".join(members) + "\n    }" if members else "{}"
 
 
