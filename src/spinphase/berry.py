@@ -22,9 +22,9 @@ from .phases import CLOSURE_TOLERANCE, MIN_OVERLAP, GeometricPhase
 from .states import NORM_TOLERANCE, PureState, _off_unit
 
 # A Loop stores 32 B per segment (spinor) or 64 B (entangled family).  Building
-# and transporting a 10^6-segment loop peaks about 108 MiB (spinor) or 276 MiB
+# and transporting a 10^6-segment loop peaks about 77 MiB (spinor) or 161 MiB
 # (entangled) above the interpreter's resident size, temporaries included
-# (numpy 2.4, x86-64 Linux).
+# (numpy 2.4, x86-64 Linux, ru_maxrss in a fresh process).
 MAX_SEGMENTS = 1_000_000
 
 
@@ -34,15 +34,38 @@ def unit_rows(values, what: str) -> np.ndarray:
     Every row is held to the ``unit_vector`` contract, with its messages; the
     first offending row's norm is the one reported.
     """
-    arr = np.array(values, dtype=np.complex128)
+    return _unit_rows(np.array(values, dtype=np.complex128), what)
+
+
+def _unit_rows(arr: np.ndarray, what: str) -> np.ndarray:
+    """``unit_rows`` on a complex128 array the caller owns, renormalized in place."""
     if not np.isfinite(arr).all():
         raise DomainError(f"{what} must be finite")
-    norms = np.linalg.norm(arr, axis=-1)
-    off = norms[np.abs(norms - 1.0) > NORM_TOLERANCE]
-    if off.size:
-        raise _off_unit(float(off[0]), what)
+    norms = _row_norms(arr)
+    dev = np.abs(norms - 1.0)
+    if dev.max(initial=0.0) > NORM_TOLERANCE:
+        raise _off_unit(float(norms[dev > NORM_TOLERANCE][0]), what)
     arr /= norms[..., np.newaxis]
     return arr
+
+
+def _row_norms(arr: np.ndarray) -> np.ndarray:
+    """The bits of ``np.linalg.norm(arr, axis=-1)``, without its reduce over a short axis.
+
+    |x|^2 is the real part of numpy's complex product conj(x)*x, which may be
+    a fused multiply-add, as in ``np.linalg.norm``.  Rows of 2 or 4 are then
+    summed column by column, left to right, the order numpy's reduce adds them in.
+    """
+    if arr.ndim != 2 or arr.shape[1] not in (2, 4):
+        # not a loop's shape, which Loop rejects after this norm check
+        return np.linalg.norm(arr, axis=-1)
+    sq = np.conjugate(arr)
+    np.multiply(sq, arr, out=sq)
+    sq = sq.real
+    norms = sq[:, 0] + sq[:, 1]
+    for k in range(2, arr.shape[1]):
+        norms += sq[:, k]
+    return np.sqrt(norms, out=norms)
 
 
 def spinor_amplitudes(theta: float, phi, orientation: Orientation) -> np.ndarray:
@@ -57,14 +80,17 @@ def spinor_amplitudes(theta: float, phi, orientation: Orientation) -> np.ndarray
     """
     half = theta / 2.0
     c, s = math.cos(half), math.sin(half)
+    if orientation is Orientation.DOWN:
+        c, s = s, c
     phi = np.asarray(phi, dtype=np.float64)
     out = np.empty(phi.shape + (2,), dtype=np.complex128)
-    if orientation is Orientation.UP:
-        out[..., 0] = c
-        out[..., 1] = s * np.exp(-1j * phi)
-    else:
-        out[..., 0] = s
-        out[..., 1] = c * np.exp(1j * phi)
+    out.fill(c)  # one contiguous pass; the second column is overwritten below
+    # e^{-i phi} (UP) or e^{+i phi} (DOWN), scaled by s, made in place in the
+    # second column: a view, so out= holds for a 0-d phi too
+    second = out[..., 1]
+    np.multiply(-1j if orientation is Orientation.UP else 1j, phi, out=second)
+    np.exp(second, out=second)
+    np.multiply(s, second, out=second)
     return out
 
 
@@ -80,11 +106,14 @@ class Loop(Sequence):
     __slots__ = ("_amps",)
 
     def __init__(self, amplitudes) -> None:
-        arr = unit_rows(amplitudes, "state")
-        if arr.ndim != 2 or arr.shape[1] not in (2, 4):
-            raise DomainError("loop amplitudes must have shape (n, 2) or (n, 4)")
-        arr.flags.writeable = False
-        self._amps = arr
+        self._amps = _frozen_rows(unit_rows(amplitudes, "state"))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> Loop:
+        """A Loop over a complex128 array that nothing else holds, without copying it."""
+        loop = object.__new__(cls)
+        loop._amps = _frozen_rows(_unit_rows(arr, "state"))
+        return loop
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -104,6 +133,13 @@ class Loop(Sequence):
         state = object.__new__(PureState)
         state._amps = tuple(self._amps[operator.index(index)].tolist())
         return state
+
+
+def _frozen_rows(arr: np.ndarray) -> np.ndarray:
+    if arr.ndim != 2 or arr.shape[1] not in (2, 4):
+        raise DomainError("loop amplitudes must have shape (n, 2) or (n, 4)")
+    arr.flags.writeable = False
+    return arr
 
 
 def holonomy_numeric(path: Sequence[PureState]) -> GeometricPhase:
@@ -143,7 +179,10 @@ def _check_segments(segments: int) -> None:
 
 def _azimuths(sign: float, segments: int) -> np.ndarray:
     """The closed azimuth grid sign * 2*pi * k/segments for k = 0..segments."""
-    return sign * TWO_PI * (np.arange(segments + 1) / segments)
+    phi = np.arange(segments + 1, dtype=np.float64)
+    phi /= segments
+    phi *= sign * TWO_PI
+    return phi
 
 
 def spinor_loop(orientation: Orientation, theta: float, segments: int) -> Loop:
@@ -157,7 +196,20 @@ def spinor_loop(orientation: Orientation, theta: float, segments: int) -> Loop:
     check_theta(theta)
     _check_segments(segments)
     sign = 1.0 if orientation is Orientation.UP else -1.0
-    return Loop(spinor_amplitudes(theta, _azimuths(sign, segments), orientation))
+    return Loop._adopt(spinor_amplitudes(theta, _azimuths(sign, segments), orientation))
+
+
+def _antisymmetric_family(theta: float, segments: int) -> np.ndarray:
+    """Rows kron(up_k, down_k) - kron(down_k, up_k) over the azimuth grid, unnormalized."""
+    phi = _azimuths(1.0, segments)
+    up = spinor_amplitudes(theta, phi, Orientation.UP)
+    down = spinor_amplitudes(theta, phi, Orientation.DOWN)
+    raw = np.multiply(up[:, :, np.newaxis], down[:, np.newaxis, :])
+    # the second product a row block at a time, down first: numpy's complex
+    # product need not commute bit for bit
+    for i in (0, 1):
+        raw[:, i, :] -= down[:, i, np.newaxis] * up
+    return raw.reshape(-1, 4)
 
 
 def entangled_family_loop(theta: float, segments: int) -> Loop:
@@ -169,15 +221,10 @@ def entangled_family_loop(theta: float, segments: int) -> Loop:
     """
     check_theta(theta)
     _check_segments(segments)
-    phi = _azimuths(1.0, segments)
-    up = spinor_amplitudes(theta, phi, Orientation.UP)
-    down = spinor_amplitudes(theta, phi, Orientation.DOWN)
-    # row k is kron(up_k, down_k) - kron(down_k, up_k)
-    raw = up[:, :, np.newaxis] * down[:, np.newaxis, :]
-    raw -= down[:, :, np.newaxis] * up[:, np.newaxis, :]
-    raw = raw.reshape(-1, 4)
-    norms = np.linalg.norm(raw, axis=1)
+    raw = _antisymmetric_family(theta, segments)
+    norms = _row_norms(raw)
     if float(norms.min()) < MIN_OVERLAP:
         raise DegeneratePathError("antisymmetric spinor family vanishes near theta = pi/2")
     raw /= norms[:, np.newaxis]
-    return Loop(raw)
+    # Loop renormalizes the rows once more, which sets their last bits
+    return Loop._adopt(raw)

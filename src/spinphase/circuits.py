@@ -10,7 +10,8 @@ Circuit text is applied left to right to the input state:
 
 "#" starts a comment running to end of line.  theta and phi stay free until
 run time; every constant subexpression is folded during parsing, so division
-by zero among constants is a parse error, not a runtime surprise.
+by zero among constants, or a number or fold that is not finite, is a parse
+error, not a runtime surprise.  Bindings must be real numbers.
 
 A parsed circuit has one form.  An expression is a float (a folded constant),
 a symbol's name, ``("-", operand)`` or ``(op, left, right)`` with op one of
@@ -56,7 +57,7 @@ def evaluate_expr(expr: Expr, bindings: Mapping[str, float]) -> float:
     if isinstance(expr, str):
         if expr not in bindings:
             raise UnboundSymbolError(f"symbol '{expr}' is unbound")
-        return float(bindings[expr])
+        return _real_binding(expr, bindings[expr])
     if not isinstance(expr, tuple):
         return expr
     if len(expr) == 2:
@@ -73,6 +74,22 @@ def evaluate_expr(expr: Expr, bindings: Mapping[str, float]) -> float:
     if right == 0.0:
         raise DomainError("division by zero while evaluating a phase argument")
     return left / right
+
+
+def _real_binding(symbol: str, value) -> float:
+    """A symbol's binding as a float; anything but a real number (bool included) is rejected."""
+    if type(value) is not float:
+        import numbers  # not needed at import time: the CLI binds plain floats
+
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise DomainError(f"symbol '{symbol}' must be bound to a real number, "
+                              f"not {type(value).__name__}")
+        try:
+            return float(value)
+        except OverflowError:
+            raise DomainError(f"symbol '{symbol}' is bound to a number too large "
+                              "for a float") from None
+    return value
 
 
 def _format_expr(expr: Expr, parent_prec: int = 0) -> str:
@@ -235,7 +252,7 @@ class _Parser:
         tok = self._next()
         kind, text, line, column = tok
         if kind == "NUMBER":
-            return float(text)
+            return _finite_constant(float(text), f"number {text!r}", tok)
         if kind == "NAME":
             if text == "pi":
                 return math.pi
@@ -260,7 +277,15 @@ class _Parser:
             return node
         if op == "/" and right == 0.0:
             raise CircuitSyntaxError("division by zero", line, column)
-        return evaluate_expr(node, {})
+        return _finite_constant(evaluate_expr(node, {}), "constant expression", op_token)
+
+
+def _finite_constant(value: float, what: str, token: tuple) -> float:
+    """value, if finite: a circuit's constants must print as text that parses back."""
+    if not math.isfinite(value):
+        _, _, line, column = token
+        raise CircuitSyntaxError(f"{what} is not finite", line, column)
+    return value
 
 
 def parse_circuit(text: str) -> Circuit:

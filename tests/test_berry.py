@@ -441,3 +441,119 @@ class TestEntangledFamily:
         diag = holonomy_numeric(entangled_family_loop(theta, 400))
         assert diag.value == pytest.approx(0.0, abs=1e-9)
         assert berry_phase_entangled(theta).value > 1.0
+
+
+# today's builders as they were written before the in-place rewrite: every
+# Loop.amplitudes byte and every transported value must stay the same
+
+
+def reference_azimuths(sign, segments):
+    return sign * TWO_PI * (np.arange(segments + 1) / segments)
+
+
+def reference_amplitudes(theta, phi, orientation):
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    out = np.empty(phi.shape + (2,), dtype=np.complex128)
+    if orientation is Orientation.UP:
+        out[..., 0] = c
+        out[..., 1] = s * np.exp(-1j * phi)
+    else:
+        out[..., 0] = s
+        out[..., 1] = c * np.exp(1j * phi)
+    return out
+
+
+def reference_unit_rows(raw):
+    arr = np.array(raw, dtype=np.complex128)
+    arr /= np.linalg.norm(arr, axis=-1)[..., np.newaxis]
+    return arr
+
+
+def reference_raw_rows(family, theta, segments):
+    """The rows a builder hands to Loop, or the exception it raises first."""
+    if family != "entangled":
+        orientation = Orientation(family)
+        sign = 1.0 if orientation is Orientation.UP else -1.0
+        return reference_amplitudes(theta, reference_azimuths(sign, segments), orientation)
+    phi = reference_azimuths(1.0, segments)
+    up = reference_amplitudes(theta, phi, Orientation.UP)
+    down = reference_amplitudes(theta, phi, Orientation.DOWN)
+    raw = up[:, :, np.newaxis] * down[:, np.newaxis, :]
+    raw -= down[:, :, np.newaxis] * up[:, np.newaxis, :]
+    raw = raw.reshape(-1, 4)
+    norms = np.linalg.norm(raw, axis=1)
+    if float(norms.min()) < berry.MIN_OVERLAP:
+        raise DegeneratePathError("antisymmetric spinor family vanishes near theta = pi/2")
+    raw /= norms[:, np.newaxis]
+    return raw
+
+
+def build(family, theta, segments):
+    if family == "entangled":
+        return entangled_family_loop(theta, segments)
+    return spinor_loop(Orientation(family), theta, segments)
+
+
+def outcome(call, *args):
+    """A call's value, or its exception's type and message."""
+    try:
+        return call(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def bytes_of(result):
+    return result.amplitudes.tobytes() if isinstance(result, Loop) else result
+
+
+def value_bits(result):
+    if isinstance(result, GeometricPhase):
+        return np.float64(result.value).view(np.uint64), result.convention
+    return result
+
+
+SPECIAL_THETAS = (0.0, 5e-324, 1e-300, 1e-8, math.pi / 2, math.nextafter(math.pi / 2, 0.0),
+                  math.nextafter(math.pi / 2, 4.0), math.pi / 2 + 1e-10, 1e-5, math.pi,
+                  math.nextafter(math.pi, 0.0))
+# seeded thetas per size, fewer where a build is long; 5199 builder cases in all
+DIFFERENTIAL_SIZES = {2: 400, 3: 400, 7: 400, 64: 400, 2000: 60, 20000: 7}
+
+
+@pytest.mark.parametrize("family", ["up", "down", "entangled"])
+@pytest.mark.parametrize("segments", sorted(DIFFERENTIAL_SIZES))
+def test_builders_are_bit_identical_to_the_reference(family, segments):
+    rng = np.random.default_rng([segments, len(family)])
+    thetas = SPECIAL_THETAS + tuple(rng.uniform(0.0, math.pi, DIFFERENTIAL_SIZES[segments]))
+    for theta in thetas:
+        theta = float(theta)
+        raw = outcome(reference_raw_rows, family, theta, segments)
+        want = outcome(Loop, raw) if isinstance(raw, np.ndarray) else raw
+        got = outcome(build, family, theta, segments)
+        assert bytes_of(got) == bytes_of(want), (family, theta, segments)
+        if not isinstance(got, Loop):
+            continue
+        # the row norms against np.linalg.norm, not only against Loop's own
+        assert got.amplitudes.tobytes() == reference_unit_rows(raw).tobytes()
+        assert value_bits(outcome(holonomy_numeric, got)) == value_bits(
+            outcome(holonomy_numeric, want)), (family, theta, segments)
+
+
+def test_row_norms_match_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(9)
+    for width in (2, 4):
+        parts = rng.normal(size=(20000, 2 * width)) * 10.0 ** rng.integers(-8, 8, (20000, 1))
+        parts[rng.random(parts.shape) < 0.1] = 0.0
+        parts[rng.random(parts.shape) < 0.05] = -0.0
+        rows = parts.view(np.complex128)
+        assert berry._row_norms(rows).tobytes() == np.linalg.norm(rows, axis=-1).tobytes()
+
+
+def test_public_constructor_copies_the_callers_array():
+    rows = spinor_loop(Orientation.UP, 1.1, 16).amplitudes.copy()
+    rows[3] *= 1.0 + 1e-7  # off unit norm, within tolerance: renormalized in the Loop
+    before = rows.tobytes()
+    loop = Loop(rows)
+    assert rows.tobytes() == before and rows.flags.writeable
+    assert not np.shares_memory(loop.amplitudes, rows)
+    rows[0, 0] = 0.0
+    assert loop.amplitudes[0, 0] != 0.0

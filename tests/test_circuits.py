@@ -137,6 +137,19 @@ class TestParsing:
         with pytest.raises(CircuitSyntaxError, match="bad number"):
             parse_circuit("P(1.2.3)")
 
+    @pytest.mark.parametrize("text, message, column", [
+        ("P(1e400)", "number '1e400' is not finite", 3),
+        ("P(1e308*10)", "constant expression is not finite", 8),
+        ("P(1e400 - 1e400)", "number '1e400' is not finite", 3),
+        ("P(pi/1e-308)", "constant expression is not finite", 5),
+        ("H\nP(-1e308 - 1e308 + theta)", "constant expression is not finite", 10),
+    ])
+    def test_constants_that_are_not_finite_are_parse_errors(self, text, message, column):
+        # inf and nan would print as names that do not parse back
+        with pytest.raises(CircuitSyntaxError, match=message) as err:
+            parse_circuit(text)
+        assert err.value.column == column
+
     def test_syntax_errors_are_domain_errors(self):
         with pytest.raises(DomainError):
             parse_circuit("Q")
@@ -211,6 +224,25 @@ class TestBinding:
         with pytest.raises(UnboundSymbolError, match="symbol 'theta' is unbound"):
             apply_gate(Gate("P", ("*", 2.0, "theta")), ket("0"))
 
+    @pytest.mark.parametrize("value", [
+        0.5, 2, np.float64(0.5), np.float32(0.5), np.int64(-3), np.uint8(7),
+    ])
+    def test_real_bindings_are_accepted(self, value):
+        plus = PureState([0.6, 0.8])
+        got = run_circuit(parse_circuit("P(theta)"), {"theta": value}, plus)
+        assert got.amplitudes == apply_gate(Gate("P", float(value)), plus).amplitudes
+
+    @pytest.mark.parametrize("value", [
+        "0.5", "abc", None, 1j, 0.5 + 0j, np.complex128(0.5), True, np.bool_(False), [0.5],
+    ])
+    def test_bindings_that_are_not_real_numbers_are_rejected(self, value):
+        with pytest.raises(DomainError, match="symbol 'phi' must be bound to a real number"):
+            run_circuit(parse_circuit("P(theta + phi)"), {"theta": 1.0, "phi": value}, ket("0"))
+
+    def test_binding_too_large_for_a_float_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="symbol 'theta' is bound to a number too large"):
+            run_circuit(parse_circuit("P(theta)"), {"theta": 10**400}, ket("0"))
+
     @pytest.mark.parametrize("text, message", [
         ("H P(theta/0)", "division by zero"),
         ("H P(theta * 1e308 * 10)", "finite angle"),
@@ -227,10 +259,10 @@ class TestGateValidation:
         for angle in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError, match="phase gate needs a finite angle"):
                 apply_gate(Gate("P", angle), ket("0"))
-        # a constant that overflows folds to inf at parse time and fails at run time
-        circuit = parse_circuit("P(1e308*10)")
+        # a symbol's angle can still overflow, which only shows at run time
+        circuit = parse_circuit("P(theta*1e308*10)")
         with pytest.raises(DomainError, match="phase gate needs a finite angle"):
-            run_circuit(circuit, {}, ket("0"))
+            run_circuit(circuit, {"theta": 1.0}, ket("0"))
 
     @pytest.mark.parametrize("raw,canonical", [
         (0.0, 0.0),
