@@ -16,9 +16,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from ._angles import TWO_PI, check_integer, check_theta
-from .circuits import Orientation
 from .errors import DegeneratePathError, DomainError
-from .phases import CLOSURE_TOLERANCE, MIN_OVERLAP, GeometricPhase
+from .phases import CLOSURE_TOLERANCE, MIN_OVERLAP, GeometricPhase, Orientation
 from .states import NORM_TOLERANCE, PureState, _off_unit
 
 # A Loop stores 32 B per segment (spinor) or 64 B (entangled family).  Building
@@ -32,9 +31,14 @@ def unit_rows(values, what: str) -> np.ndarray:
     """The row-wise ``states.unit_vector``: a new complex array with every row at unit 2-norm.
 
     Every row is held to the ``unit_vector`` contract, with its messages; the
-    first offending row's norm is the one reported.
+    first offending row's norm is the one reported.  A finite row whose
+    squared parts overflow has norm inf and is rejected without a warning.
     """
-    return _unit_rows(np.array(values, dtype=np.complex128), what)
+    arr = np.array(values, dtype=np.complex128)
+    if arr.ndim == 0:
+        raise DomainError(f"{what} must be an array of rows")
+    with np.errstate(over="ignore"):
+        return _unit_rows(arr, what)
 
 
 def _unit_rows(arr: np.ndarray, what: str) -> np.ndarray:
@@ -57,7 +61,7 @@ def _row_norms(arr: np.ndarray) -> np.ndarray:
     summed column by column, left to right, the order numpy's reduce adds them in.
     """
     if arr.ndim != 2 or arr.shape[1] not in (2, 4):
-        # not a loop's shape, which Loop rejects after this norm check
+        # not a loop's shape: unit_rows takes rows of any length
         return np.linalg.norm(arr, axis=-1)
     sq = np.conjugate(arr)
     np.multiply(sq, arr, out=sq)
@@ -106,13 +110,17 @@ class Loop(Sequence):
     __slots__ = ("_amps",)
 
     def __init__(self, amplitudes) -> None:
-        self._amps = _frozen_rows(unit_rows(amplitudes, "state"))
+        arr = np.asarray(amplitudes, dtype=np.complex128)  # unit_rows makes the copy
+        if arr.ndim != 2 or arr.shape[1] not in (2, 4):
+            raise DomainError("loop amplitudes must have shape (n, 2) or (n, 4)")
+        self._amps = _frozen(unit_rows(arr, "state"))
 
     @classmethod
     def _adopt(cls, arr: np.ndarray) -> Loop:
-        """A Loop over a complex128 array that nothing else holds, without copying it."""
+        """A Loop over a complex128 (n, 2) or (n, 4) array that nothing else holds,
+        without copying it."""
         loop = object.__new__(cls)
-        loop._amps = _frozen_rows(_unit_rows(arr, "state"))
+        loop._amps = _frozen(_unit_rows(arr, "state"))
         return loop
 
     @property
@@ -135,9 +143,7 @@ class Loop(Sequence):
         return state
 
 
-def _frozen_rows(arr: np.ndarray) -> np.ndarray:
-    if arr.ndim != 2 or arr.shape[1] not in (2, 4):
-        raise DomainError("loop amplitudes must have shape (n, 2) or (n, 4)")
+def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
 

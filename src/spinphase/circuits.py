@@ -24,17 +24,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from enum import Enum
 from typing import Mapping, NamedTuple, Union
 
-from ._angles import check_finite, check_theta
 from .errors import (
     CircuitSyntaxError,
     DomainError,
     UnboundSymbolError,
     UnknownSymbolError,
 )
+from .phases import Orientation, SpinorParams
 from .states import PureState
 
 FREE_SYMBOLS = ("theta", "phi")
@@ -368,31 +366,7 @@ def spinor_state_circuit() -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# spinor constructors
-
-
-class Orientation(Enum):
-    UP = "up"
-    DOWN = "down"
-
-
-@dataclass(frozen=True)
-class SpinorParams:
-    """Angles on the sphere plus the chirality winding number of the carrier loop.
-
-    theta is polar in [0, pi]; phi azimuthal; chi the extra winding angle that
-    only shows up in the overall phase; mu the winding strength (1/2 for a
-    fermionic spinor).
-    """
-
-    theta: float
-    phi: float
-    chi: float
-    mu: float = 0.5
-
-    def __post_init__(self) -> None:
-        check_theta(self.theta)
-        check_finite(self, "phi", "chi", "mu")
+# spinor constructor (its parameter types live in phases)
 
 
 def prepare_spinor(

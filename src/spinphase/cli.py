@@ -4,8 +4,10 @@ Records are emitted as JSON (default) or CSV.  Identical invocations produce
 byte-identical output.  Exit codes: 0 success, 1 domain error (bad physics
 input), 2 usage error (bad flags).
 
-Each command is one ``_COMMANDS`` entry (help, runner, flag specs).  The parser
+Each command is one ``_COMMANDS`` entry (help, loader, flag specs).  The parser
 is generated from it, and a sweep reads its fixed flags once by the same specs.
+A loader imports the modules its command computes with and returns the runner,
+once per invocation, so a call loads only what its own command needs.
 """
 
 from __future__ import annotations
@@ -13,43 +15,16 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
-from ._angles import TWO_PI, check_integer
-from .circuits import (
-    Circuit,
-    Orientation,
-    SpinorParams,
-    format_circuit,
-    parse_circuit,
-    run_circuit,
-)
-from .entangle import (
-    BellCoefficients,
-    BipartiteCoefficients,
-    RgFlowParams,
-    concurrence_general,
-    entanglement_entropy,
-    evolve_bell,
-    monopole_strength_rg,
-    monopole_strength_unclamped,
-    swap_expectation,
-)
+from ._angles import TWO_PI, Frozen, check_integer
 from .errors import DomainError
-from .noise import (
-    NoiseSpec,
-    NoiseTarget,
-    entangled_noise_shift,
-    noisy_phase,
-    post_echo_noise_shift,
-)
-from .phases import berry_phase_analytic, berry_phase_entangled, connection
-from .rabi import RabiParams, evolve_coefficients, spin_echo_ledger
-from .states import ket
+
+if TYPE_CHECKING:
+    from .circuits import Circuit
 
 MAX_STEPS = 100_000  # grid points per sweep; each point holds one record
 
@@ -58,8 +33,7 @@ class _UsageError(Exception):
     """Bad flag combination caught after argparse; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(Frozen):
     """One completed computation: the command, its real inputs, real outputs,
     and string metadata (phase conventions, clamp flags, and the like).
 
@@ -69,17 +43,19 @@ class RunRecord:
     mutable; a sweep tags each record's metadata after the fact.
     """
 
-    command: str
-    inputs: dict[str, float]
-    outputs: dict[str, float]
-    metadata: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("command", "inputs", "outputs", "metadata")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.command, str):
-            raise DomainError(f"record command {self.command!r} must be str")
-        if not self.outputs:
+    def __init__(self, command: str, inputs: dict[str, float], outputs: dict[str, float],
+                 metadata: dict[str, str] | None = None) -> None:
+        object.__setattr__(self, "command", command)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "outputs", outputs)
+        object.__setattr__(self, "metadata", {} if metadata is None else metadata)
+        if not isinstance(command, str):
+            raise DomainError(f"record command {command!r} must be str")
+        if not outputs:
             raise DomainError("a record needs at least one output")
-        for group in (self.inputs, self.outputs):
+        for group in (inputs, outputs):
             for name, value in group.items():
                 if not (isinstance(name, str) and isinstance(value, float)):
                     raise DomainError(f"record value {name!r}: {value!r} must be str: float")
@@ -98,26 +74,26 @@ class RunRecord:
         }
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Frozen):
     """Uniform inclusive grid over one named real parameter."""
 
-    parameter: str
-    start: float
-    stop: float
-    steps: int
+    __slots__ = ("parameter", "start", "stop", "steps")
 
-    def __post_init__(self) -> None:
-        if self.parameter not in _SWEEPABLE:
+    def __init__(self, parameter: str, start: float, stop: float, steps: int) -> None:
+        object.__setattr__(self, "parameter", parameter)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "stop", stop)
+        object.__setattr__(self, "steps", steps)
+        if parameter not in _SWEEPABLE:
             raise DomainError(f"parameter must be one of {sorted(_SWEEPABLE)}")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+        if not (math.isfinite(start) and math.isfinite(stop)):
             raise DomainError("start and stop must be finite")
-        if not self.start < self.stop:
+        if not start < stop:
             raise DomainError("start must be below stop")
-        check_integer(self.steps, "steps")
-        if self.steps < 2:
+        check_integer(steps, "steps")
+        if steps < 2:
             raise DomainError("steps must be at least 2")
-        if self.steps > MAX_STEPS:
+        if steps > MAX_STEPS:
             raise DomainError(f"steps must be at most {MAX_STEPS}")
 
 
@@ -201,10 +177,12 @@ class _Flag(NamedTuple):
 
 
 class _Command(NamedTuple):
-    """A subcommand: help line, runner taking the flag dests as keywords, flags."""
+    """A subcommand: help line, loader and flags.  The loader imports what the
+    command computes with and returns its runner, which takes the flag dests
+    as keywords."""
 
     help: str
-    run: Callable[..., list[RunRecord]]
+    load: Callable[[], Callable[..., list[RunRecord]]]
     flags: tuple[_Flag, ...]
 
 
@@ -222,44 +200,51 @@ def _re_im(**values: complex) -> dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# command runners
+# command loaders: each imports its command's modules and returns the runner
 
 
-def _run_phase(spin: str, theta: float, degrees: bool) -> list[RunRecord]:
-    orientation = Orientation(spin)
-    theta = math.radians(theta) if degrees else theta
-    gp = berry_phase_analytic(orientation, theta)
-    return [RunRecord(
-        command="phase",
-        inputs={"theta": theta},
-        outputs={
-            "gamma": gp.value,
-            "gamma_mod_2pi": gp.mod_2pi(),
-            "connection": connection(orientation, theta),
-        },
-        metadata={"spin": spin, "phase_convention": "raw", "angle_unit": "radians"},
-    )]
+def _phase():
+    from .phases import Orientation, berry_phase_analytic, connection
+
+    def run(spin: str, theta: float, degrees: bool) -> list[RunRecord]:
+        orientation = Orientation(spin)
+        theta = math.radians(theta) if degrees else theta
+        gp = berry_phase_analytic(orientation, theta)
+        return [RunRecord(
+            command="phase",
+            inputs={"theta": theta},
+            outputs={
+                "gamma": gp.value,
+                "gamma_mod_2pi": gp.mod_2pi(),
+                "connection": connection(orientation, theta),
+            },
+            metadata={"spin": spin, "phase_convention": "raw", "angle_unit": "radians"},
+        )]
+    return run
 
 
-def _run_holonomy(spin: str, theta: float, segments: int) -> list[RunRecord]:
+def _holonomy():
     from .berry import holonomy_numeric, spinor_loop  # numpy loads here, for loops only
+    from .phases import Orientation, berry_phase_analytic
 
-    orientation = Orientation(spin)
-    loop = spinor_loop(orientation, theta, segments)
-    transported = holonomy_numeric(loop)
-    reference = berry_phase_analytic(orientation, theta)
-    deviation = abs(transported.value - reference.mod_2pi())
-    deviation = min(deviation, TWO_PI - deviation)  # circular distance
-    return [RunRecord(
-        command="holonomy",
-        inputs={"theta": theta, "segments": float(segments)},
-        outputs={
-            "holonomy": transported.value,
-            "gamma_analytic": reference.value,
-            "deviation": deviation,
-        },
-        metadata={"spin": spin, "phase_convention": "mod2pi"},
-    )]
+    def run(spin: str, theta: float, segments: int) -> list[RunRecord]:
+        orientation = Orientation(spin)
+        loop = spinor_loop(orientation, theta, segments)
+        transported = holonomy_numeric(loop)
+        reference = berry_phase_analytic(orientation, theta)
+        deviation = abs(transported.value - reference.mod_2pi())
+        deviation = min(deviation, TWO_PI - deviation)  # circular distance
+        return [RunRecord(
+            command="holonomy",
+            inputs={"theta": theta, "segments": float(segments)},
+            outputs={
+                "holonomy": transported.value,
+                "gamma_analytic": reference.value,
+                "deviation": deviation,
+            },
+            metadata={"spin": spin, "phase_convention": "mod2pi"},
+        )]
+    return run
 
 
 class _CircuitFile:
@@ -276,6 +261,8 @@ class _CircuitFile:
     @cached_property
     def loaded(self) -> tuple[Circuit, str]:
         """The parsed circuit and its canonical text."""
+        from .circuits import format_circuit, parse_circuit
+
         try:
             text = Path(self.path).read_text(encoding="utf-8")
         except OSError as exc:
@@ -284,96 +271,137 @@ class _CircuitFile:
         return circuit, format_circuit(circuit)
 
 
-def _run_circuit(file: _CircuitFile, theta: float, phi: float) -> list[RunRecord]:
-    circuit, text = file.loaded
-    state = run_circuit(circuit, {"theta": theta, "phi": phi}, ket("0"))
-    a = state.amplitudes
-    return [RunRecord(
-        command="circuit",
-        inputs={"theta": theta, "phi": phi},
-        outputs=_re_im(amp0=a[0], amp1=a[1]),
-        metadata={"circuit": text, "phase_convention": "none"},
-    )]
+def _circuit():
+    from .circuits import run_circuit
+    from .states import ket
+
+    def run(file: _CircuitFile, theta: float, phi: float) -> list[RunRecord]:
+        circuit, text = file.loaded
+        state = run_circuit(circuit, {"theta": theta, "phi": phi}, ket("0"))
+        a = state.amplitudes
+        return [RunRecord(
+            command="circuit",
+            inputs={"theta": theta, "phi": phi},
+            outputs=_re_im(amp0=a[0], amp1=a[1]),
+            metadata={"circuit": text, "phase_convention": "none"},
+        )]
+    return run
 
 
-def _run_rabi(omega: float, t: float, c0: complex, c1: complex) -> list[RunRecord]:
-    params = RabiParams(omega0=0.0, omega=omega, duration=t)
-    c0_out, c1_out = evolve_coefficients(c0, c1, params)
-    return [RunRecord(
-        command="rabi",
-        inputs={"omega": omega, "t": t, **_re_im(c0=c0, c1=c1)},
-        outputs=_re_im(c0_out=c0_out, c1_out=c1_out),
-        metadata={"phase_convention": "none"},
-    )]
+def _rabi():
+    from .rabi import RabiParams, evolve_coefficients
+
+    def run(omega: float, t: float, c0: complex, c1: complex) -> list[RunRecord]:
+        params = RabiParams(omega0=0.0, omega=omega, duration=t)
+        c0_out, c1_out = evolve_coefficients(c0, c1, params)
+        return [RunRecord(
+            command="rabi",
+            inputs={"omega": omega, "t": t, **_re_im(c0=c0, c1=c1)},
+            outputs=_re_im(c0_out=c0_out, c1_out=c1_out),
+            metadata={"phase_convention": "none"},
+        )]
+    return run
 
 
-def _run_echo(phi: float, chi: float) -> list[RunRecord]:
-    ledger = spin_echo_ledger(SpinorParams(theta=math.pi, phi=phi, chi=chi))
-    return [RunRecord(
-        command="echo",
-        inputs={"phi": phi, "chi": chi},
-        outputs={
-            "geometric": ledger.geometric,
-            "dynamical": ledger.dynamical,
-            "total": ledger.total,
-            "geometric_magnitude": abs(ledger.geometric),
-        },
-        metadata={"phase_convention": "raw_signed"},
-    )]
+def _echo():
+    from .phases import SpinorParams
+    from .rabi import spin_echo_ledger
+
+    def run(phi: float, chi: float) -> list[RunRecord]:
+        ledger = spin_echo_ledger(SpinorParams(theta=math.pi, phi=phi, chi=chi))
+        return [RunRecord(
+            command="echo",
+            inputs={"phi": phi, "chi": chi},
+            outputs={
+                "geometric": ledger.geometric,
+                "dynamical": ledger.dynamical,
+                "total": ledger.total,
+                "geometric_magnitude": abs(ledger.geometric),
+            },
+            metadata={"phase_convention": "raw_signed"},
+        )]
+    return run
 
 
-def _run_entangle(theta: float, alpha: complex, beta: complex) -> list[RunRecord]:
-    state, relative_phase = evolve_bell(BellCoefficients(alpha, beta), theta)
-    conc = concurrence_general(BipartiteCoefficients.from_state(state))
-    conc_norm = min(abs(conc), 1.0)  # guard the last-ulp overshoot
-    a = state.amplitudes
-    return [RunRecord(
-        command="entangle",
-        inputs={"theta": theta, **_re_im(alpha=alpha, beta=beta)},
-        outputs={
-            **_re_im(amp00=a[0], amp01=a[1], amp10=a[2], amp11=a[3]),
-            "relative_phase": relative_phase,
-            "swap_expectation": swap_expectation(state),
-            "concurrence_norm": conc_norm,
-            "entropy_bits": entanglement_entropy(conc_norm),
-            "gamma_ent": berry_phase_entangled(theta).value,
-        },
-        metadata={"phase_convention": "gamma_ent=raw,relative_phase=mod2pi"},
-    )]
+def _entangle():
+    from .entangle import (
+        BellCoefficients,
+        BipartiteCoefficients,
+        concurrence_general,
+        entanglement_entropy,
+        evolve_bell,
+        swap_expectation,
+    )
+    from .phases import berry_phase_entangled
+
+    def run(theta: float, alpha: complex, beta: complex) -> list[RunRecord]:
+        state, relative_phase = evolve_bell(BellCoefficients(alpha, beta), theta)
+        conc = concurrence_general(BipartiteCoefficients.from_state(state))
+        conc_norm = min(abs(conc), 1.0)  # guard the last-ulp overshoot
+        a = state.amplitudes
+        return [RunRecord(
+            command="entangle",
+            inputs={"theta": theta, **_re_im(alpha=alpha, beta=beta)},
+            outputs={
+                **_re_im(amp00=a[0], amp01=a[1], amp10=a[2], amp11=a[3]),
+                "relative_phase": relative_phase,
+                "swap_expectation": swap_expectation(state),
+                "concurrence_norm": conc_norm,
+                "entropy_bits": entanglement_entropy(conc_norm),
+                "gamma_ent": berry_phase_entangled(theta).value,
+            },
+            metadata={"phase_convention": "gamma_ent=raw,relative_phase=mod2pi"},
+        )]
+    return run
 
 
-def _run_noise(spin: str, theta: float, delta_theta: float) -> list[RunRecord]:
-    target = NoiseTarget(spin)
-    spec = NoiseSpec(delta_theta, target)
-    metadata = {"spin": spin, "phase_convention": "raw"}
-    if target is NoiseTarget.ENTANGLED:
-        outputs = {
-            "entangled_shift": entangled_noise_shift(theta, spec),
-            "post_echo_shift": post_echo_noise_shift(theta, spec),
-        }
-        metadata["post_echo_comparison"] = "qualitative"
-    else:
-        gp, shift = noisy_phase(Orientation(spin), theta, spec)
-        outputs = {"gamma_noisy": gp.value, "shift": shift}
-    return [RunRecord(
-        command="noise",
-        inputs={"theta": theta, "delta_theta": delta_theta},
-        outputs=outputs,
-        metadata=metadata,
-    )]
+def _noise():
+    from .noise import (
+        NoiseSpec,
+        NoiseTarget,
+        entangled_noise_shift,
+        noisy_phase,
+        post_echo_noise_shift,
+    )
+    from .phases import Orientation
+
+    def run(spin: str, theta: float, delta_theta: float) -> list[RunRecord]:
+        target = NoiseTarget(spin)
+        spec = NoiseSpec(delta_theta, target)
+        metadata = {"spin": spin, "phase_convention": "raw"}
+        if target is NoiseTarget.ENTANGLED:
+            outputs = {
+                "entangled_shift": entangled_noise_shift(theta, spec),
+                "post_echo_shift": post_echo_noise_shift(theta, spec),
+            }
+            metadata["post_echo_comparison"] = "qualitative"
+        else:
+            gp, shift = noisy_phase(Orientation(spin), theta, spec)
+            outputs = {"gamma_noisy": gp.value, "shift": shift}
+        return [RunRecord(
+            command="noise",
+            inputs={"theta": theta, "delta_theta": delta_theta},
+            outputs=outputs,
+            metadata=metadata,
+        )]
+    return run
 
 
-def _run_rgflow(a: float, c: float, separation: float) -> list[RunRecord]:
-    params = RgFlowParams(a, c, separation)
-    return [RunRecord(
-        command="rgflow",
-        inputs={"a": a, "c": c, "separation": separation},
-        outputs={"mu": monopole_strength_rg(params)},
-        metadata={
-            "mu_clamped": "true" if monopole_strength_unclamped(params) < 0.0 else "false",
-            "phase_convention": "none",
-        },
-    )]
+def _rgflow():
+    from .entangle import RgFlowParams, monopole_strength_rg, monopole_strength_unclamped
+
+    def run(a: float, c: float, separation: float) -> list[RunRecord]:
+        params = RgFlowParams(a, c, separation)
+        return [RunRecord(
+            command="rgflow",
+            inputs={"a": a, "c": c, "separation": separation},
+            outputs={"mu": monopole_strength_rg(params)},
+            metadata={
+                "mu_clamped": "true" if monopole_strength_unclamped(params) < 0.0 else "false",
+                "phase_convention": "none",
+            },
+        )]
+    return run
 
 
 def _run_sweep(cmd: str, param: str, start: float, stop: float, steps: int,
@@ -386,30 +414,31 @@ def _run_sweep(cmd: str, param: str, start: float, stop: float, steps: int,
 
 
 _COMMANDS = {
-    "phase": _Command("analytic closed-loop phase of one spinor", _run_phase, (
+    "phase": _Command("analytic closed-loop phase of one spinor", _phase, (
         _SPIN, _THETA, _Flag("degrees", bool, False, help="read --theta in degrees"))),
     "holonomy": _Command("discrete loop-transport phase against the analytic value",
-                         _run_holonomy, (_SPIN, _THETA, _Flag("segments", int, 20000))),
-    "circuit": _Command("run a circuit file on |0>", _run_circuit, (
+                         _holonomy, (_SPIN, _THETA, _Flag("segments", int, 20000))),
+    "circuit": _Command("run a circuit file on |0>", _circuit, (
         _Flag("file", _CircuitFile, metavar="PATH"), _Flag("theta", default=0.0, sweep="theta"),
         _Flag("phi", default=0.0))),
-    "rabi": _Command("resonant coefficient evolution", _run_rabi, (
+    "rabi": _Command("resonant coefficient evolution", _rabi, (
         _Flag("omega"), _Flag("t", sweep="omega_t"),
         _Flag("c0", **_COMPLEX), _Flag("c1", **_COMPLEX))),
-    "echo": _Command("two-pulse echo phase ledger", _run_echo, (_Flag("phi"), _Flag("chi"))),
-    "entangle": _Command("Bell-state evolution under one spinor loop", _run_entangle, (
+    "echo": _Command("two-pulse echo phase ledger", _echo, (_Flag("phi"), _Flag("chi"))),
+    "entangle": _Command("Bell-state evolution under one spinor loop", _entangle, (
         _THETA, _Flag("alpha", **_COMPLEX), _Flag("beta", **_COMPLEX))),
-    "noise": _Command("first-order phase shifts from polar-angle noise", _run_noise, (
+    "noise": _Command("first-order phase shifts from polar-angle noise", _noise, (
         _Flag("spin", str, choices=("up", "down", "entangled")), _THETA,
         _Flag("delta-theta", sweep="delta_theta"))),
-    "rgflow": _Command("monopole strength under the length-scale flow", _run_rgflow, (
+    "rgflow": _Command("monopole strength under the length-scale flow", _rgflow, (
         _Flag("a"), _Flag("c"), _Flag("separation", sweep="separation"))),
 }
 _SWEEP_TARGETS = sorted(_COMMANDS)
 _TARGET_FLAGS = {f.name: f for command in _COMMANDS.values() for f in command.flags}
 # sweep parameter -> a flag it drives
 _SWEEPABLE = {f.sweep: f for f in _TARGET_FLAGS.values() if f.sweep}
-_COMMANDS["sweep"] = _Command("run another command over a uniform parameter grid", _run_sweep, (
+_COMMANDS["sweep"] = _Command("run another command over a uniform parameter grid",
+                              lambda: _run_sweep, (
     _Flag("cmd", str, metavar="COMMAND"), _Flag("param", str, choices=tuple(sorted(_SWEEPABLE))),
     _Flag("start"), _Flag("stop"), _Flag("steps", int),
     # the target's flags, kept as given and read later by the target's own specs
@@ -479,11 +508,12 @@ def _sweep(name: str, spec: SweepSpec, fixed: Mapping[str, object]) -> list[RunR
     if swept is None:
         flag = _SWEEPABLE[spec.parameter].name
         raise _UsageError(f"unrecognized arguments: --{flag} {float(spec.start)!r}")
+    run = command.load()
     records: list[RunRecord] = []
     for value in _grid(spec):
         kwargs[swept.dest] = value
         try:
-            produced = command.run(**kwargs)
+            produced = run(**kwargs)
         except DomainError as exc:
             raise DomainError(f"at {spec.parameter}={value!r}: {exc}") from exc
         for record in produced:  # a runner builds a fresh metadata dict per record
@@ -513,7 +543,7 @@ def _run(args: argparse.Namespace, extras: list[str]) -> list[RunRecord]:
     if extras:
         raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
     command = _COMMANDS[args.command]
-    return command.run(**{f.dest: getattr(args, f.dest) for f in command.flags
+    return command.load()(**{f.dest: getattr(args, f.dest) for f in command.flags
                           if hasattr(args, f.dest)})
 
 

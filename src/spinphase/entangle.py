@@ -11,50 +11,42 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from ._angles import check_finite, check_theta, mod_two_pi
-from .circuits import Orientation
+from ._angles import Frozen, check_finite, check_theta, mod_two_pi
 from .errors import DomainError
-from .phases import berry_phase_analytic
+from .phases import Orientation, berry_phase_analytic
 from .states import PureState, unit_vector
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
-def _set_unit(coeffs, *names: str) -> None:
-    """Replace the named fields of a frozen dataclass by their unit-norm scaling."""
-    values = unit_vector([getattr(coeffs, name) for name in names], "coefficients")
-    for name, value in zip(names, values):
-        object.__setattr__(coeffs, name, value)
+class BellCoefficients(Frozen):
+    """Weights of the antisymmetric combination alpha |10> - beta |01>, held at unit norm."""
 
+    __slots__ = ("alpha", "beta")
 
-@dataclass(frozen=True)
-class BellCoefficients:
-    """Weights of the antisymmetric combination alpha |10> - beta |01>."""
-
-    alpha: complex
-    beta: complex
-
-    def __post_init__(self) -> None:
-        _set_unit(self, "alpha", "beta")
+    def __init__(self, alpha: complex, beta: complex) -> None:
+        alpha, beta = unit_vector([alpha, beta], "coefficients")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
     @classmethod
     def equal_weight(cls) -> "BellCoefficients":
         return cls(complex(_SQRT_HALF), complex(_SQRT_HALF))
 
 
-@dataclass(frozen=True)
-class BipartiteCoefficients:
-    """General two-spin amplitudes in the (down-down, down-up, up-down, up-up) order."""
+class BipartiteCoefficients(Frozen):
+    """General two-spin amplitudes in the (down-down, down-up, up-down, up-up) order,
+    held at unit norm."""
 
-    a_dd: complex
-    a_du: complex
-    a_ud: complex
-    a_uu: complex
+    __slots__ = ("a_dd", "a_du", "a_ud", "a_uu")
 
-    def __post_init__(self) -> None:
-        _set_unit(self, "a_dd", "a_du", "a_ud", "a_uu")
+    def __init__(self, a_dd: complex, a_du: complex, a_ud: complex, a_uu: complex) -> None:
+        a_dd, a_du, a_ud, a_uu = unit_vector([a_dd, a_du, a_ud, a_uu], "coefficients")
+        object.__setattr__(self, "a_dd", a_dd)
+        object.__setattr__(self, "a_du", a_du)
+        object.__setattr__(self, "a_ud", a_ud)
+        object.__setattr__(self, "a_uu", a_uu)
 
     @classmethod
     def from_state(cls, state: PureState) -> "BipartiteCoefficients":
@@ -63,15 +55,15 @@ class BipartiteCoefficients:
         return cls(*state.amplitudes)
 
 
-@dataclass(frozen=True)
-class RgFlowParams:
+class RgFlowParams(Frozen):
     """Flow inputs: decay rate a >= 0, integration constant c, length scale."""
 
-    a: float
-    c: float
-    separation: float
+    __slots__ = ("a", "c", "separation")
 
-    def __post_init__(self) -> None:
+    def __init__(self, a: float, c: float, separation: float) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "separation", separation)
         check_finite(self, "a", "c", "separation")
         if self.a < 0.0:
             raise DomainError("decay rate a must be nonnegative")

@@ -10,13 +10,11 @@ noise doubles; after an echo only a single residual term carries it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-from ._angles import TWO_PI, check_theta
-from .circuits import Orientation
+from ._angles import TWO_PI, Frozen, check_theta
 from .errors import DomainError
-from .phases import GeometricPhase
+from .phases import GeometricPhase, Orientation
 
 MAX_SHIFT = 0.5
 
@@ -27,14 +25,14 @@ class NoiseTarget(Enum):
     ENTANGLED = "entangled"
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
+class NoiseSpec(Frozen):
     """A small polar shift and the state family it applies to."""
 
-    delta_theta: float
-    applies_to: NoiseTarget
+    __slots__ = ("delta_theta", "applies_to")
 
-    def __post_init__(self) -> None:
+    def __init__(self, delta_theta: float, applies_to: NoiseTarget) -> None:
+        object.__setattr__(self, "delta_theta", delta_theta)
+        object.__setattr__(self, "applies_to", applies_to)
         if not math.isfinite(self.delta_theta):
             raise DomainError("delta_theta must be finite")
         if abs(self.delta_theta) > MAX_SHIFT:

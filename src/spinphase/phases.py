@@ -1,5 +1,7 @@
 """Berry connections and closed-loop phases of quantized spinors, in closed form.
 
+The spinor's orientation and angles (``Orientation``, ``SpinorParams``) live
+here too, so a closed-form call loads neither the circuit parser nor numpy.
 Analytic phases are reported raw: 0 and 2*pi label physically distinct loops
 (trivial versus full solid angle) and must not be collapsed.  The discrete
 loop transport that checks them lives in ``berry``, the one module that needs
@@ -10,15 +12,37 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-from ._angles import TWO_PI, check_theta, mod_two_pi
-from .circuits import Orientation
+from ._angles import TWO_PI, Frozen, check_finite, check_theta, mod_two_pi
 from .errors import DomainError
 
 CLOSURE_TOLERANCE = 1e-12
 MIN_OVERLAP = 1e-9
+
+
+class Orientation(Enum):
+    UP = "up"
+    DOWN = "down"
+
+
+class SpinorParams(Frozen):
+    """Angles on the sphere plus the chirality winding number of the carrier loop.
+
+    theta is polar in [0, pi]; phi azimuthal; chi the extra winding angle that
+    only shows up in the overall phase; mu the winding strength (1/2 for a
+    fermionic spinor).
+    """
+
+    __slots__ = ("theta", "phi", "chi", "mu")
+
+    def __init__(self, theta: float, phi: float, chi: float, mu: float = 0.5) -> None:
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "mu", mu)
+        check_theta(self.theta)
+        check_finite(self, "phi", "chi", "mu")
 
 
 class PhaseConvention(Enum):
@@ -26,12 +50,12 @@ class PhaseConvention(Enum):
     MOD_2PI = "mod2pi"
 
 
-@dataclass(frozen=True)
-class GeometricPhase:
-    value: float
-    convention: PhaseConvention
+class GeometricPhase(Frozen):
+    __slots__ = ("value", "convention")
 
-    def __post_init__(self) -> None:
+    def __init__(self, value: float, convention: PhaseConvention) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "convention", convention)
         if not math.isfinite(self.value):
             raise DomainError("phase must be finite")
         if self.convention is PhaseConvention.MOD_2PI and not 0.0 <= self.value < TWO_PI:

@@ -13,28 +13,26 @@ out of the state and tracked in the dynamical slot of the phase ledger.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-from ._angles import check_finite, wrap_pm_pi
-from .circuits import SpinorParams
+from ._angles import Frozen, check_finite, wrap_pm_pi
 from .errors import DomainError
+from .phases import SpinorParams
 from .states import PureState, unit_vector
 
 _LEDGER_TOLERANCE = 1e-12
 _PULSE_TOLERANCE = 1e-12
 
 
-
-@dataclass(frozen=True)
-class RabiParams:
+class RabiParams(Frozen):
     """Static drive parameters: identity offset, Rabi frequency, pulse length."""
 
-    omega0: float
-    omega: float
-    duration: float
+    __slots__ = ("omega0", "omega", "duration")
 
-    def __post_init__(self) -> None:
+    def __init__(self, omega0: float, omega: float, duration: float) -> None:
+        object.__setattr__(self, "omega0", omega0)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "duration", duration)
         check_finite(self, "omega0", "omega", "duration")
         if self.duration < 0.0:
             raise DomainError("duration must be nonnegative")
@@ -46,12 +44,12 @@ class PulseKind(Enum):
     CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
-class PulseSpec:
-    kind: PulseKind
-    params: RabiParams
+class PulseSpec(Frozen):
+    __slots__ = ("kind", "params")
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: PulseKind, params: RabiParams) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", params)
         if self.kind is PulseKind.CUSTOM:
             return
         if self.params.omega <= 0.0:
@@ -79,15 +77,15 @@ class PulseSpec:
         return cls(PulseKind.CUSTOM, params)
 
 
-@dataclass(frozen=True)
-class PhaseLedger:
+class PhaseLedger(Frozen):
     """Split of an accumulated phase into geometric and dynamical parts."""
 
-    geometric: float
-    dynamical: float
-    total: float
+    __slots__ = ("geometric", "dynamical", "total")
 
-    def __post_init__(self) -> None:
+    def __init__(self, geometric: float, dynamical: float, total: float) -> None:
+        object.__setattr__(self, "geometric", geometric)
+        object.__setattr__(self, "dynamical", dynamical)
+        object.__setattr__(self, "total", total)
         check_finite(self, "geometric", "dynamical", "total")
         if abs(self.total - (self.geometric + self.dynamical)) > _LEDGER_TOLERANCE:
             raise DomainError("ledger total must equal geometric + dynamical")

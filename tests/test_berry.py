@@ -388,9 +388,19 @@ class TestLoopSequence:
         assert rows[1, 1] == 1.0 + 5e-7
         with pytest.raises(DomainError, match=r"state norm 1\.1 not within"):
             Loop([[1.0, 0.0], [1.1, 0.0], [1.2, 0.0]])  # the first offending row
-        for shape in ([1.0, 0.0], [[1.0, 0.0, 0.0]], [[[1.0, 0.0]]]):
+        for shape in (1.0, [1.0, 0.0], [[1.0, 0.0, 0.0]], [[[1.0, 0.0]]]):
             with pytest.raises(DomainError, match="shape"):
                 Loop(shape)
+
+    def test_overflowing_norm_is_rejected_without_a_warning(self):
+        # finite parts whose squares overflow: norm inf, a DomainError and no
+        # RuntimeWarning (pytest turns warnings into errors)
+        with pytest.raises(DomainError, match="state norm inf"):
+            Loop([[1e200, 0.0]])
+        with pytest.raises(DomainError, match="row norm inf"):
+            berry.unit_rows([[0.0, 1e200j], [1.0, 0.0]], "row")
+        with pytest.raises(DomainError, match="array of rows"):
+            berry.unit_rows(1.0, "row")
 
 
 class TestDiscreteOracle:

@@ -21,7 +21,7 @@ from spinphase import (
     run_records,
     sweep,
 )
-from spinphase import cli
+from spinphase import circuits
 from spinphase.cli import MAX_STEPS
 
 TWO_PI = 2.0 * math.pi
@@ -283,15 +283,15 @@ class TestCircuitCommand:
 
     @pytest.fixture
     def parses(self, monkeypatch):
-        """Every text cli hands to parse_circuit, in call order."""
+        """Every text the CLI hands to parse_circuit, in call order."""
         texts = []
-        original = cli.parse_circuit
+        original = circuits.parse_circuit
 
         def counting(text):
             texts.append(text)
             return original(text)
 
-        monkeypatch.setattr(cli, "parse_circuit", counting)
+        monkeypatch.setattr(circuits, "parse_circuit", counting)
         return texts
 
     def test_file_is_parsed_once_per_invocation(self, tmp_path, parses, capsys):
@@ -599,7 +599,13 @@ class TestSweepCommand:
 
     def test_one_record_per_grid_point(self, monkeypatch):
         built = []
-        monkeypatch.setattr(RunRecord, "__post_init__", lambda self: built.append(self))
+        init = RunRecord.__init__
+
+        def counting(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(RunRecord, "__init__", counting)
         records = sweep("phase", SweepSpec("theta", 0.0, 1.0, 50), {"spin": "up"})
         assert [id(r) for r in built] == [id(r) for r in records]
         assert all(r.metadata["swept"] == "theta" for r in records)

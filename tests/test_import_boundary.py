@@ -1,9 +1,11 @@
-"""numpy loads for loops only: every other CLI call runs without it.
+"""A call loads only what it runs: numpy for loops only, and of the package
+only the modules of the command dispatched.
 
 Each check runs in a fresh interpreter, since this test process has numpy
-loaded already.  One child dispatches every numpy-free case in turn and
-reports, after each, whether numpy is in ``sys.modules``; so the first case
-that pulls it in is the one named.
+and every module loaded already.  One child dispatches every numpy-free case
+in turn and reports, after each, whether numpy is in ``sys.modules``; so the
+first case that pulls it in is the one named.  Another child dispatches one
+case and reports the package modules it loaded.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import spinphase
 
@@ -87,3 +91,119 @@ def test_holonomy_and_loops_load_numpy():
     assert report == [["import spinphase", None, False], [holonomy, 0, True]]
     probe = "import sys, spinphase; spinphase.Loop; print('numpy' in sys.modules)"
     assert run_child(probe).strip() == "True"
+
+
+# ---------------------------------------------------------------------------
+# package modules per command
+
+LOADED = r"""
+import contextlib, io, json, sys
+before = set(sys.modules)
+exec(sys.argv[1])
+code = None
+if len(sys.argv) > 2:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = spinphase.cli.dispatch(json.loads(sys.argv[2]))
+new = set(sys.modules) - before
+print(json.dumps([code, sorted(m for m in new if m.startswith("spinphase")),
+                  "dataclasses" in sys.modules]))
+"""
+CLI = {"spinphase", "spinphase.cli", "spinphase._angles", "spinphase.errors"}
+
+
+def loaded_by(entry: str, argv=None) -> tuple:
+    args = [entry] if argv is None else [entry, json.dumps(argv)]
+    code, modules, dataclasses = json.loads(run_child(LOADED, *args))
+    return code, set(modules), dataclasses
+
+
+def test_import_loads_no_other_module():
+    assert loaded_by("import spinphase") == (None, {"spinphase"}, False)
+    assert loaded_by("from spinphase.cli import main") == (None, CLI, False)
+    # a module's name loads that module, as the eager import bound them all
+    code, modules, _ = loaded_by("import spinphase; spinphase.rabi.RabiParams")
+    assert modules == {"spinphase", "spinphase.rabi", "spinphase.phases", "spinphase.states",
+                       "spinphase._angles", "spinphase.errors"}
+
+
+def own_modules_cases(circuit: str) -> list[tuple[list[str], int, set[str]]]:
+    """(argv, exit code, the package modules beyond the CLI's own that it loads)."""
+    closed_form = {"phases"}
+    return [
+        (["phase", "--spin", "up", "--theta", "1.0"], 0, closed_form),
+        (["phase", "--spin", "up", "--theta", "4.0"], 1, closed_form),
+        (sweep("phase", "theta", "--spin", "down"), 0, closed_form),
+        (["noise", "--spin", "up", "--theta", "0.9", "--delta-theta", "0.02"], 0,
+         {"noise", "phases"}),
+        (sweep("noise", "theta", "--spin", "entangled", "--delta-theta", "0.02"), 0,
+         {"noise", "phases"}),
+        (["holonomy", "--spin", "up", "--theta", "1.0", "--segments", "64"], 0,
+         {"berry", "phases", "states"}),
+        (["circuit", "--file", circuit, "--theta", "0.7"], 0, {"circuits", "phases", "states"}),
+        (sweep("circuit", "theta", "--file", circuit), 0, {"circuits", "phases", "states"}),
+        (["rabi", "--omega", "1", "--t", "2", "--c0", "0.6", "--c1", "0,0.8"], 0,
+         {"rabi", "phases", "states"}),
+        (["echo", "--phi", "0.3", "--chi", "-1.0"], 0, {"rabi", "phases", "states"}),
+        (["entangle", "--theta", "1.0", "--alpha", "0.6", "--beta", "0.8"], 0,
+         {"entangle", "phases", "states"}),
+        (["rgflow", "--a", "0.3", "--c", "1.0", "--separation", "2.0"], 0,
+         {"entangle", "phases", "states"}),
+        (["--help"], 0, set()),
+        (["phase", "--spin", "sideways", "--theta", "1.0"], 2, set()),
+        (sweep("echo", "theta", "--phi", "0.3", "--chi", "-1.0"), 2, set()),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(own_modules_cases(""))))
+def test_a_command_loads_only_its_own_modules(tmp_path, case):
+    circuit = tmp_path / "prep.circ"
+    circuit.write_text("H P(2*theta) H P(pi/2 + phi)\n", encoding="utf-8")
+    argv, code, own = own_modules_cases(str(circuit))[case]
+    want = CLI | {f"spinphase.{name}" for name in own}
+    assert loaded_by("import spinphase.cli", argv) == (code, want, False), argv
+
+
+# every public name as the eager __init__ of earlier releases imported it
+EXPORTS = {
+    "_angles": "TWO_PI mod_two_pi wrap_pm_pi",
+    "berry": "Loop entangled_family_loop holonomy_numeric spinor_loop",
+    "circuits": """GENERAL_STATE_TEXT SPINOR_STATE_TEXT Circuit Gate Orientation SpinorParams
+        apply_gate evaluate_expr format_circuit general_state_circuit parse_circuit
+        prepare_spinor run_circuit spinor_state_circuit""",
+    "cli": "RunRecord SweepSpec dispatch emit main run_records sweep",
+    "entangle": """BellCoefficients BipartiteCoefficients RgFlowParams bell_singlet_qubits
+        concurrence_from_theta concurrence_general entanglement_entropy evolve_bell
+        monopole_strength_rg swap_expectation""",
+    "errors": """CircuitSyntaxError DegeneratePathError DomainError UnboundSymbolError
+        UnknownSymbolError""",
+    "noise": """NoiseSpec NoiseTarget entangled_noise_shift noisy_phase perturbed_connection
+        post_echo_noise_shift""",
+    "phases": """CLOSURE_TOLERANCE MIN_OVERLAP GeometricPhase PhaseConvention
+        berry_phase_analytic berry_phase_entangled connection winding_phase""",
+    "rabi": """PhaseLedger PulseKind PulseSpec RabiParams apply_pulse evolve_coefficients
+        hamiltonian_matrix matched_echo_params pulse_ledger spin_echo_ledger""",
+    "states": """NORM_TOLERANCE PureState equal_up_to_global_phase inner_product ket
+        tensor_product""",
+}
+NAMES = [(module, name) for module, names in EXPORTS.items() for name in names.split()]
+
+
+@pytest.mark.parametrize(("module", "name"), NAMES, ids=[name for _, name in NAMES])
+def test_public_names_resolve_to_their_modules(module, name):
+    from importlib import import_module
+
+    assert getattr(spinphase, name) is getattr(import_module(f"spinphase.{module}"), name)
+    assert name in dir(spinphase)
+
+
+def test_public_names_follow_a_rebinding(monkeypatch):
+    from spinphase import phases
+
+    monkeypatch.setattr(phases, "connection", len)
+    assert spinphase.connection is len
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        spinphase.nothing
+    assert not hasattr(spinphase, "dataclass")
