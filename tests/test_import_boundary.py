@@ -106,7 +106,7 @@ if len(sys.argv) > 2:
         code = spinphase.cli.dispatch(json.loads(sys.argv[2]))
 new = set(sys.modules) - before
 print(json.dumps([code, sorted(m for m in new if m.startswith("spinphase")),
-                  "dataclasses" in sys.modules]))
+                  "dataclasses" in new]))
 """
 CLI = {"spinphase", "spinphase.cli", "spinphase._angles", "spinphase.errors"}
 
@@ -126,41 +126,41 @@ def test_import_loads_no_other_module():
                        "spinphase._angles", "spinphase.errors"}
 
 
-def own_modules_cases(circuit: str) -> list[tuple[list[str], int, set[str]]]:
-    """(argv, exit code, the package modules beyond the CLI's own that it loads)."""
-    closed_form = {"phases"}
-    return [
-        (["phase", "--spin", "up", "--theta", "1.0"], 0, closed_form),
-        (["phase", "--spin", "up", "--theta", "4.0"], 1, closed_form),
-        (sweep("phase", "theta", "--spin", "down"), 0, closed_form),
-        (["noise", "--spin", "up", "--theta", "0.9", "--delta-theta", "0.02"], 0,
-         {"noise", "phases"}),
-        (sweep("noise", "theta", "--spin", "entangled", "--delta-theta", "0.02"), 0,
-         {"noise", "phases"}),
-        (["holonomy", "--spin", "up", "--theta", "1.0", "--segments", "64"], 0,
-         {"berry", "phases", "states"}),
-        (["circuit", "--file", circuit, "--theta", "0.7"], 0, {"circuits", "phases", "states"}),
-        (sweep("circuit", "theta", "--file", circuit), 0, {"circuits", "phases", "states"}),
-        (["rabi", "--omega", "1", "--t", "2", "--c0", "0.6", "--c1", "0,0.8"], 0,
-         {"rabi", "phases", "states"}),
-        (["echo", "--phi", "0.3", "--chi", "-1.0"], 0, {"rabi", "phases", "states"}),
-        (["entangle", "--theta", "1.0", "--alpha", "0.6", "--beta", "0.8"], 0,
-         {"entangle", "phases", "states"}),
-        (["rgflow", "--a", "0.3", "--c", "1.0", "--separation", "2.0"], 0,
-         {"entangle", "phases", "states"}),
-        (["--help"], 0, set()),
-        (["phase", "--spin", "sideways", "--theta", "1.0"], 2, set()),
-        (sweep("echo", "theta", "--phi", "0.3", "--chi", "-1.0"), 2, set()),
-    ]
+# (argv, exit code, the package modules beyond the CLI's own that it loads);
+# CIRCUIT stands for a circuit file's path
+OWN_MODULES = [
+    (["phase", "--spin", "up", "--theta", "1.0"], 0, {"phases"}),
+    (["phase", "--spin", "up", "--theta", "4.0"], 1, {"phases"}),
+    (sweep("phase", "theta", "--spin", "down"), 0, {"phases"}),
+    (["noise", "--spin", "up", "--theta", "0.9", "--delta-theta", "0.02"], 0,
+     {"noise", "phases"}),
+    (sweep("noise", "theta", "--spin", "entangled", "--delta-theta", "0.02"), 0,
+     {"noise", "phases"}),
+    (["holonomy", "--spin", "up", "--theta", "1.0", "--segments", "64"], 0,
+     {"berry", "phases", "states"}),
+    (["circuit", "--file", "CIRCUIT", "--theta", "0.7"], 0, {"circuits", "phases", "states"}),
+    (sweep("circuit", "theta", "--file", "CIRCUIT"), 0, {"circuits", "phases", "states"}),
+    (["rabi", "--omega", "1", "--t", "2", "--c0", "0.6", "--c1", "0,0.8"], 0,
+     {"rabi", "phases", "states"}),
+    (["echo", "--phi", "0.3", "--chi", "-1.0"], 0, {"rabi", "phases", "states"}),
+    (["entangle", "--theta", "1.0", "--alpha", "0.6", "--beta", "0.8"], 0,
+     {"entangle", "phases", "states"}),
+    (["rgflow", "--a", "0.3", "--c", "1.0", "--separation", "2.0"], 0,
+     {"entangle", "phases", "states"}),
+    (["--help"], 0, set()),
+    (["phase", "--spin", "sideways", "--theta", "1.0"], 2, set()),
+    (sweep("echo", "theta", "--phi", "0.3", "--chi", "-1.0"), 2, set()),
+]
 
 
-@pytest.mark.parametrize("case", range(len(own_modules_cases(""))))
-def test_a_command_loads_only_its_own_modules(tmp_path, case):
+@pytest.mark.parametrize(("argv", "code", "own"), OWN_MODULES,
+                         ids=[f"{k}-{argv[0]}" for k, (argv, _, _) in enumerate(OWN_MODULES)])
+def test_a_command_loads_only_its_own_modules(tmp_path, argv, code, own):
     circuit = tmp_path / "prep.circ"
     circuit.write_text("H P(2*theta) H P(pi/2 + phi)\n", encoding="utf-8")
-    argv, code, own = own_modules_cases(str(circuit))[case]
+    argv = [str(circuit) if arg == "CIRCUIT" else arg for arg in argv]
     want = CLI | {f"spinphase.{name}" for name in own}
-    assert loaded_by("import spinphase.cli", argv) == (code, want, False), argv
+    assert loaded_by("import spinphase.cli", argv) == (code, want, False)
 
 
 # every public name as the eager __init__ of earlier releases imported it
