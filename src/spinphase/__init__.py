@@ -11,7 +11,7 @@ module's own name (``spinphase.rabi``), so ``import spinphase`` loads no
 other module of the package.
 """
 
-from importlib import import_module
+from importlib import import_module as _import_module
 
 _PUBLIC = {
     "_angles": "TWO_PI mod_two_pi wrap_pm_pi",
@@ -36,6 +36,7 @@ _PUBLIC = {
 }
 # public name -> the module that defines it
 _MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names.split()}
+__all__ = sorted(_MODULE_OF)  # a star import loads every module
 
 
 def __getattr__(name: str):
@@ -43,9 +44,9 @@ def __getattr__(name: str):
     # rebound there (a tracer, a test's monkeypatch) is the one callers get
     module = _MODULE_OF.get(name)
     if module is not None:
-        return getattr(import_module(f"{__name__}.{module}"), name)
+        return getattr(_import_module(f"{__name__}.{module}"), name)
     if name in _PUBLIC:  # a module, which then stays bound here
-        return import_module(f"{__name__}.{name}")
+        return _import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -196,6 +196,12 @@ def test_public_names_resolve_to_their_modules(module, name):
     assert name in dir(spinphase)
 
 
+def test_star_import_gives_every_public_name():
+    namespace = {}
+    exec("from spinphase import *", namespace)
+    assert set(namespace) - {"__builtins__"} == {name for _, name in NAMES}
+
+
 def test_public_names_follow_a_rebinding(monkeypatch):
     from spinphase import phases
 
