@@ -4,7 +4,9 @@ This is the one module that imports numpy when it loads.  A loop of N segments i
 (N+1, d) complex array; ``holonomy_numeric`` multiplies its consecutive
 overlaps, and its value is checked against the closed forms of ``phases``.
 The transport is 2*pi periodic by construction and reports values in
-[0, 2*pi).
+[0, 2*pi).  The ``holonomy`` command does not load this module: it uses
+``phases.spinor_holonomy``, which streams the loop of ``spinor_loop`` in plain
+Python, and the tests hold each route against the other.
 """
 
 from __future__ import annotations
@@ -15,16 +17,17 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ._angles import TWO_PI, check_integer, check_theta
+from ._angles import TWO_PI, check_theta
 from .errors import DegeneratePathError, DomainError
-from .phases import CLOSURE_TOLERANCE, MIN_OVERLAP, GeometricPhase, Orientation
+from .phases import (  # noqa: F401  MAX_SEGMENTS is read here as berry.MAX_SEGMENTS too
+    CLOSURE_TOLERANCE,
+    MAX_SEGMENTS,
+    MIN_OVERLAP,
+    GeometricPhase,
+    Orientation,
+    _check_segments,
+)
 from .states import NORM_TOLERANCE, PureState, _off_unit
-
-# A Loop stores 32 B per segment (spinor) or 64 B (entangled family).  Building
-# and transporting a 10^6-segment loop peaks about 77 MiB (spinor) or 161 MiB
-# (entangled) above the interpreter's resident size, temporaries included
-# (numpy 2.4, x86-64 Linux, ru_maxrss in a fresh process).
-MAX_SEGMENTS = 1_000_000
 
 
 def unit_rows(values, what: str) -> np.ndarray:
@@ -173,14 +176,6 @@ def holonomy_numeric(path: Sequence[PureState]) -> GeometricPhase:
         raise DegeneratePathError("consecutive loop states are nearly orthogonal")
     total = -float(np.sum(np.angle(overlaps)))
     return GeometricPhase.wrapped(total)
-
-
-def _check_segments(segments: int) -> None:
-    check_integer(segments, "segments")
-    if segments < 2:
-        raise DomainError("a loop needs at least 2 segments")
-    if segments > MAX_SEGMENTS:
-        raise DomainError(f"a loop takes at most {MAX_SEGMENTS} segments")
 
 
 def _azimuths(sign: float, segments: int) -> np.ndarray:

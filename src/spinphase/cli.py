@@ -16,7 +16,6 @@ import argparse
 import math
 import sys
 from functools import cached_property
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
@@ -101,21 +100,23 @@ def _csv_real(value: float) -> str:
     return format(float(value), ".12g")
 
 
-def _json_group(group: Mapping[str, str | float]) -> str:
+def _json_group(group: Mapping[str, str | float], quote: Callable[[str], str]) -> str:
     """A record's inputs, outputs or metadata as json lays it out two levels deep."""
     members = []
     for key, value in sorted(group.items()):
         # float.__repr__ is json's own float text, for float subclasses too
-        text = encode_basestring_ascii(value) if isinstance(value, str) else float.__repr__(value)
-        members.append(f"      {encode_basestring_ascii(key)}: {text}")
+        text = quote(value) if isinstance(value, str) else float.__repr__(value)
+        members.append(f"      {quote(key)}: {text}")
     return "{\n" + ",\n".join(members) + "\n    }" if members else "{}"
 
 
-def _json_record(record: RunRecord) -> str:
-    """One record as it reads inside json.dumps([...], indent=2, sort_keys=True)."""
-    inputs, outputs, metadata = map(_json_group, (record.inputs, record.outputs,
-                                                  record.metadata))
-    return (f'  {{\n    "command": {encode_basestring_ascii(record.command)},\n'
+def _json_record(record: RunRecord, quote: Callable[[str], str]) -> str:
+    """One record as it reads inside json.dumps([...], indent=2, sort_keys=True);
+    quote is json's ``encode_basestring_ascii``."""
+    inputs = _json_group(record.inputs, quote)
+    outputs = _json_group(record.outputs, quote)
+    metadata = _json_group(record.metadata, quote)
+    return (f'  {{\n    "command": {quote(record.command)},\n'
             f'    "inputs": {inputs},\n    "metadata": {metadata},\n'
             f'    "outputs": {outputs}\n  }}')
 
@@ -128,7 +129,10 @@ def emit(records: Sequence[RunRecord], format: str) -> bytes:
     the bytes of json.dumps(indent=2, sort_keys=True) plus a newline.
     """
     if format == "json":
-        body = ",\n".join(map(_json_record, records))
+        # loaded here, so a CSV call, an error or --help loads no json package
+        from json.encoder import encode_basestring_ascii
+
+        body = ",\n".join(_json_record(record, encode_basestring_ascii) for record in records)
         return (f"[\n{body}\n]\n" if body else "[]\n").encode("utf-8")
     if format != "csv":
         raise DomainError(f"unknown format {format!r}")
@@ -224,13 +228,13 @@ def _phase():
 
 
 def _holonomy():
-    from .berry import holonomy_numeric, spinor_loop  # numpy loads here, for loops only
-    from .phases import Orientation, berry_phase_analytic
+    # the loop streamed in plain Python: this command loads no numpy (berry's
+    # array route gives the same value to a few ulp)
+    from .phases import Orientation, berry_phase_analytic, spinor_holonomy
 
     def run(spin: str, theta: float, segments: int) -> list[RunRecord]:
         orientation = Orientation(spin)
-        loop = spinor_loop(orientation, theta, segments)
-        transported = holonomy_numeric(loop)
+        transported = spinor_holonomy(orientation, theta, segments)
         reference = berry_phase_analytic(orientation, theta)
         deviation = abs(transported.value - reference.mod_2pi())
         deviation = min(deviation, TWO_PI - deviation)  # circular distance

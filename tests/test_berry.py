@@ -32,7 +32,7 @@ from spinphase import (
     spinor_loop,
     winding_phase,
 )
-from spinphase import berry
+from spinphase import berry, phases
 
 TWO_PI = 2.0 * math.pi
 
@@ -296,7 +296,9 @@ class TestSpinorLoop:
         for bad in (2.5, 3.0, "3"):
             with pytest.raises(DomainError, match="segments must be an integer"):
                 build(bad)
-        monkeypatch.setattr(berry, "MAX_SEGMENTS", 10)
+        # the bound lives in phases, shared with the CLI's scalar transport
+        assert berry.MAX_SEGMENTS is phases.MAX_SEGMENTS
+        monkeypatch.setattr(phases, "MAX_SEGMENTS", 10)
         assert len(build(10)) == 11
         assert len(build(np.int64(4))) == 5
         with pytest.raises(DomainError, match="at most 10 segments"):

@@ -1,11 +1,12 @@
-"""A call loads only what it runs: numpy for loops only, and of the package
-only the modules of the command dispatched.
+"""A call loads only what it runs: numpy for library loops only, and of the
+package only the modules of the command dispatched.
 
 Each check runs in a fresh interpreter, since this test process has numpy
-and every module loaded already.  One child dispatches every numpy-free case
-in turn and reports, after each, whether numpy is in ``sys.modules``; so the
-first case that pulls it in is the one named.  Another child dispatches one
-case and reports the package modules it loaded.
+and every module loaded already.  One child dispatches every case in turn and
+reports, after each, whether numpy or ``spinphase.berry`` is in
+``sys.modules``; so the first case that pulls one in is the one named.
+Another child dispatches one case and reports the package modules it loaded,
+and a third whether the ``json`` package was loaded.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ SRC = str(Path(spinphase.__file__).resolve().parent.parent)
 CHILD = r"""
 import contextlib, io, json, sys
 import spinphase
-report = [["import spinphase", None, "numpy" in sys.modules]]
+loops = lambda: sorted({"numpy", "spinphase.berry"} & set(sys.modules))
+report = [["import spinphase", None, loops()]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = spinphase.dispatch(argv)
-    report.append([argv, code, "numpy" in sys.modules])
+    report.append([argv, code, loops()])
 print(json.dumps(report))
 """
 
@@ -47,9 +49,11 @@ def sweep(cmd: str, param: str, *fixed: str) -> list[str]:
 
 
 def numpy_free_cases(circuit: str) -> list[tuple[list[str], int]]:
-    """(argv, expected exit code) for every command but holonomy."""
+    """(argv, expected exit code) for every command, sweeps and errors."""
     ok = [
         ["phase", "--spin", "up", "--theta", "1.0"],
+        ["holonomy", "--spin", "up", "--theta", "1.0"],  # the default 20000 segments
+        ["holonomy", "--spin", "down", "--theta", "2.0", "--segments", "64", "--format", "csv"],
         ["circuit", "--file", circuit, "--theta", "0.7", "--phi", "1.1", "--format", "csv"],
         ["rabi", "--omega", "1", "--t", "2", "--c0", "0.6", "--c1", "0,0.8"],
         ["echo", "--phi", "0.3", "--chi", "-1.0"],
@@ -57,6 +61,7 @@ def numpy_free_cases(circuit: str) -> list[tuple[list[str], int]]:
         ["noise", "--spin", "entangled", "--theta", "0.9", "--delta-theta", "0.02"],
         ["rgflow", "--a", "0.3", "--c", "1.0", "--separation", "2.0"],
         sweep("phase", "theta", "--spin", "down"),
+        sweep("holonomy", "theta", "--spin", "up", "--segments", "64"),
         sweep("circuit", "theta", "--file", circuit, "--phi", "0.2"),
         sweep("rabi", "omega_t", "--omega", "1", "--c0", "1", "--c1", "0"),
         sweep("entangle", "theta", "--alpha", "0.6", "--beta", "0.8"),
@@ -71,7 +76,17 @@ def numpy_free_cases(circuit: str) -> list[tuple[list[str], int]]:
         (["phase", "--spin", "sideways", "--theta", "1.0"], 2),
         (["phase", "--spin", "up", "--theta", "4.0"], 1),
         (["rabi", "--omega", "1", "--t", "2", "--c0", "0.9", "--c1", "0.9"], 1),
+        *HOLONOMY_ERRORS,
     ]
+
+
+HOLONOMY_ERRORS = [
+    (["holonomy", "--spin", "up", "--theta", "1.0", "--segments", "1"], 1),
+    (["holonomy", "--spin", "up", "--theta", "1.0", "--segments", "1000001"], 1),
+    (["holonomy", "--spin", "up", "--theta", "1.0", "--segments", "2.5"], 2),
+    (["holonomy", "--spin", "up", "--theta", "4"], 1),
+    (["holonomy", "--spin", "down", "--theta", "1.5707963267948966", "--segments", "2"], 1),
+]
 
 
 def test_no_numpy_outside_loops(tmp_path):
@@ -79,18 +94,16 @@ def test_no_numpy_outside_loops(tmp_path):
     circuit.write_text("H P(2*theta) H P(pi/2 + phi)\n", encoding="utf-8")
     cases = numpy_free_cases(str(circuit))
     report = json.loads(run_child(CHILD, json.dumps([argv for argv, _ in cases])))
-    assert report[0] == ["import spinphase", None, False]
+    assert report[0] == ["import spinphase", None, []]
     for (argv, code), (ran, got, loaded) in zip(cases, report[1:], strict=True):
         assert (ran, got) == (argv, code)
-        assert not loaded, f"numpy imported by {argv}"
+        assert not loaded, f"{loaded} imported by {argv}"
 
 
-def test_holonomy_and_loops_load_numpy():
-    holonomy = ["holonomy", "--spin", "up", "--theta", "1.0", "--segments", "64"]
-    report = json.loads(run_child(CHILD, json.dumps([holonomy])))
-    assert report == [["import spinphase", None, False], [holonomy, 0, True]]
-    probe = "import sys, spinphase; spinphase.Loop; print('numpy' in sys.modules)"
-    assert run_child(probe).strip() == "True"
+def test_only_library_loops_load_numpy():
+    probe = ("import sys, spinphase; spinphase.Loop; "
+             "print(sorted({'numpy', 'spinphase.berry'} & set(sys.modules)))")
+    assert run_child(probe).strip() == "['numpy', 'spinphase.berry']"
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +150,7 @@ OWN_MODULES = [
     (sweep("noise", "theta", "--spin", "entangled", "--delta-theta", "0.02"), 0,
      {"noise", "phases"}),
     (["holonomy", "--spin", "up", "--theta", "1.0", "--segments", "64"], 0,
-     {"berry", "phases", "states"}),
+     {"phases", "states"}),
     (["circuit", "--file", "CIRCUIT", "--theta", "0.7"], 0, {"circuits", "phases", "states"}),
     (sweep("circuit", "theta", "--file", "CIRCUIT"), 0, {"circuits", "phases", "states"}),
     (["rabi", "--omega", "1", "--t", "2", "--c0", "0.6", "--c1", "0,0.8"], 0,
@@ -150,6 +163,9 @@ OWN_MODULES = [
     (["--help"], 0, set()),
     (["phase", "--spin", "sideways", "--theta", "1.0"], 2, set()),
     (sweep("echo", "theta", "--phi", "0.3", "--chi", "-1.0"), 2, set()),
+    (sweep("holonomy", "theta", "--spin", "up", "--segments", "64"), 0, {"phases", "states"}),
+    (["holonomy", "--spin", "up", "--theta", "1.0", "--segments", "1"], 1, {"phases"}),
+    (["holonomy", "--spin", "up", "--theta", "4"], 1, {"phases"}),
 ]
 
 
@@ -161,6 +177,26 @@ def test_a_command_loads_only_its_own_modules(tmp_path, argv, code, own):
     argv = [str(circuit) if arg == "CIRCUIT" else arg for arg in argv]
     want = CLI | {f"spinphase.{name}" for name in own}
     assert loaded_by("import spinphase.cli", argv) == (code, want, False)
+
+
+JSON_LOADED = r"""
+import contextlib, io, sys
+import spinphase.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = spinphase.cli.dispatch(sys.argv[1:])
+print(code, "json" in sys.modules)
+"""
+
+
+# JSON output is the one path that loads the json package (for its string quoting)
+@pytest.mark.parametrize(("argv", "code", "json_loaded"), [
+    (["phase", "--spin", "up", "--theta", "1.0", "--format", "csv"], 0, False),
+    (["phase", "--spin", "up", "--theta", "4.0"], 1, False),
+    (["--help"], 0, False),
+    (["phase", "--spin", "up", "--theta", "1.0"], 0, True),
+], ids=["csv", "domain-error", "help", "json"])
+def test_json_loads_only_for_json_output(argv, code, json_loaded):
+    assert run_child(JSON_LOADED, *argv).split() == [str(code), str(json_loaded)]
 
 
 # every public name as the eager __init__ of earlier releases imported it
