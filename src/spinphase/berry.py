@@ -19,7 +19,7 @@ import numpy as np
 
 from ._angles import TWO_PI, check_theta
 from .errors import DegeneratePathError, DomainError
-from .phases import (  # noqa: F401  MAX_SEGMENTS is read here as berry.MAX_SEGMENTS too
+from .phases import (  # noqa: F401  MAX_SEGMENTS stays readable as berry.MAX_SEGMENTS
     CLOSURE_TOLERANCE,
     MAX_SEGMENTS,
     MIN_OVERLAP,

@@ -156,8 +156,9 @@ def _overlap_phases(c: float, s: float, segments: int):
     ``NORM_TOLERANCE`` of 1, its message, then renormalized), and the closure
     and overlap checks are ``berry.holonomy_numeric``'s, with its messages.
     The complex arithmetic is written out on real and imaginary parts, with
-    the bits of ``cmath.exp``, ``cmath.phase`` and ``abs``; the row loop is the
-    whole cost of a long loop.
+    the bits of ``cmath.exp``, ``cmath.phase`` and ``abs``: the row loop is the
+    whole cost of a long loop, and Python ``complex`` objects made it about
+    1.5 times slower.
     """
     from .states import NORM_TOLERANCE, _off_unit  # at call time: a closed form needs no states
 
@@ -165,18 +166,18 @@ def _overlap_phases(c: float, s: float, segments: int):
     cc = c * c
     for k in range(segments + 1):
         x = -(k / segments * TWO_PI)
-        re, im = s * cos(x), s * sin(x)
-        norm = sqrt(fsum((cc, re * re, im * im)))
+        w_re, w_im = s * cos(x), s * sin(x)  # s e^{-i x}, before renormalizing
+        norm = sqrt(fsum((cc, w_re * w_re, w_im * w_im)))
         if abs(norm - 1.0) > NORM_TOLERANCE:
             raise _off_unit(norm, "state")
         inv = 1.0 / norm
-        b0, b_re, b_im = c * inv, re * inv, im * inv
-        if k:  # conj(a0) b0 + conj(a1) b1, with a0 and b0 real
-            re = a0 * b0 + (a_re * b_re + a_im * b_im)
-            im = a_re * b_im - a_im * b_re
-            if re < MIN_OVERLAP and math.hypot(re, im) < MIN_OVERLAP:  # |z| >= re
+        b0, b_re, b_im = c * inv, w_re * inv, w_im * inv
+        if k:  # the overlap conj(a0) b0 + conj(a1) b1, with a0 and b0 real
+            o_re = a0 * b0 + (a_re * b_re + a_im * b_im)
+            o_im = a_re * b_im - a_im * b_re
+            if o_re < MIN_OVERLAP and math.hypot(o_re, o_im) < MIN_OVERLAP:  # |z| >= re z
                 raise DegeneratePathError("consecutive loop states are nearly orthogonal")
-            yield atan2(im, re)
+            yield atan2(o_im, o_re)
         else:
             first = b0, b_re, b_im
         a0, a_re, a_im = b0, b_re, b_im

@@ -11,7 +11,8 @@ Bell and bipartite weights, Rabi coefficients, Hamiltonian directions):
 ``unit_vector`` accepts finite values whose 2-norm is within 1e-6 of 1 and
 renormalizes them, and rejects anything else, so silent normalization drift is
 distinguished from caller bugs.  ``berry.unit_rows`` applies the same contract
-to every row of an array at once, for loops of states.
+to every row of an array at once, for loops of states, and
+``phases.spinor_holonomy`` to each row of the loop it streams.
 """
 
 from __future__ import annotations

@@ -76,17 +76,12 @@ def numpy_free_cases(circuit: str) -> list[tuple[list[str], int]]:
         (["phase", "--spin", "sideways", "--theta", "1.0"], 2),
         (["phase", "--spin", "up", "--theta", "4.0"], 1),
         (["rabi", "--omega", "1", "--t", "2", "--c0", "0.9", "--c1", "0.9"], 1),
-        *HOLONOMY_ERRORS,
+        (["holonomy", "--spin", "up", "--theta", "1.0", "--segments", "1"], 1),
+        (["holonomy", "--spin", "up", "--theta", "1.0", "--segments", "1000001"], 1),
+        (["holonomy", "--spin", "up", "--theta", "1.0", "--segments", "2.5"], 2),
+        (["holonomy", "--spin", "up", "--theta", "4"], 1),
+        (["holonomy", "--spin", "down", "--theta", "1.5707963267948966", "--segments", "2"], 1),
     ]
-
-
-HOLONOMY_ERRORS = [
-    (["holonomy", "--spin", "up", "--theta", "1.0", "--segments", "1"], 1),
-    (["holonomy", "--spin", "up", "--theta", "1.0", "--segments", "1000001"], 1),
-    (["holonomy", "--spin", "up", "--theta", "1.0", "--segments", "2.5"], 2),
-    (["holonomy", "--spin", "up", "--theta", "4"], 1),
-    (["holonomy", "--spin", "down", "--theta", "1.5707963267948966", "--segments", "2"], 1),
-]
 
 
 def test_no_numpy_outside_loops(tmp_path):
