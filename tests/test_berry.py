@@ -7,6 +7,8 @@ evidence, not tautology.
 
 import cmath
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +34,9 @@ from spinphase import (
     spinor_loop,
     winding_phase,
 )
-from spinphase import berry, phases
+from spinphase import berry, phases, states
+from spinphase.phases import spinor_holonomy
+from spinphase.states import unit_vector
 
 TWO_PI = 2.0 * math.pi
 
@@ -453,6 +457,99 @@ class TestEntangledFamily:
         diag = holonomy_numeric(entangled_family_loop(theta, 400))
         assert diag.value == pytest.approx(0.0, abs=1e-9)
         assert berry_phase_entangled(theta).value > 1.0
+
+
+# The holonomy command's streamed route, phases.spinor_holonomy, transports
+# spinor_loop's loop one row at a time in Python floats: the array route and
+# the exact discrete transport are its oracles, and it is theirs.
+
+
+def array_route(orientation, theta, segments):
+    return holonomy_numeric(spinor_loop(orientation, theta, segments))
+
+
+def complex_reference(orientation, theta, segments):
+    """The streamed transport as plain complex arithmetic: each row through
+    ``unit_vector``, ``cmath`` for the winding and the overlap phase."""
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    if orientation is Orientation.DOWN:
+        c, s = s, c
+    rows = [unit_vector((c, s * cmath.exp(complex(0.0, -(k / segments * TWO_PI)))), "state")
+            for k in range(segments + 1)]
+    total = math.fsum(cmath.phase(a[0].conjugate() * b[0] + a[1].conjugate() * b[1])
+                      for a, b in zip(rows, rows[1:]))
+    return GeometricPhase.wrapped(-total).value
+
+
+HALF_PI = math.pi / 2.0
+EDGE_THETAS = (0.0, 5e-324, math.nextafter(HALF_PI, 0.0), HALF_PI, math.nextafter(HALF_PI, 4.0),
+               math.pi)
+
+
+def peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedTransport:
+    def test_both_routes_match_the_exact_discrete_transport(self):
+        rng = random.Random(20261018)
+        degenerate = set()
+        for orientation in Orientation:
+            for segments in (2, 3, 16, 64, 2000, 20000):
+                for theta in EDGE_THETAS + tuple(rng.uniform(0.0, math.pi) for _ in range(4)):
+                    streamed = outcome(spinor_holonomy, orientation, theta, segments)
+                    array = outcome(array_route, orientation, theta, segments)
+                    if isinstance(streamed, tuple):
+                        assert streamed == array
+                        degenerate.add((theta, segments))
+                        continue
+                    exact = exact_discrete_transport(orientation, theta, segments)
+                    case = (orientation, theta, segments)
+                    assert circular_distance(streamed.value, exact) <= 1e-12, case
+                    assert circular_distance(array.value, exact) <= 1e-12, case
+        # two segments at the equator: the overlap c^2 - s^2 = cos(theta) nearly vanishes
+        assert degenerate == {(theta, 2) for theta in EDGE_THETAS[2:5]}
+
+    def test_is_plain_complex_arithmetic_bit_for_bit(self):
+        rng = random.Random(7)
+        for orientation in Orientation:
+            for segments in (3, 16, 64, 801):
+                for theta in (0.0, 0.3, 2.0, math.pi, *(rng.uniform(0.0, math.pi) for _ in range(6))):
+                    case = (orientation, theta, segments)
+                    assert spinor_holonomy(*case).value.hex() == complex_reference(*case).hex(), case
+
+    @pytest.mark.parametrize(("theta", "segments"), [
+        (math.nan, 64), (math.inf, 64), (-0.1, 64), (4.0, 64),
+        (1.0, 1), (1.0, 2.5), (1.0, "3"), (1.0, 1_000_001), (1.0, True), (1.0, False),
+        (HALF_PI, 2),
+    ])
+    def test_routes_raise_alike(self, theta, segments):
+        streamed = outcome(spinor_holonomy, Orientation.UP, theta, segments)
+        assert isinstance(streamed, tuple)
+        assert streamed == outcome(array_route, Orientation.UP, theta, segments)
+
+    def test_closure_and_norm_checks_keep_the_library_messages(self, monkeypatch):
+        # closure never fails on this loop (its ends differ by about 1e-16), and
+        # no row is off norm, so the checks are shown with tolerances none can meet
+        monkeypatch.setattr(phases, "CLOSURE_TOLERANCE", -1.0)
+        monkeypatch.setattr(berry, "CLOSURE_TOLERANCE", -1.0)
+        assert outcome(spinor_holonomy, Orientation.UP, 1.0, 8) == \
+            outcome(array_route, Orientation.UP, 1.0, 8) == \
+            (DomainError, "open path: first and last states differ beyond 1e-12")
+        monkeypatch.setattr(states, "NORM_TOLERANCE", -1.0)
+        with pytest.raises(DomainError, match=r"^state norm [0-9.]+ not within -1\.0 of 1$"):
+            spinor_holonomy(Orientation.UP, 1.0, 8)
+
+    def test_streams_its_rows(self):
+        segments = 200_000
+        assert peak_bytes(lambda: spinor_holonomy(Orientation.UP, 1.0, segments)) < 1 << 20
+        # the probe sees a loop that is held whole: the array route keeps 32 B a row
+        assert peak_bytes(lambda: array_route(Orientation.UP, 1.0, segments)) > 32 * segments
 
 
 # today's builders as they were written before the in-place rewrite: every
