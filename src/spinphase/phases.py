@@ -27,6 +27,7 @@ MIN_OVERLAP = 1e-9
 # Building and transporting a 10^6-segment loop peaks about 77 MiB (spinor) or
 # 161 MiB (entangled) above the interpreter's resident size, temporaries
 # included (numpy 2.4, x86-64 Linux, ru_maxrss in a fresh process).
+# spinor_holonomy holds one row at any segment count.
 MAX_SEGMENTS = 1_000_000
 
 
