@@ -16,23 +16,19 @@ from importlib import import_module as _import_module
 _PUBLIC = {
     "_angles": "TWO_PI mod_two_pi wrap_pm_pi",
     "berry": "Loop entangled_family_loop holonomy_numeric spinor_loop",
-    "circuits": """GENERAL_STATE_TEXT SPINOR_STATE_TEXT Circuit Gate apply_gate evaluate_expr
-        format_circuit general_state_circuit parse_circuit prepare_spinor run_circuit
-        spinor_state_circuit""",
+    "circuits": """GENERAL_STATE_TEXT SPINOR_STATE_TEXT Circuit Gate apply_gate format_circuit
+        general_state_circuit parse_circuit prepare_spinor run_circuit spinor_state_circuit""",
     "cli": "RunRecord SweepSpec dispatch emit main run_records sweep",
-    "entangle": """BellCoefficients BipartiteCoefficients RgFlowParams bell_singlet_qubits
-        concurrence_from_theta concurrence_general entanglement_entropy evolve_bell
-        monopole_strength_rg swap_expectation""",
+    "entangle": """BellCoefficients BipartiteCoefficients RgFlowParams concurrence_from_theta
+        concurrence_general entanglement_entropy evolve_bell monopole_strength_rg
+        swap_expectation""",
     "errors": """CircuitSyntaxError DegeneratePathError DomainError UnboundSymbolError
         UnknownSymbolError""",
-    "noise": """NoiseSpec NoiseTarget entangled_noise_shift noisy_phase perturbed_connection
-        post_echo_noise_shift""",
+    "noise": "NoiseSpec NoiseTarget entangled_noise_shift noisy_phase post_echo_noise_shift",
     "phases": """CLOSURE_TOLERANCE MIN_OVERLAP GeometricPhase Orientation PhaseConvention
         SpinorParams berry_phase_analytic berry_phase_entangled connection winding_phase""",
-    "rabi": """PhaseLedger PulseKind PulseSpec RabiParams apply_pulse evolve_coefficients
-        hamiltonian_matrix matched_echo_params pulse_ledger spin_echo_ledger""",
-    "states": """NORM_TOLERANCE PureState equal_up_to_global_phase inner_product ket
-        tensor_product""",
+    "rabi": "PhaseLedger RabiParams evolve_coefficients matched_echo_params spin_echo_ledger",
+    "states": "NORM_TOLERANCE PureState equal_up_to_global_phase ket",
 }
 # public name -> the module that defines it
 _MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names.split()}

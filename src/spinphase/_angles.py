@@ -10,11 +10,21 @@ from .errors import DomainError
 TWO_PI = 2.0 * math.pi
 
 
+def check_real(what: str, *values) -> None:
+    """Reject the first of values that is not a finite real; what names them in the message."""
+    for value in values:
+        try:
+            finite = math.isfinite(value)
+        except TypeError:  # a str, None or complex, say
+            raise DomainError(f"{what} must be real") from None
+        if not finite:
+            raise DomainError(f"{what} must be finite")
+
+
 def check_finite(obj, *names: str) -> None:
     """Reject the first named attribute of obj that is not a finite real."""
     for name in names:
-        if not math.isfinite(getattr(obj, name)):
-            raise DomainError(f"{name} must be finite")
+        check_real(name, getattr(obj, name))
 
 
 def check_integer(value, name: str) -> None:
@@ -27,8 +37,7 @@ def check_integer(value, name: str) -> None:
 
 def check_theta(theta: float) -> float:
     """Validate a polar angle; the toolkit works on the closed interval [0, pi]."""
-    if not math.isfinite(theta):
-        raise DomainError("theta must be finite")
+    check_real("theta", theta)
     if theta < 0.0 or theta > math.pi:
         raise DomainError("theta out of [0, pi]")
     return theta

@@ -50,7 +50,7 @@ Expr = Union[float, str, tuple]
 # expressions
 
 
-def evaluate_expr(expr: Expr, bindings: Mapping[str, float]) -> float:
+def _evaluate_expr(expr: Expr, bindings: Mapping[str, float]) -> float:
     """expr's value with its symbols read from bindings, left operand first."""
     if isinstance(expr, str):
         if expr not in bindings:
@@ -59,10 +59,10 @@ def evaluate_expr(expr: Expr, bindings: Mapping[str, float]) -> float:
     if not isinstance(expr, tuple):
         return expr
     if len(expr) == 2:
-        return -evaluate_expr(expr[1], bindings)
+        return -_evaluate_expr(expr[1], bindings)
     op, left, right = expr
-    left = evaluate_expr(left, bindings)
-    right = evaluate_expr(right, bindings)
+    left = _evaluate_expr(left, bindings)
+    right = _evaluate_expr(right, bindings)
     if op == "+":
         return left + right
     if op == "-":
@@ -275,7 +275,7 @@ class _Parser:
             return node
         if op == "/" and right == 0.0:
             raise CircuitSyntaxError("division by zero", line, column)
-        return _finite_constant(evaluate_expr(node, {}), "constant expression", op_token)
+        return _finite_constant(_evaluate_expr(node, {}), "constant expression", op_token)
 
 
 def _finite_constant(value: float, what: str, token: tuple) -> float:
@@ -309,7 +309,7 @@ def _angle(gate: Gate, bindings: Mapping[str, float]) -> float | None:
     """
     if gate.kind == "H":
         return None
-    angle = evaluate_expr(gate.argument, bindings)
+    angle = _evaluate_expr(gate.argument, bindings)
     if not math.isfinite(angle):
         raise DomainError("phase gate needs a finite angle")
     r = math.fmod(angle, 2.0 * _FOUR_PI)

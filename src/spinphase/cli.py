@@ -19,7 +19,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
-from ._angles import TWO_PI, Frozen, check_integer
+from ._angles import TWO_PI, Frozen, check_integer, check_real
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -85,8 +85,7 @@ class SweepSpec(Frozen):
         object.__setattr__(self, "steps", steps)
         if parameter not in _SWEEPABLE:
             raise DomainError(f"parameter must be one of {sorted(_SWEEPABLE)}")
-        if not (math.isfinite(start) and math.isfinite(stop)):
-            raise DomainError("start and stop must be finite")
+        check_real("start and stop", start, stop)
         if not start < stop:
             raise DomainError("start must be below stop")
         check_integer(steps, "steps")

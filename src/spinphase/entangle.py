@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from ._angles import Frozen, check_finite, check_theta, mod_two_pi
+from ._angles import Frozen, check_finite, check_real, check_theta, mod_two_pi
 from .errors import DomainError
 from .phases import Orientation, berry_phase_analytic
 from .states import PureState, unit_vector
@@ -71,11 +71,6 @@ class RgFlowParams(Frozen):
             raise DomainError("separation must be positive")
 
 
-def bell_singlet_qubits() -> PureState:
-    """The antisymmetric reference state (|1>|0> - |0>|1>)/sqrt(2)."""
-    return PureState([0.0, -_SQRT_HALF, _SQRT_HALF, 0.0])
-
-
 def evolve_bell(coeffs: BellCoefficients, theta: float) -> tuple[PureState, float]:
     """Apply one closed spinor loop at polar angle theta to the Bell weights.
 
@@ -121,7 +116,8 @@ def entanglement_entropy(concurrence_norm: float) -> float:
     Evaluates the binary entropy at (1 + sqrt(1 - C^2))/2; 0 at C = 0
     (product state) and 1 bit at C = 1 (maximal entanglement).
     """
-    if not math.isfinite(concurrence_norm) or not 0.0 <= concurrence_norm <= 1.0:
+    check_real("concurrence magnitude", concurrence_norm)
+    if not 0.0 <= concurrence_norm <= 1.0:
         raise DomainError("concurrence magnitude out of [0, 1]")
     x = 0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - concurrence_norm**2)))
     if x <= 0.0 or x >= 1.0:

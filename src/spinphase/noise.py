@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from ._angles import TWO_PI, Frozen, check_theta
+from ._angles import TWO_PI, Frozen, check_finite, check_theta
 from .errors import DomainError
 from .phases import GeometricPhase, Orientation
 
@@ -33,8 +33,7 @@ class NoiseSpec(Frozen):
     def __init__(self, delta_theta: float, applies_to: NoiseTarget) -> None:
         object.__setattr__(self, "delta_theta", delta_theta)
         object.__setattr__(self, "applies_to", applies_to)
-        if not math.isfinite(self.delta_theta):
-            raise DomainError("delta_theta must be finite")
+        check_finite(self, "delta_theta")
         if abs(self.delta_theta) > MAX_SHIFT:
             raise DomainError(
                 f"|delta_theta| above {MAX_SHIFT} leaves the small-perturbation regime"
@@ -50,14 +49,6 @@ def _tilted_connection(orientation: Orientation, theta: float, delta_theta: floa
     if orientation is Orientation.UP:
         return 0.5 * (1.0 - math.cos(theta) + tilt)
     return 0.5 * (1.0 + math.cos(theta) - tilt)
-
-
-def perturbed_connection(theta: float, noise: NoiseSpec) -> float:
-    """Connection with the first-order noise term, branch chosen by noise.applies_to."""
-    check_theta(theta)
-    if noise.applies_to is NoiseTarget.ENTANGLED:
-        raise DomainError("the entangled family has no single-spinor connection")
-    return _tilted_connection(Orientation(noise.applies_to.value), theta, noise.delta_theta)
 
 
 def noisy_phase(

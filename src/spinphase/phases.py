@@ -18,7 +18,8 @@ import cmath
 import math
 from enum import Enum
 
-from ._angles import TWO_PI, Frozen, check_finite, check_integer, check_theta, mod_two_pi
+from ._angles import (TWO_PI, Frozen, check_finite, check_integer, check_real, check_theta,
+                      mod_two_pi)
 from .errors import DegeneratePathError, DomainError
 
 CLOSURE_TOLERANCE = 1e-12
@@ -66,8 +67,7 @@ class GeometricPhase(Frozen):
     def __init__(self, value: float, convention: PhaseConvention) -> None:
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "convention", convention)
-        if not math.isfinite(self.value):
-            raise DomainError("phase must be finite")
+        check_real("phase", self.value)
         if self.convention is PhaseConvention.MOD_2PI and not 0.0 <= self.value < TWO_PI:
             raise DomainError("mod-2pi phase must lie in [0, 2*pi)")
 
@@ -90,8 +90,7 @@ def winding_phase(mu: float, delta_chi: float) -> complex:
     A full 2*pi winding at mu = 1/2 returns -1: the half-integer case changes
     sign under one revolution.
     """
-    if not (math.isfinite(mu) and math.isfinite(delta_chi)):
-        raise DomainError("mu and delta_chi must be finite")
+    check_real("mu and delta_chi", mu, delta_chi)
     return cmath.exp(1j * (mu * delta_chi))
 
 

@@ -1,4 +1,4 @@
-"""Exact complex state algebra for one and two qubits, in plain Python.
+"""Normalized pure states of one and two qubits, in plain Python.
 
 Amplitude vectors are ordered |0>, |1> for one qubit and |00>, |01>, |10>, |11>
 for two, with the first tensor factor as the most significant qubit.  A state
@@ -7,10 +7,9 @@ arithmetic beats array calls, and nothing here imports numpy.  Only loops of
 states are arrays (``berry``).
 
 One normalization contract covers every unit vector in the package (states,
-Bell and bipartite weights, Rabi coefficients, Hamiltonian directions):
-``unit_vector`` accepts finite values whose 2-norm is within 1e-6 of 1 and
-renormalizes them, and rejects anything else, so silent normalization drift is
-distinguished from caller bugs.  ``berry.unit_rows`` applies the same contract
+Bell and bipartite weights, Rabi coefficients): ``unit_vector`` accepts finite
+values whose 2-norm is within 1e-6 of 1 and renormalizes them, and rejects
+anything else, so silent normalization drift is distinguished from caller bugs.  ``berry.unit_rows`` applies the same contract
 to every row of an array at once, for loops of states, and
 ``phases.spinor_holonomy`` to each row of the loop it streams.
 """
@@ -84,25 +83,11 @@ class PureState:
 
 def ket(label: str) -> PureState:
     """Computational basis state from a bit string, e.g. ket("0") or ket("10")."""
-    if not label or len(label) > 2 or any(ch not in "01" for ch in label):
+    if label not in ("0", "1", "00", "01", "10", "11"):
         raise DomainError(f"basis label must be 1 or 2 bits, got {label!r}")
     amps = [0j] * 2 ** len(label)
     amps[int(label, 2)] = 1 + 0j
     return PureState(amps)
-
-
-def inner_product(a: PureState, b: PureState) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
-    if a.num_qubits != b.num_qubits:
-        raise DomainError("inner product requires states with equal qubit count")
-    return sum(x.conjugate() * y for x, y in zip(a.amplitudes, b.amplitudes))
-
-
-def tensor_product(a: PureState, b: PureState) -> PureState:
-    """Two-qubit product state; the first factor is the most significant qubit."""
-    if a.num_qubits != 1 or b.num_qubits != 1:
-        raise DomainError("tensor product is defined for single-qubit factors only")
-    return PureState([x * y for x in a.amplitudes for y in b.amplitudes])
 
 
 def equal_up_to_global_phase(a: PureState, b: PureState, tol: float) -> bool:

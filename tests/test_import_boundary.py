@@ -11,6 +11,7 @@ and a third whether the ``json`` package was loaded.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -194,27 +195,33 @@ def test_json_loads_only_for_json_output(argv, code, json_loaded):
     assert run_child(JSON_LOADED, *argv).split() == [str(code), str(json_loaded)]
 
 
-# every public name as the eager __init__ of earlier releases imported it
+# every public name as the eager __init__ of earlier releases imported it,
+# less the ten that no command, criterion or document used
 EXPORTS = {
     "_angles": "TWO_PI mod_two_pi wrap_pm_pi",
     "berry": "Loop entangled_family_loop holonomy_numeric spinor_loop",
     "circuits": """GENERAL_STATE_TEXT SPINOR_STATE_TEXT Circuit Gate Orientation SpinorParams
-        apply_gate evaluate_expr format_circuit general_state_circuit parse_circuit
-        prepare_spinor run_circuit spinor_state_circuit""",
+        apply_gate format_circuit general_state_circuit parse_circuit prepare_spinor
+        run_circuit spinor_state_circuit""",
     "cli": "RunRecord SweepSpec dispatch emit main run_records sweep",
-    "entangle": """BellCoefficients BipartiteCoefficients RgFlowParams bell_singlet_qubits
-        concurrence_from_theta concurrence_general entanglement_entropy evolve_bell
-        monopole_strength_rg swap_expectation""",
+    "entangle": """BellCoefficients BipartiteCoefficients RgFlowParams concurrence_from_theta
+        concurrence_general entanglement_entropy evolve_bell monopole_strength_rg
+        swap_expectation""",
     "errors": """CircuitSyntaxError DegeneratePathError DomainError UnboundSymbolError
         UnknownSymbolError""",
-    "noise": """NoiseSpec NoiseTarget entangled_noise_shift noisy_phase perturbed_connection
-        post_echo_noise_shift""",
+    "noise": "NoiseSpec NoiseTarget entangled_noise_shift noisy_phase post_echo_noise_shift",
     "phases": """CLOSURE_TOLERANCE MIN_OVERLAP GeometricPhase PhaseConvention
         berry_phase_analytic berry_phase_entangled connection winding_phase""",
-    "rabi": """PhaseLedger PulseKind PulseSpec RabiParams apply_pulse evolve_coefficients
-        hamiltonian_matrix matched_echo_params pulse_ledger spin_echo_ledger""",
-    "states": """NORM_TOLERANCE PureState equal_up_to_global_phase inner_product ket
-        tensor_product""",
+    "rabi": "PhaseLedger RabiParams evolve_coefficients matched_echo_params spin_echo_ledger",
+    "states": "NORM_TOLERANCE PureState equal_up_to_global_phase ket",
+}
+# the public names that were removed, by the module that defined them
+DELETED = {
+    "circuits": "evaluate_expr",
+    "entangle": "bell_singlet_qubits",
+    "noise": "perturbed_connection",
+    "rabi": "PulseKind PulseSpec apply_pulse hamiltonian_matrix pulse_ledger",
+    "states": "inner_product tensor_product",
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names.split()]
 
@@ -225,6 +232,15 @@ def test_public_names_resolve_to_their_modules(module, name):
 
     assert getattr(spinphase, name) is getattr(import_module(f"spinphase.{module}"), name)
     assert name in dir(spinphase)
+
+
+def test_deleted_names_are_gone():
+    from importlib import import_module
+
+    for module, names in DELETED.items():
+        for name in names.split():
+            assert not hasattr(spinphase, name)
+            assert not hasattr(import_module(f"spinphase.{module}"), name)
 
 
 def test_star_import_gives_every_public_name():
@@ -244,3 +260,23 @@ def test_unknown_names_raise_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nothing'"):
         spinphase.nothing
     assert not hasattr(spinphase, "dataclass")
+
+
+# ---------------------------------------------------------------------------
+# numpy in the source
+
+
+def test_only_berry_imports_numpy():
+    # every import statement, at module level or inside a function body
+    importers = set()
+    for path in Path(spinphase.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "numpy" for module in modules):
+                importers.add(path.name)
+    assert importers == {"berry.py"}

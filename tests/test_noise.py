@@ -14,7 +14,6 @@ from spinphase import (
     berry_phase_analytic,
     entangled_noise_shift,
     noisy_phase,
-    perturbed_connection,
     post_echo_noise_shift,
 )
 
@@ -51,42 +50,31 @@ class TestNoiseSpec:
 
 
 class TestPerturbedConnection:
+    """The loop phase is 2 pi times the tilted connection (1 -+ cos theta +- sin theta d)/2."""
+
     @pytest.mark.parametrize("theta", [0.0, 0.3, 1.0, math.pi / 2, 2.2, math.pi])
     @pytest.mark.parametrize("d", [-0.5, -0.013, 0.0, 3e-05, 0.2, 0.5])
     def test_phase_is_exactly_two_pi_times_connection(self, theta, d):
+        # bit for bit: 2 pi times half of (...) rounds as pi times (...) does
         tilt = math.sin(theta) * d
         up, _ = noisy_phase(Orientation.UP, theta, up_spec(d))
         down, _ = noisy_phase(Orientation.DOWN, theta, down_spec(d))
-        assert up.value == TWO_PI * perturbed_connection(theta, up_spec(d))
-        assert down.value == TWO_PI * perturbed_connection(theta, down_spec(d))
         assert up.value == math.pi * (1.0 - math.cos(theta) + tilt)
         assert down.value == math.pi * (1.0 + math.cos(theta) - tilt)
 
     def test_frozen_values_at_equator(self):
-        assert perturbed_connection(math.pi / 2, up_spec(0.01)) == pytest.approx(
-            0.505, abs=1e-15
-        )
-        assert perturbed_connection(math.pi / 2, down_spec(0.01)) == pytest.approx(
-            0.495, abs=1e-15
-        )
+        up, _ = noisy_phase(Orientation.UP, math.pi / 2, up_spec(0.01))
+        down, _ = noisy_phase(Orientation.DOWN, math.pi / 2, down_spec(0.01))
+        assert up.value / TWO_PI == pytest.approx(0.505, abs=1e-15)
+        assert down.value / TWO_PI == pytest.approx(0.495, abs=1e-15)
 
     def test_zero_shift_recovers_clean_connection(self):
-        from spinphase import connection
-        for theta in (0.0, 0.7, math.pi / 2, 2.9):
-            assert perturbed_connection(theta, up_spec(0.0)) == connection(
-                Orientation.UP, theta
-            )
-
-    @given(theta_range, small_shift)
-    @settings(max_examples=200)
-    def test_pair_still_sums_to_one(self, theta, d):
-        total = (perturbed_connection(theta, up_spec(d))
-                 + perturbed_connection(theta, down_spec(d)))
-        assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_entangled_target_rejected(self):
-        with pytest.raises(DomainError, match="no single-spinor connection"):
-            perturbed_connection(1.0, ent_spec(0.01))
+        for orientation, spec in ((Orientation.UP, up_spec(0.0)),
+                                  (Orientation.DOWN, down_spec(0.0))):
+            for theta in (0.0, 0.7, math.pi / 2, 2.9, math.pi):
+                gp, shift = noisy_phase(orientation, theta, spec)
+                assert gp == berry_phase_analytic(orientation, theta)
+                assert shift == 0.0
 
 
 class TestNoisyPhase:

@@ -11,26 +11,20 @@ from scipy.linalg import expm
 from spinphase import (
     DomainError,
     PhaseLedger,
-    PulseKind,
-    PulseSpec,
     RabiParams,
     SpinorParams,
-    apply_pulse,
     evolve_coefficients,
-    hamiltonian_matrix,
-    ket,
     matched_echo_params,
-    pulse_ledger,
     spin_echo_ledger,
 )
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
-X_AXIS = (1.0, 0.0, 0.0)
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def expm_route(c0, c1, params):
-    """Independent propagator: exponentiate the traceless drive matrix."""
-    h = hamiltonian_matrix(RabiParams(0.0, params.omega, params.duration), X_AXIS)
+    """Independent propagator: exponentiate the traceless drive (omega / 2) sigma_x."""
+    h = 0.5 * params.omega * SIGMA_X
     u = expm(1j * params.duration * h)
     out = u @ np.array([c0, c1])
     return complex(out[0]), complex(out[1])
@@ -100,79 +94,6 @@ class TestEvolve:
         assert abs(o0) ** 2 + abs(o1) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
-class TestHamiltonian:
-    def test_frozen_x_drive(self):
-        h = hamiltonian_matrix(RabiParams(2.0, 3.0, 1.0), X_AXIS)
-        np.testing.assert_allclose(h, [[1.0, 1.5], [1.5, 1.0]], atol=1e-15)
-
-    def test_hermitian_for_any_axis(self):
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            n = rng.standard_normal(3)
-            n /= np.linalg.norm(n)
-            h = hamiltonian_matrix(RabiParams(0.7, 1.3, 1.0), n)
-            np.testing.assert_allclose(h, h.conj().T, atol=1e-14)
-            eig = np.linalg.eigvalsh(h)
-            np.testing.assert_allclose(eig, [(0.7 - 1.3) / 2, (0.7 + 1.3) / 2], atol=1e-12)
-
-    def test_direction_must_be_unit(self):
-        with pytest.raises(DomainError):
-            hamiltonian_matrix(RabiParams(0.0, 1.0, 1.0), (1.0, 1.0, 0.0))
-        with pytest.raises(DomainError):
-            hamiltonian_matrix(RabiParams(0.0, 1.0, 1.0), (1.0, 0.0))
-
-    @pytest.mark.parametrize("direction", [
-        np.array([0.8 + 0.6j, 0.0, 0.0]),
-        [1j, 0, 0],
-    ], ids=["complex-ndarray", "complex-list"])
-    def test_non_real_direction_rejected(self, direction):
-        # a unit-norm complex vector is no direction; its imaginary part must not be dropped
-        with pytest.raises(DomainError, match="direction must be real"):
-            hamiltonian_matrix(RabiParams(0.0, 1.0, 1.0), direction)
-
-    def test_complex_typed_real_direction_accepted(self):
-        params = RabiParams(0.5, 1.0, 1.0)
-        np.testing.assert_array_equal(
-            hamiltonian_matrix(params, [0.8 + 0j, 0.6, 0]),
-            hamiltonian_matrix(params, [0.8, 0.6, 0.0]),
-        )
-
-
-class TestPulses:
-    def test_pi_pulse_duration(self):
-        p = PulseSpec.pi_pulse(omega=2.0)
-        assert p.kind is PulseKind.PI
-        assert p.params.duration == math.pi / 2.0
-
-    def test_half_pi_pulse_duration(self):
-        p = PulseSpec.half_pi_pulse(omega=2.0)
-        assert p.params.duration == math.pi / 4.0
-
-    def test_duration_mismatch_rejected(self):
-        with pytest.raises(DomainError, match="duration"):
-            PulseSpec(PulseKind.PI, RabiParams(0.0, 1.0, 3.0))
-
-    def test_custom_is_unconstrained(self):
-        PulseSpec.custom(RabiParams(0.0, 1.0, 3.0))
-
-    def test_nonpositive_omega_rejected(self):
-        with pytest.raises(DomainError):
-            PulseSpec.pi_pulse(omega=0.0)
-
-    def test_apply_pi_pulse(self):
-        out = apply_pulse(ket("0"), PulseSpec.pi_pulse(omega=1.0))
-        np.testing.assert_allclose(out.amplitudes, [0.0, 1j], atol=1e-12)
-
-    def test_two_pi_pulses_echo_back(self):
-        pulse = PulseSpec.pi_pulse(omega=1.0)
-        out = apply_pulse(apply_pulse(ket("0"), pulse), pulse)
-        np.testing.assert_allclose(out.amplitudes, [-1.0, 0.0], atol=1e-12)
-
-    def test_two_qubit_state_rejected(self):
-        with pytest.raises(DomainError):
-            apply_pulse(ket("00"), PulseSpec.pi_pulse(omega=1.0))
-
-
 class TestLedger:
     def test_total_must_balance(self):
         with pytest.raises(DomainError):
@@ -181,16 +102,6 @@ class TestLedger:
     def test_of_balances_exactly(self):
         ledger = PhaseLedger.of(0.3, -0.8)
         assert ledger.total == 0.3 + -0.8
-
-    def test_identity_term_accrues_dynamical_phase_only(self):
-        pulse = PulseSpec.pi_pulse(omega=1.0, omega0=2.0)
-        ledger = pulse_ledger(pulse)
-        assert ledger.geometric == 0.0
-        assert ledger.dynamical == pytest.approx(-math.pi, abs=1e-12)
-
-    def test_resonant_pulse_has_no_identity_phase(self):
-        ledger = pulse_ledger(PulseSpec.pi_pulse(omega=1.0))
-        assert ledger.total == 0.0
 
 
 class TestSpinEcho:

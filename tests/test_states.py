@@ -1,4 +1,4 @@
-"""State container: validation, renormalization, products, phase comparison."""
+"""State container: validation, renormalization, basis states, phase comparison."""
 
 import math
 
@@ -16,10 +16,7 @@ from spinphase import (
     RabiParams,
     equal_up_to_global_phase,
     evolve_coefficients,
-    hamiltonian_matrix,
-    inner_product,
     ket,
-    tensor_product,
 )
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -49,11 +46,6 @@ def _rabi_norm(values):
     return np.linalg.norm(evolve_coefficients(*values, RabiParams(0.0, 1.0, 0.0)))
 
 
-def _direction_norm(values):
-    h = hamiltonian_matrix(RabiParams(0.0, 2.0, 1.0), values)  # h = n . sigma
-    return np.linalg.norm([h[1, 0].real, h[1, 0].imag, h[0, 0].real])
-
-
 def _loop_row_norm(values):
     # the row under test sits between two exact unit rows
     loop = Loop([[1.0, 0.0], values, [0.0, 1.0]])
@@ -66,7 +58,6 @@ CONTRACT_SITES = {
     "bell": (_bell_norm, [0.6, 0.8j]),
     "bipartite": (_bipartite_norm, [0.5, 0.5j, -0.5, 0.5]),
     "rabi": (_rabi_norm, [0.6, 0.8j]),
-    "direction": (_direction_norm, [0.48, 0.6, 0.64]),
     "loop": (_loop_row_norm, [0.6, 0.8j]),
 }
 
@@ -150,46 +141,15 @@ class TestKet:
         np.testing.assert_array_equal(ket("01").amplitudes, [0, 1, 0, 0])
 
     def test_first_factor_is_most_significant(self):
-        left = ket("1")
-        right = ket("0")
-        np.testing.assert_array_equal(
-            tensor_product(left, right).amplitudes, ket("10").amplitudes
-        )
+        left = ket("1").amplitudes
+        right = ket("0").amplitudes
+        product = [x * y for x in left for y in right]  # the Kronecker product
+        np.testing.assert_array_equal(product, ket("10").amplitudes)
 
     def test_bad_labels(self):
         for label in ("", "2", "012", "abc"):
             with pytest.raises(DomainError):
                 ket(label)
-
-
-class TestInnerProduct:
-    def test_conjugate_linear_in_first_argument(self):
-        a = PureState(np.array([SQRT_HALF, SQRT_HALF * 1j]))
-        b = ket("1")
-        assert inner_product(a, b) == pytest.approx(-SQRT_HALF * 1j)
-        assert inner_product(b, a) == pytest.approx(SQRT_HALF * 1j)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DomainError):
-            inner_product(ket("0"), ket("00"))
-
-    def test_unit_self_overlap_random(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            s = PureState(random_amplitudes(rng, 4))
-            assert inner_product(s, s) == pytest.approx(1.0, abs=1e-12)
-
-
-class TestTensorProduct:
-    def test_kron_order(self):
-        a = PureState(np.array([SQRT_HALF, SQRT_HALF], dtype=complex))
-        b = ket("1")
-        out = tensor_product(a, b).amplitudes
-        np.testing.assert_allclose(out, [0, SQRT_HALF, 0, SQRT_HALF])
-
-    def test_two_qubit_factors_rejected(self):
-        with pytest.raises(DomainError):
-            tensor_product(ket("00"), ket("0"))
 
 
 class TestGlobalPhaseEquality:

@@ -16,15 +16,18 @@ from spinphase import (
     GeometricPhase,
     NoiseSpec,
     NoiseTarget,
+    Orientation,
     PhaseConvention,
     PhaseLedger,
-    PulseKind,
-    PulseSpec,
     RabiParams,
     RgFlowParams,
     RunRecord,
     SpinorParams,
     SweepSpec,
+    berry_phase_analytic,
+    entanglement_entropy,
+    ket,
+    winding_phase,
 )
 
 # (value, its fields in order, its repr)
@@ -35,10 +38,6 @@ VALUES = [
      "SpinorParams(theta=1.0, phi=0.5, chi=0.2, mu=0.5)"),
     (RabiParams(0.0, 1.0, 2.0), dict(omega0=0.0, omega=1.0, duration=2.0),
      "RabiParams(omega0=0.0, omega=1.0, duration=2.0)"),
-    (PulseSpec.custom(RabiParams(0.0, 1.0, 2.0)),
-     dict(kind=PulseKind.CUSTOM, params=RabiParams(0.0, 1.0, 2.0)),
-     "PulseSpec(kind=<PulseKind.CUSTOM: 'custom'>, "
-     "params=RabiParams(omega0=0.0, omega=1.0, duration=2.0))"),
     (PhaseLedger.of(-1.0, 0.5), dict(geometric=-1.0, dynamical=0.5, total=-0.5),
      "PhaseLedger(geometric=-1.0, dynamical=0.5, total=-0.5)"),
     (BellCoefficients(0.6, 0.8j), dict(alpha=(0.6 + 0j), beta=0.8j),
@@ -138,3 +137,21 @@ def test_checks_still_run():
     # weights are held at unit norm
     bell = BellCoefficients(0.6 * (1 + 5e-7), 0.8 * (1 + 5e-7))
     assert abs(abs(bell.alpha) ** 2 + abs(bell.beta) ** 2 - 1.0) < 1e-15
+
+
+# a value that is no real number is a DomainError, as a non-finite one is, not
+# the TypeError of math.isfinite
+@pytest.mark.parametrize(("call", "message"), [
+    (lambda: RabiParams(0.0, "1", 1.0), "omega must be real"),
+    (lambda: SweepSpec("theta", "0", 1.0, 3), "start and stop must be real"),
+    (lambda: NoiseSpec("0.1", NoiseTarget.UP), "delta_theta must be real"),
+    (lambda: berry_phase_analytic(Orientation.UP, None), "theta must be real"),
+    (lambda: GeometricPhase("1", PhaseConvention.RAW), "phase must be real"),
+    (lambda: winding_phase(0.5, 1j), "mu and delta_chi must be real"),
+    (lambda: entanglement_entropy("0.5"), "concurrence magnitude must be real"),
+    (lambda: ket(5), "basis label must be 1 or 2 bits, got 5"),
+], ids=["RabiParams", "SweepSpec", "NoiseSpec", "berry_phase_analytic", "GeometricPhase",
+        "winding_phase", "entanglement_entropy", "ket"])
+def test_non_real_inputs_rejected(call, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
