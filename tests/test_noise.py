@@ -76,6 +76,14 @@ class TestPerturbedConnection:
                 assert gp == berry_phase_analytic(orientation, theta)
                 assert shift == 0.0
 
+    @given(theta_range, small_shift)
+    @settings(max_examples=200)
+    def test_pair_still_sums_to_one(self, theta, d):
+        # the connection is the loop phase over 2 pi
+        total = (noisy_phase(Orientation.UP, theta, up_spec(d))[0].value
+                 + noisy_phase(Orientation.DOWN, theta, down_spec(d))[0].value) / TWO_PI
+        assert total == pytest.approx(1.0, abs=1e-12)
+
 
 class TestNoisyPhase:
     def test_frozen_equator_value(self):
