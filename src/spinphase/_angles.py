@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 
 from .errors import DomainError
 
@@ -11,14 +12,28 @@ TWO_PI = 2.0 * math.pi
 
 
 def check_real(what: str, *values) -> None:
-    """Reject the first of values that is not a finite real; what names them in the message."""
+    """Reject the first of values that is not a finite real; what names them in the message.
+
+    A bool, Python's or numpy's, is not a real here, as for a circuit binding.
+    """
     for value in values:
-        try:
+        if type(value) is float:  # the common case, without the type checks
             finite = math.isfinite(value)
-        except TypeError:  # a str, None or complex, say
-            raise DomainError(f"{what} must be real") from None
+        elif isinstance(value, bool) or _is_numpy_bool(value):
+            raise DomainError(f"{what} must be real")
+        else:
+            try:
+                finite = math.isfinite(value)
+            except TypeError:  # a str, None or complex, say
+                raise DomainError(f"{what} must be real") from None
         if not finite:
             raise DomainError(f"{what} must be finite")
+
+
+def _is_numpy_bool(value) -> bool:
+    # a numpy bool exists only once numpy is loaded, and this does not load it
+    numpy = sys.modules.get("numpy")
+    return numpy is not None and isinstance(value, numpy.bool_)
 
 
 def check_finite(obj, *names: str) -> None:

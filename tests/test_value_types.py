@@ -7,6 +7,7 @@ import math
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from spinphase import (
@@ -27,6 +28,7 @@ from spinphase import (
     berry_phase_analytic,
     entanglement_entropy,
     ket,
+    spinor_loop,
     winding_phase,
 )
 
@@ -155,3 +157,17 @@ def test_checks_still_run():
 def test_non_real_inputs_rejected(call, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
         call()
+
+
+# a bool is no real number, Python's or numpy's, as for a circuit binding
+@pytest.mark.parametrize("flag", [True, False, np.bool_(True), np.bool_(False)],
+                         ids=["True", "False", "numpy-True", "numpy-False"])
+@pytest.mark.parametrize(("call", "message"), [
+    (lambda b: RabiParams(0.0, b, 1.0), "omega must be real"),
+    (lambda b: berry_phase_analytic(Orientation.UP, b), "theta must be real"),
+    (lambda b: spinor_loop(Orientation.UP, b, 8), "theta must be real"),
+    (lambda b: SweepSpec("theta", b, 1.0, 5), "start and stop must be real"),
+], ids=["RabiParams", "berry_phase_analytic", "spinor_loop", "SweepSpec"])
+def test_bools_rejected(call, message, flag):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call(flag)
