@@ -36,8 +36,11 @@ def unit_rows(values, what: str) -> np.ndarray:
     Every row is held to the ``unit_vector`` contract, with its messages; the
     first offending row's norm is the one reported.  A finite row whose
     squared parts overflow has norm inf and is rejected without a warning.
+    Rows are scaled by ``_scale_rows``: one reciprocal per row and one real
+    multiply per float part, with the bits of numpy's complex division by the
+    norm, signed zeros included.
     """
-    arr = np.array(values, dtype=np.complex128)
+    arr = np.array(values, dtype=np.complex128, order="C")  # C order: _scale_rows' float view
     if arr.ndim == 0:
         raise DomainError(f"{what} must be an array of rows")
     with np.errstate(over="ignore"):
@@ -45,14 +48,47 @@ def unit_rows(values, what: str) -> np.ndarray:
 
 
 def _unit_rows(arr: np.ndarray, what: str) -> np.ndarray:
-    """``unit_rows`` on a complex128 array the caller owns, renormalized in place."""
+    """``unit_rows`` on a C-ordered complex128 array the caller owns, renormalized in place."""
     if not np.isfinite(arr).all():
         raise DomainError(f"{what} must be finite")
     norms = _row_norms(arr)
     dev = np.abs(norms - 1.0)
     if dev.max(initial=0.0) > NORM_TOLERANCE:
         raise _off_unit(float(norms[dev > NORM_TOLERANCE][0]), what)
-    arr /= norms[..., np.newaxis]
+    return _scale_rows(arr, norms)
+
+
+# -0.0 read as an int64
+_NEGATIVE_ZERO_BITS = np.int64(-(1 << 63))
+
+
+def _scale_rows(arr: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """``arr /= norms[..., np.newaxis]`` with the same bits, by real multiplies.
+
+    arr is C-ordered complex128, norms an array of positive finite norms, which
+    is overwritten.  numpy divides x by a real r as by r + 0j, and computes
+    that as ((re + im*0) * (1/r), (im - re*0) * (1/r)) with one reciprocal.
+    Off zero parts that is re*(1/r) and im*(1/r): one reciprocal per row, then
+    one real multiply per float column.  On a zero part the added +-0 sets
+    the sign: a -0.0 real part stays -0.0 only when its imaginary part has the
+    sign bit set, and a -0.0 imaginary part stays -0.0 only when its real part
+    does not.  Every other -0.0 becomes +0.0.
+    """
+    inv = np.divide(1.0, norms, out=norms)
+    parts = arr.view(np.float64)
+    if parts.shape[-1] > 8:
+        parts *= inv[..., np.newaxis]
+    else:
+        # column by column: a broadcast over a short last axis runs an inner
+        # loop per row
+        for j in range(parts.shape[-1]):
+            column = parts[..., j]
+            column *= inv
+    negative_zero = parts.view(np.int64) == _NEGATIVE_ZERO_BITS
+    if negative_zero.any():
+        sign = np.signbit(parts)
+        parts[..., 0::2][negative_zero[..., 0::2] & ~sign[..., 1::2]] = 0.0
+        parts[..., 1::2][negative_zero[..., 1::2] & sign[..., 0::2]] = 0.0
     return arr
 
 
@@ -60,18 +96,22 @@ def _row_norms(arr: np.ndarray) -> np.ndarray:
     """The bits of ``np.linalg.norm(arr, axis=-1)``, without its reduce over a short axis.
 
     |x|^2 is the real part of numpy's complex product conj(x)*x, which may be
-    a fused multiply-add, as in ``np.linalg.norm``.  Rows of 2 or 4 are then
-    summed column by column, left to right, the order numpy's reduce adds them in.
+    a fused multiply-add, as in ``np.linalg.norm``.  For rows of 2 or 4 the
+    product is formed one column at a time in one reused (n,) buffer, and the
+    columns are summed left to right, the order numpy's reduce adds them in.
     """
     if arr.ndim != 2 or arr.shape[1] not in (2, 4):
         # not a loop's shape: unit_rows takes rows of any length
-        return np.linalg.norm(arr, axis=-1)
-    sq = np.conjugate(arr)
-    np.multiply(sq, arr, out=sq)
-    sq = sq.real
-    norms = sq[:, 0] + sq[:, 1]
-    for k in range(2, arr.shape[1]):
-        norms += sq[:, k]
+        return np.asarray(np.linalg.norm(arr, axis=-1))
+    product = np.empty(arr.shape[0], dtype=np.complex128)
+    for k in range(arr.shape[1]):
+        column = arr[:, k]
+        np.conjugate(column, out=product)
+        np.multiply(product, column, out=product)
+        if k == 0:
+            norms = product.real.copy()
+        else:
+            norms += product.real
     return np.sqrt(norms, out=norms)
 
 
@@ -171,10 +211,19 @@ def holonomy_numeric(path: Sequence[PureState]) -> GeometricPhase:
         amps = np.stack([s.amplitudes for s in path])
     if float(np.max(np.abs(amps[0] - amps[-1]))) > CLOSURE_TOLERANCE:
         raise DomainError("open path: first and last states differ beyond 1e-12")
-    overlaps = np.einsum("ij,ij->i", np.conj(amps[:-1]), amps[1:])
-    if float(np.min(np.abs(overlaps))) < MIN_OVERLAP:
+    # the overlaps <psi_k | psi_{k+1}>, summed column by column into one buffer
+    before, after = amps[:-1], amps[1:]
+    overlaps = np.conjugate(before[:, 0])
+    overlaps *= after[:, 0]
+    term = np.empty_like(overlaps)
+    for k in range(1, amps.shape[1]):
+        np.conjugate(before[:, k], out=term)
+        term *= after[:, k]
+        overlaps += term
+    reals = term.view(np.float64)[: overlaps.shape[0]]  # term's bytes, reused
+    if float(np.abs(overlaps, out=reals).min()) < MIN_OVERLAP:
         raise DegeneratePathError("consecutive loop states are nearly orthogonal")
-    total = -float(np.sum(np.angle(overlaps)))
+    total = -float(np.arctan2(overlaps.imag, overlaps.real, out=reals).sum())
     return GeometricPhase.wrapped(total)
 
 
@@ -226,6 +275,6 @@ def entangled_family_loop(theta: float, segments: int) -> Loop:
     norms = _row_norms(raw)
     if float(norms.min()) < MIN_OVERLAP:
         raise DegeneratePathError("antisymmetric spinor family vanishes near theta = pi/2")
-    raw /= norms[:, np.newaxis]
+    _scale_rows(raw, norms)
     # Loop renormalizes the rows once more, which sets their last bits
     return Loop._adopt(raw)

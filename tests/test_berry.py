@@ -657,6 +657,114 @@ def test_row_norms_match_numpy_norm_bit_for_bit():
         assert berry._row_norms(rows).tobytes() == np.linalg.norm(rows, axis=-1).tobytes()
 
 
+# holonomy_numeric sums the overlaps column by column; the einsum formula it
+# replaced is its reference
+
+
+def reference_transport(amps):
+    overlaps = np.einsum("ij,ij->i", np.conj(amps[:-1]), amps[1:])
+    return GeometricPhase.wrapped(-float(np.sum(np.angle(overlaps)))).value
+
+
+def random_closed_loop(rng, width, segments):
+    """A smooth seeded loop of the given width: five random Fourier modes over one
+    turn, its last row a copy of its first."""
+    turn = TWO_PI * np.arange(segments + 1) / segments
+    modes = rng.normal(size=(5, width)) + 1j * rng.normal(size=(5, width))
+    raw = np.exp(1j * np.outer(turn, np.arange(-2, 3))) @ modes
+    raw[-1] = raw[0]
+    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+    return Loop(raw)
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_transport_matches_the_einsum_overlaps(width):
+    rng = np.random.default_rng([14, width])
+    for segments in (2, 3, 16, 257, 4000):
+        for _ in range(20):
+            loop = random_closed_loop(rng, width, segments)
+            got = holonomy_numeric(loop).value
+            want = reference_transport(loop.amplitudes)
+            assert circular_distance(got, want) <= 1e-14, (segments, got, want)
+
+
+def test_build_and_transport_peak_below_two_and_a_quarter_loops():
+    # the loop's array, then two (n,) complex buffers for the overlaps
+    segments = 20000
+    loop_bytes = (segments + 1) * 2 * 16
+    array_route(Orientation.UP, 1.0, 8)  # first-call allocations are not the loop's
+    for orientation in Orientation:
+        assert peak_bytes(lambda: array_route(orientation, 1.0, segments)) < 2.25 * loop_bytes
+
+
+# Rows are scaled by real multiplies, not numpy's complex division; every byte,
+# signed zeros included, must be the division's
+
+
+ZERO_KINDS = ("+0", "-0", "+x", "-x")
+
+
+def rows_with_signed_zeros(width, count=2000, seed=0):
+    """Seeded near-unit rows whose parts are +-0.0 or +-x, each part's kind drawn
+    at random, so every (real, imaginary) pair of kinds occurs."""
+    rng = np.random.default_rng([seed, width])
+    kinds = rng.integers(0, 4, (count, 2 * width))
+    kinds[(kinds < 2).all(axis=1), 0] = 2  # no row of zeros: its norm is 0
+    parts = np.abs(rng.normal(size=kinds.shape))
+    parts[kinds < 2] = 0.0
+    parts[kinds % 2 == 1] *= -1.0  # -0.0 where the kind is -0
+    parts /= np.sqrt((parts * parts).sum(axis=1, keepdims=True))
+    parts *= 1.0 + rng.uniform(-5e-7, 5e-7, (count, 1))  # off unit, within tolerance
+    pairs = {(ZERO_KINDS[re], ZERO_KINDS[im])
+             for re, im in zip(kinds[:, 0::2].ravel(), kinds[:, 1::2].ravel())}
+    assert len(pairs) == 16
+    return parts.view(np.complex128)
+
+
+def zero_sign_counts(rows):
+    """The numbers of -0.0 and of +0.0 parts."""
+    parts = rows.view(np.float64)
+    negative = np.signbit(parts)
+    return int((negative & (parts == 0.0)).sum()), int((~negative & (parts == 0.0)).sum())
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_scaled_rows_keep_the_divisions_signed_zeros(width):
+    rows = rows_with_signed_zeros(width)
+    want = reference_unit_rows(rows)
+    assert berry.unit_rows(rows, "row").tobytes() == want.tobytes()
+    assert Loop(rows).amplitudes.tobytes() == want.tobytes()
+    # the division turns some -0.0 parts into +0.0 and keeps others
+    negative_before, positive_before = zero_sign_counts(rows)
+    negative_after, positive_after = zero_sign_counts(want)
+    assert 0 < negative_after < negative_before and positive_after > positive_before
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_scaled_rows_do_not_depend_on_the_input_layout(width):
+    rows = rows_with_signed_zeros(width, count=500, seed=1)
+    want = berry.unit_rows(rows, "row").tobytes()
+    assert want == reference_unit_rows(rows).tobytes()
+    fortran = np.asfortranarray(rows)
+    assert not fortran.flags.c_contiguous
+    strided = np.repeat(rows, 2, axis=1)[:, ::2]
+    assert not strided.flags.c_contiguous
+    for layout in (fortran, strided):
+        assert berry.unit_rows(layout, "row").tobytes() == want
+        assert Loop(layout).amplitudes.tobytes() == want
+    # one row at a time, as a 1-D array: a row of the Fortran array is strided too
+    one_by_one = b"".join(berry.unit_rows(row, "row").tobytes() for row in fortran)
+    assert one_by_one == want
+
+
+def test_wide_rows_keep_the_divisions_signed_zeros():
+    # rows wider than a loop's are scaled by one broadcast multiply, not column by column
+    rows = rows_with_signed_zeros(8, count=500, seed=2)
+    assert berry.unit_rows(rows, "row").tobytes() == reference_unit_rows(rows).tobytes()
+    assert berry.unit_rows(np.asfortranarray(rows), "row").tobytes() == \
+        reference_unit_rows(rows).tobytes()
+
+
 def test_public_constructor_copies_the_callers_array():
     rows = spinor_loop(Orientation.UP, 1.1, 16).amplitudes.copy()
     rows[3] *= 1.0 + 1e-7  # off unit norm, within tolerance: renormalized in the Loop
