@@ -38,7 +38,9 @@ def unit_rows(values, what: str) -> np.ndarray:
     squared parts overflow has norm inf and is rejected without a warning.
     Rows are scaled by ``_scale_rows``: one reciprocal per row and one real
     multiply per float part, with the bits of numpy's complex division by the
-    norm, signed zeros included.
+    norm.  That division keeps a -0.0 real part only when the imaginary part
+    has the sign bit set, and a -0.0 imaginary part only when the real part
+    does not; every other -0.0 part becomes +0.0, here too.
     """
     arr = np.array(values, dtype=np.complex128, order="C")  # C order: _scale_rows' float view
     if arr.ndim == 0:
@@ -51,67 +53,86 @@ def _unit_rows(arr: np.ndarray, what: str) -> np.ndarray:
     """``unit_rows`` on a C-ordered complex128 array the caller owns, renormalized in place."""
     if not np.isfinite(arr).all():
         raise DomainError(f"{what} must be finite")
-    norms = _row_norms(arr)
-    dev = np.abs(norms - 1.0)
+    # a view, as arr is C-ordered; the row count is explicit for rows of length 0
+    rows = arr.reshape(math.prod(arr.shape[:-1]), arr.shape[-1])
+    norms = _row_norms(rows)
+    dev = norms - 1.0
+    np.abs(dev, out=dev)
     if dev.max(initial=0.0) > NORM_TOLERANCE:
         raise _off_unit(float(norms[dev > NORM_TOLERANCE][0]), what)
-    return _scale_rows(arr, norms)
+    _scale_rows(rows, norms)
+    return arr
 
 
 # -0.0 read as an int64
 _NEGATIVE_ZERO_BITS = np.int64(-(1 << 63))
+# rows per block of the column-by-column passes below: a block's rows stay in
+# a core's cache from one column pass to the next, and its buffers (64 KiB
+# each) are reused.  Passes over whole columns of a 10^6-segment two-qubit
+# loop (64 MB) were slower than the parent's whole-array products; blocks of
+# 1024 rows lose more to per-call overhead than 4096 (2-vCPU Xeon).
+_BLOCK_ROWS = 4096
 
 
-def _scale_rows(arr: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """``arr /= norms[..., np.newaxis]`` with the same bits, by real multiplies.
+def _scale_rows(rows: np.ndarray, norms: np.ndarray) -> None:
+    """``rows /= norms[:, np.newaxis]`` with the same bits, by real multiplies.
 
-    arr is C-ordered complex128, norms an array of positive finite norms, which
-    is overwritten.  numpy divides x by a real r as by r + 0j, and computes
-    that as ((re + im*0) * (1/r), (im - re*0) * (1/r)) with one reciprocal.
-    Off zero parts that is re*(1/r) and im*(1/r): one reciprocal per row, then
-    one real multiply per float column.  On a zero part the added +-0 sets
-    the sign: a -0.0 real part stays -0.0 only when its imaginary part has the
-    sign bit set, and a -0.0 imaginary part stays -0.0 only when its real part
-    does not.  Every other -0.0 becomes +0.0.
+    rows is a C-ordered (n, d) complex128 array, norms its n positive finite
+    norms, which are overwritten.  numpy divides x by a real r as by r + 0j,
+    and computes that as ((re + im*0) * (1/r), (im - re*0) * (1/r)) with one
+    reciprocal.  Off zero parts that is re*(1/r) and im*(1/r): one reciprocal
+    per row, then one real multiply per float column.  On a zero part the
+    added +-0 sets the sign: a -0.0 real part stays -0.0 only when its
+    imaginary part has the sign bit set, and a -0.0 imaginary part stays -0.0
+    only when its real part does not.  Every other -0.0 becomes +0.0.
     """
     inv = np.divide(1.0, norms, out=norms)
-    parts = arr.view(np.float64)
-    if parts.shape[-1] > 8:
-        parts *= inv[..., np.newaxis]
+    parts = rows.view(np.float64)
+    if parts.shape[1] > 8:
+        parts *= inv[:, np.newaxis]
     else:
         # column by column: a broadcast over a short last axis runs an inner
         # loop per row
-        for j in range(parts.shape[-1]):
-            column = parts[..., j]
-            column *= inv
+        for start in range(0, len(parts), _BLOCK_ROWS):
+            block, scale = parts[start:start + _BLOCK_ROWS], inv[start:start + _BLOCK_ROWS]
+            for j in range(block.shape[1]):
+                column = block[:, j]
+                column *= scale
     negative_zero = parts.view(np.int64) == _NEGATIVE_ZERO_BITS
     if negative_zero.any():
         sign = np.signbit(parts)
-        parts[..., 0::2][negative_zero[..., 0::2] & ~sign[..., 1::2]] = 0.0
-        parts[..., 1::2][negative_zero[..., 1::2] & sign[..., 0::2]] = 0.0
-    return arr
+        parts[:, 0::2][negative_zero[:, 0::2] & ~sign[:, 1::2]] = 0.0
+        parts[:, 1::2][negative_zero[:, 1::2] & sign[:, 0::2]] = 0.0
 
 
 def _row_norms(arr: np.ndarray) -> np.ndarray:
-    """The bits of ``np.linalg.norm(arr, axis=-1)``, without its reduce over a short axis.
+    """The bits of ``np.linalg.norm(arr, axis=-1)`` for an (n, d) arr, without its
+    reduce over a short axis.
 
     |x|^2 is the real part of numpy's complex product conj(x)*x, which may be
     a fused multiply-add, as in ``np.linalg.norm``.  For rows of 2 or 4 the
-    product is formed one column at a time in one reused (n,) buffer, and the
-    columns are summed left to right, the order numpy's reduce adds them in.
+    product is formed one column at a time, a block of rows at a time, in
+    reused buffers, and the columns are summed left to right, the order
+    numpy's reduce adds them in.
     """
-    if arr.ndim != 2 or arr.shape[1] not in (2, 4):
-        # not a loop's shape: unit_rows takes rows of any length
-        return np.asarray(np.linalg.norm(arr, axis=-1))
-    product = np.empty(arr.shape[0], dtype=np.complex128)
-    for k in range(arr.shape[1]):
-        column = arr[:, k]
-        np.conjugate(column, out=product)
-        np.multiply(product, column, out=product)
-        if k == 0:
-            norms = product.real.copy()
-        else:
-            norms += product.real
+    if arr.shape[1] not in (2, 4):
+        # not a loop's width: unit_rows takes rows of any length
+        return np.linalg.norm(arr, axis=-1)
+    norms = np.empty(len(arr))
+    conjugates = np.empty(min(len(arr), _BLOCK_ROWS), dtype=np.complex128)
+    products = np.empty_like(conjugates)
+    for start in range(0, len(arr), _BLOCK_ROWS):
+        block, total = arr[start:start + _BLOCK_ROWS], norms[start:start + _BLOCK_ROWS]
+        conjugate, product = conjugates[:len(block)], products[:len(block)]
+        for k in range(block.shape[1]):
+            np.conjugate(block[:, k], out=conjugate)
+            # not in place: numpy's in-place product of a single element
+            # skips the fused multiply-add that longer products may use
+            np.multiply(conjugate, block[:, k], out=product)
+            if k == 0:
+                np.copyto(total, product.real)
+            else:
+                total += product.real
     return np.sqrt(norms, out=norms)
 
 
@@ -211,19 +232,27 @@ def holonomy_numeric(path: Sequence[PureState]) -> GeometricPhase:
         amps = np.stack([s.amplitudes for s in path])
     if float(np.max(np.abs(amps[0] - amps[-1]))) > CLOSURE_TOLERANCE:
         raise DomainError("open path: first and last states differ beyond 1e-12")
-    # the overlaps <psi_k | psi_{k+1}>, summed column by column into one buffer
+    # the overlaps <psi_k | psi_{k+1}>, summed column by column a block of rows
+    # at a time, and their phases
     before, after = amps[:-1], amps[1:]
-    overlaps = np.conjugate(before[:, 0])
-    overlaps *= after[:, 0]
-    term = np.empty_like(overlaps)
-    for k in range(1, amps.shape[1]):
-        np.conjugate(before[:, k], out=term)
-        term *= after[:, k]
-        overlaps += term
-    reals = term.view(np.float64)[: overlaps.shape[0]]  # term's bytes, reused
-    if float(np.abs(overlaps, out=reals).min()) < MIN_OVERLAP:
+    overlap = np.empty(min(len(before), _BLOCK_ROWS), dtype=np.complex128)
+    term = np.empty_like(overlap)
+    smallest, block_sums = math.inf, []
+    for start in range(0, len(before), _BLOCK_ROWS):
+        left, right = before[start:start + _BLOCK_ROWS], after[start:start + _BLOCK_ROWS]
+        total, product = overlap[:len(left)], term[:len(left)]
+        np.conjugate(left[:, 0], out=total)
+        total *= right[:, 0]
+        for k in range(1, amps.shape[1]):
+            np.conjugate(left[:, k], out=product)
+            product *= right[:, k]
+            total += product
+        reals = product.view(np.float64)[:len(left)]  # product's bytes, reused
+        smallest = min(smallest, float(np.abs(total, out=reals).min()))
+        block_sums.append(float(np.arctan2(total.imag, total.real, out=reals).sum()))
+    if smallest < MIN_OVERLAP:
         raise DegeneratePathError("consecutive loop states are nearly orthogonal")
-    total = -float(np.arctan2(overlaps.imag, overlaps.real, out=reals).sum())
+    total = -math.fsum(block_sums)
     return GeometricPhase.wrapped(total)
 
 
