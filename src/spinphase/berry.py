@@ -69,8 +69,8 @@ _NEGATIVE_ZERO_BITS = np.int64(-(1 << 63))
 # rows per block of the column-by-column passes below: a block's rows stay in
 # a core's cache from one column pass to the next, and its buffers (64 KiB
 # each) are reused.  Passes over whole columns of a 10^6-segment two-qubit
-# loop (64 MB) were slower than the parent's whole-array products; blocks of
-# 1024 rows lose more to per-call overhead than 4096 (2-vCPU Xeon).
+# loop (64 MB) leave the cache and were slower than whole-array products;
+# blocks of 1024 rows lose more to per-call overhead than 4096 (2-vCPU Xeon).
 _BLOCK_ROWS = 4096
 
 
