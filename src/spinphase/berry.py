@@ -88,16 +88,13 @@ def _scale_rows(rows: np.ndarray, norms: np.ndarray) -> None:
     """
     inv = np.divide(1.0, norms, out=norms)
     parts = rows.view(np.float64)
-    if parts.shape[1] > 8:
-        parts *= inv[:, np.newaxis]
-    else:
-        # column by column: a broadcast over a short last axis runs an inner
-        # loop per row
-        for start in range(0, len(parts), _BLOCK_ROWS):
-            block, scale = parts[start:start + _BLOCK_ROWS], inv[start:start + _BLOCK_ROWS]
-            for j in range(block.shape[1]):
-                column = block[:, j]
-                column *= scale
+    # column by column: a broadcast over a short last axis runs an inner loop
+    # per row
+    for start in range(0, len(parts), _BLOCK_ROWS):
+        block, scale = parts[start:start + _BLOCK_ROWS], inv[start:start + _BLOCK_ROWS]
+        for j in range(block.shape[1]):
+            column = block[:, j]
+            column *= scale
     negative_zero = parts.view(np.int64) == _NEGATIVE_ZERO_BITS
     if negative_zero.any():
         sign = np.signbit(parts)
@@ -233,19 +230,21 @@ def holonomy_numeric(path: Sequence[PureState]) -> GeometricPhase:
     if float(np.max(np.abs(amps[0] - amps[-1]))) > CLOSURE_TOLERANCE:
         raise DomainError("open path: first and last states differ beyond 1e-12")
     # the overlaps <psi_k | psi_{k+1}>, summed column by column a block of rows
-    # at a time, and their phases
+    # at a time, and their phases.  The products are not formed in place, as
+    # in _row_norms, so an overlap has the same bits in a block of one row.
     before, after = amps[:-1], amps[1:]
     overlap = np.empty(min(len(before), _BLOCK_ROWS), dtype=np.complex128)
-    term = np.empty_like(overlap)
+    conjugates, terms = np.empty_like(overlap), np.empty_like(overlap)
     smallest, block_sums = math.inf, []
     for start in range(0, len(before), _BLOCK_ROWS):
         left, right = before[start:start + _BLOCK_ROWS], after[start:start + _BLOCK_ROWS]
-        total, product = overlap[:len(left)], term[:len(left)]
-        np.conjugate(left[:, 0], out=total)
-        total *= right[:, 0]
+        total = overlap[:len(left)]
+        conjugate, product = conjugates[:len(left)], terms[:len(left)]
+        np.conjugate(left[:, 0], out=conjugate)
+        np.multiply(conjugate, right[:, 0], out=total)
         for k in range(1, amps.shape[1]):
-            np.conjugate(left[:, k], out=product)
-            product *= right[:, k]
+            np.conjugate(left[:, k], out=conjugate)
+            np.multiply(conjugate, right[:, k], out=product)
             total += product
         reals = product.view(np.float64)[:len(left)]  # product's bytes, reused
         smallest = min(smallest, float(np.abs(total, out=reals).min()))

@@ -680,7 +680,8 @@ def random_closed_loop(rng, width, segments):
 @pytest.mark.parametrize("width", [2, 4])
 def test_transport_matches_the_einsum_overlaps(width):
     rng = np.random.default_rng([14, width])
-    for segments in (2, 3, 16, 257, 4000):
+    # 4097 segments: the last overlap is a block of one row
+    for segments in (2, 3, 16, 257, 4000, berry._BLOCK_ROWS + 1):
         for _ in range(20):
             loop = random_closed_loop(rng, width, segments)
             got = holonomy_numeric(loop).value
@@ -688,9 +689,30 @@ def test_transport_matches_the_einsum_overlaps(width):
             assert circular_distance(got, want) <= 1e-14, (segments, got, want)
 
 
+def test_overlaps_in_a_block_of_one_row_keep_their_bits():
+    # a two-state loop's one overlap is a block of one row; its phase must be
+    # the one its product has inside a long array.  States a hair apart, with a
+    # negative overlap phase, so the transported phase is tiny and positive
+    # and keeps every bit of the overlap's imaginary part.
+    rng = np.random.default_rng(2)
+    for width in (2, 4):
+        first = rng.normal(size=(500, width)) + 1j * rng.normal(size=(500, width))
+        first /= np.linalg.norm(first, axis=1, keepdims=True)
+        second = first * np.exp(-1j * rng.uniform(1e-14, 1e-13, (500, 1)))
+        loops = [Loop([a, b]) for a, b in zip(first, second)]
+        rows = np.array([loop.amplitudes for loop in loops])
+        overlaps = np.conj(rows[:, 0, 0]) * rows[:, 1, 0]
+        for k in range(1, width):
+            overlaps += np.conj(rows[:, 0, k]) * rows[:, 1, k]
+        want = -np.arctan2(overlaps.imag, overlaps.real)
+        assert (want > 0).all()
+        for loop, phase in zip(loops, want):
+            assert holonomy_numeric(loop).value == phase
+
+
 def test_build_and_transport_peak_below_one_and_three_quarter_loops():
     # the loop's array, its norms and their deviations from 1 while it is
-    # built (1.63 loops); the transport adds two buffers of one block of rows
+    # built (1.63 loops); the transport adds three buffers of one block of rows
     segments = 20000
     loop_bytes = (segments + 1) * 2 * 16
     array_route(Orientation.UP, 1.0, 8)  # first-call allocations are not the loop's
@@ -774,7 +796,6 @@ def test_blocks_of_one_row_keep_the_reference_bits():
 
 
 def test_wide_rows_keep_the_divisions_signed_zeros():
-    # rows wider than a loop's are scaled by one broadcast multiply, not column by column
     rows = rows_with_signed_zeros(8, count=500, seed=2)
     assert berry.unit_rows(rows, "row").tobytes() == reference_unit_rows(rows).tobytes()
     assert berry.unit_rows(np.asfortranarray(rows), "row").tobytes() == \
