@@ -68,9 +68,12 @@ def _unit_rows(arr: np.ndarray, what: str) -> np.ndarray:
 _NEGATIVE_ZERO_BITS = np.int64(-(1 << 63))
 # rows per block of the column-by-column passes below: a block's rows stay in
 # a core's cache from one column pass to the next, and its buffers (64 KiB
-# each) are reused.  Passes over whole columns of a 10^6-segment two-qubit
-# loop (64 MB) leave the cache and were slower than whole-array products;
-# blocks of 1024 rows lose more to per-call overhead than 4096 (2-vCPU Xeon).
+# each) are reused.  A 10^6-segment two-qubit loop built in 359 ms and was
+# transported in 32 ms in blocks of 4096 rows, in 409 and 48 ms in blocks of
+# 1024, and in 587 and 85 ms over whole columns, which leave the cache; a
+# complex division and einsum over the whole array took 459 and 55 ms
+# (medians of 7 processes of tools/large_loops.py, in BENCH_14.json; 2-vCPU
+# Xeon).
 _BLOCK_ROWS = 4096
 
 

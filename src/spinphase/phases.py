@@ -29,7 +29,8 @@ MIN_OVERLAP = 1e-9
 # 161 MiB (entangled) above the interpreter's resident size, temporaries
 # included, and the transport adds nothing to the build's peak; a spinor loop
 # builds in about 0.1 s (numpy 2.4, 2-vCPU Xeon, x86-64 Linux, ru_maxrss in a
-# fresh process).  spinor_holonomy holds one row at any segment count.
+# fresh process: tools/large_loops.py).  spinor_holonomy holds one row at any
+# segment count.
 MAX_SEGMENTS = 1_000_000
 
 
