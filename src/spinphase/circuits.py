@@ -320,20 +320,9 @@ def _angle(gate: Gate, bindings: Mapping[str, float]) -> float | None:
     return r
 
 
-def _act(angle: float | None, state: PureState) -> PureState:
-    """A Hadamard (angle None) or a phase rotation by angle, on one qubit."""
-    if state.num_qubits != 1:
-        raise DomainError("gates act on single-qubit states")
-    a, b = state.amplitudes
-    # a checked state per gate: its renormalization sets the bits of the output
-    if angle is None:
-        return PureState([(a + b) * _INV_SQRT2, (a - b) * _INV_SQRT2])
-    return PureState([a, b * cmath.exp(1j * angle)])
-
-
 def apply_gate(gate: Gate, state: PureState) -> PureState:
     """Apply one gate, whose argument holds no free symbol, to a single-qubit state."""
-    return _act(_angle(gate, {}), state)
+    return run_circuit(Circuit((gate,), frozenset()), {}, state)
 
 
 def run_circuit(circuit: Circuit, bindings: Mapping[str, float], state: PureState) -> PureState:
@@ -341,13 +330,23 @@ def run_circuit(circuit: Circuit, bindings: Mapping[str, float], state: PureStat
 
     Every phase angle is evaluated before the first gate acts, so an error in
     the bindings or the arguments is reported ahead of an error in the state.
+    The gates act on the plain amplitude pair and the result is checked once,
+    after the last gate: the gates are unitary, so a state on the contract
+    stays on it, and that one check's renormalization sets the output bits.
     """
     missing = sorted(circuit.free_symbols - set(bindings))
     if missing:
         raise UnboundSymbolError(f"unbound symbols: {', '.join(missing)}")
-    for angle in [_angle(gate, bindings) for gate in circuit.gates]:
-        state = _act(angle, state)
-    return state
+    angles = [_angle(gate, bindings) for gate in circuit.gates]
+    if state.num_qubits != 1:
+        raise DomainError("gates act on single-qubit states")
+    a, b = state.amplitudes
+    for angle in angles:
+        if angle is None:  # a Hadamard
+            a, b = (a + b) * _INV_SQRT2, (a - b) * _INV_SQRT2
+        else:
+            b = b * cmath.exp(1j * angle)
+    return PureState((a, b))
 
 
 GENERAL_STATE_TEXT = "H P(2*theta) H P(pi/2 + phi)"

@@ -95,29 +95,73 @@ class SweepSpec(Frozen):
             raise DomainError(f"steps must be at most {MAX_STEPS}")
 
 
-def _csv_real(value: float) -> str:
-    return format(float(value), ".12g")
+def _braces(text: str) -> str:
+    """text as a literal inside a ``str.format`` template."""
+    return text.replace("{", "{{").replace("}", "}}")
 
 
-def _json_group(group: Mapping[str, str | float], quote: Callable[[str], str]) -> str:
-    """A record's inputs, outputs or metadata as json lays it out two levels deep."""
-    members = []
-    for key, value in sorted(group.items()):
-        # float.__repr__ is json's own float text, for float subclasses too
-        text = quote(value) if isinstance(value, str) else float.__repr__(value)
-        members.append(f"      {quote(key)}: {text}")
-    return "{\n" + ",\n".join(members) + "\n    }" if members else "{}"
+def _json_layout(quote: Callable[[str], str], command: str,
+                 *groups: tuple[str, ...]) -> str:
+    """A ``str.format`` template for one record shape as it reads inside
+    json.dumps([...], indent=2, sort_keys=True); quote is json's
+    ``encode_basestring_ascii``.
 
-
-def _json_record(record: RunRecord, quote: Callable[[str], str]) -> str:
-    """One record as it reads inside json.dumps([...], indent=2, sort_keys=True);
-    quote is json's ``encode_basestring_ascii``."""
-    inputs = _json_group(record.inputs, quote)
-    outputs = _json_group(record.outputs, quote)
-    metadata = _json_group(record.metadata, quote)
-    return (f'  {{\n    "command": {quote(record.command)},\n'
+    groups are the input, metadata and output keys in dict order.  Field k of
+    the template is the k-th value of the three groups in that order, already
+    as JSON text, and each group's members are laid out in sorted key order.
+    """
+    texts, first = [], 0
+    for keys in groups:
+        members = [_braces(f"      {quote(keys[i])}: ") + f"{{{first + i}}}"
+                   for i in sorted(range(len(keys)), key=keys.__getitem__)]
+        texts.append("{{\n" + ",\n".join(members) + "\n    }}" if members else "{{}}")
+        first += len(keys)
+    inputs, metadata, outputs = texts
+    return (f'  {{{{\n    "command": {_braces(quote(command))},\n'
             f'    "inputs": {inputs},\n    "metadata": {metadata},\n'
-            f'    "outputs": {outputs}\n  }}')
+            f'    "outputs": {outputs}\n  }}}}')
+
+
+def _json_records(records: Sequence[RunRecord]) -> list[str]:
+    """Each record's JSON text, from one layout per shape (command and the
+    three key tuples); values are printed as json prints them: float.__repr__,
+    for float subclasses too, and quoted strings."""
+    # loaded here, so a CSV call, an error or --help loads no json package
+    from json.encoder import encode_basestring_ascii as quote
+
+    real = float.__repr__
+    layouts: dict[tuple, str] = {}
+    texts = []
+    for record in records:
+        inputs, metadata, outputs = record.inputs, record.metadata, record.outputs
+        shape = (record.command, tuple(inputs), tuple(metadata), tuple(outputs))
+        layout = layouts.get(shape)
+        if layout is None:
+            layout = layouts[shape] = _json_layout(quote, *shape)
+        texts.append(layout.format(*map(real, inputs.values()), *map(quote, metadata.values()),
+                                   *map(real, outputs.values())))
+    return texts
+
+
+def _csv_rows(records: Sequence[RunRecord]) -> list[str]:
+    """The header, sorted input names then sorted output names, and one row per
+    record, reals to 12 significant digits.  Each record shape (the input and
+    output key tuples) is checked against the header and laid out once."""
+    in_names, out_names = sorted(records[0].inputs), sorted(records[0].outputs)
+    layouts: dict[tuple, str] = {}
+    rows = [",".join(in_names + out_names)]
+    for record in records:
+        inputs, outputs = record.inputs, record.outputs
+        shape = (tuple(inputs), tuple(outputs))
+        layout = layouts.get(shape)
+        if layout is None:
+            if sorted(inputs) != in_names or sorted(outputs) != out_names:
+                raise DomainError("csv output needs records with a common shape")
+            slots = ([shape[0].index(k) for k in in_names]
+                     + [len(inputs) + shape[1].index(k) for k in out_names])
+            layout = layouts[shape] = ",".join(f"{{{k}:.12g}}" for k in slots)
+        rows.append(layout.format(*map(float, inputs.values()), *map(float, outputs.values())))
+    return rows
 
 
 def emit(records: Sequence[RunRecord], format: str) -> bytes:
@@ -125,29 +169,17 @@ def emit(records: Sequence[RunRecord], format: str) -> bytes:
 
     CSV columns are the sorted input names then the sorted output names, reals
     printed to 12 significant digits.  JSON mirrors the records exactly, with
-    the bytes of json.dumps(indent=2, sort_keys=True) plus a newline.
+    the bytes of json.dumps(indent=2, sort_keys=True) plus a newline.  Layouts
+    are built once per record shape and live for this call only.
     """
     if format == "json":
-        # loaded here, so a CSV call, an error or --help loads no json package
-        from json.encoder import encode_basestring_ascii
-
-        body = ",\n".join(_json_record(record, encode_basestring_ascii) for record in records)
+        body = ",\n".join(_json_records(records))
         return (f"[\n{body}\n]\n" if body else "[]\n").encode("utf-8")
     if format != "csv":
         raise DomainError(f"unknown format {format!r}")
     if not records:
         return b""
-    in_names = sorted(records[0].inputs)
-    out_names = sorted(records[0].outputs)
-    for record in records[1:]:
-        if sorted(record.inputs) != in_names or sorted(record.outputs) != out_names:
-            raise DomainError("csv output needs records with a common shape")
-    lines = [",".join(in_names + out_names)]
-    for record in records:
-        cells = [_csv_real(record.inputs[k]) for k in in_names]
-        cells += [_csv_real(record.outputs[k]) for k in out_names]
-        lines.append(",".join(cells))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return ("\n".join(_csv_rows(records)) + "\n").encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +310,11 @@ def _circuit():
     from .circuits import run_circuit
     from .states import ket
 
+    zero = ket("0")  # one input state for every point of the invocation
+
     def run(file: _CircuitFile, theta: float, phi: float) -> list[RunRecord]:
         circuit, text = file.loaded
-        state = run_circuit(circuit, {"theta": theta, "phi": phi}, ket("0"))
+        state = run_circuit(circuit, {"theta": theta, "phi": phi}, zero)
         a = state.amplitudes
         return [RunRecord(
             command="circuit",

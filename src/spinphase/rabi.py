@@ -6,8 +6,11 @@ Internal units put hbar = 1.  The resonant drive rotates the coefficients as
     C1(t) = i C0 sin(Omega t / 2) + C1 cos(Omega t / 2)
 
 i.e. U(t) = exp(+i (Omega t / 2) sigma_x).  The identity term Omega_0 of the
-Hamiltonian contributes only the global phase e^{-i Omega_0 t / 2}; it is kept
-out of the state and tracked in the dynamical slot of the phase ledger.
+Hamiltonian contributes only the global phase e^{-i Omega_0 t / 2}, which is
+kept out of the state.  No computation reads it: ``RabiParams.omega0`` is
+validated and then unused, the phase ledger never receives it, and the CLI
+passes 0.0.  Feeding it to a dynamical phase, or deleting the field, is item
+10 of ROADMAP.md.
 """
 
 from __future__ import annotations

@@ -28,6 +28,19 @@ def _off_unit(norm: float, what: str) -> DomainError:
     return DomainError(f"{what} norm {norm!r} not within {NORM_TOLERANCE} of 1")
 
 
+_PARTS = (float, complex)
+
+
+def _inverse_norm(*squares: float) -> float | None:
+    """1/norm for the squared parts (real parts first), or None off the contract."""
+    try:
+        norm = math.sqrt(math.fsum(squares))
+    except OverflowError:  # finite squares whose sum overflows: the checked path raises
+        return None
+    # False for a nan or infinite norm too
+    return 1.0 / norm if abs(norm - 1.0) <= NORM_TOLERANCE else None
+
+
 def unit_vector(values, what: str) -> tuple[complex, ...]:
     """values as a tuple of complex scaled to unit 2-norm.
 
@@ -39,7 +52,41 @@ def unit_vector(values, what: str) -> tuple[complex, ...]:
     division is numpy's complex-by-real one (Smith's form with a zero
     imaginary divisor), which keeps the bits, signed zeros included, that
     array normalization gave.
+
+    A list or tuple of 2 or 4 plain floats or complexes on the contract, what
+    every state and coefficient vector of the package is, takes a path with no
+    comprehensions and the same arithmetic; anything else, and every rejection,
+    goes through ``_checked_unit_vector``, which raises the errors.
     """
+    kind = type(values)
+    if kind is tuple or kind is list:
+        n = len(values)
+        if n == 2:
+            a, b = values
+            if type(a) in _PARTS and type(b) in _PARTS:
+                ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+                inv = _inverse_norm(ar * ar, br * br, ai * ai, bi * bi)
+                if inv is not None:
+                    return (complex((ar + ai * 0.0) * inv, (ai - ar * 0.0) * inv),
+                            complex((br + bi * 0.0) * inv, (bi - br * 0.0) * inv))
+        elif n == 4:
+            a, b, c, d = values
+            if (type(a) in _PARTS and type(b) in _PARTS and type(c) in _PARTS
+                    and type(d) in _PARTS):
+                ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+                cr, ci, dr, di = c.real, c.imag, d.real, d.imag
+                inv = _inverse_norm(ar * ar, br * br, cr * cr, dr * dr,
+                                    ai * ai, bi * bi, ci * ci, di * di)
+                if inv is not None:
+                    return (complex((ar + ai * 0.0) * inv, (ai - ar * 0.0) * inv),
+                            complex((br + bi * 0.0) * inv, (bi - br * 0.0) * inv),
+                            complex((cr + ci * 0.0) * inv, (ci - cr * 0.0) * inv),
+                            complex((dr + di * 0.0) * inv, (di - dr * 0.0) * inv))
+    return _checked_unit_vector(values, what)
+
+
+def _checked_unit_vector(values, what: str) -> tuple[complex, ...]:
+    """``unit_vector`` for any input, with every check spelled out."""
     try:
         # a label such as "10" would read as digits, a dict or set as its keys
         if isinstance(values, (str, dict, set, frozenset)):

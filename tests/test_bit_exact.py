@@ -18,7 +18,7 @@ import pytest
 from spinphase import DomainError, Orientation, PureState, SpinorParams, SweepSpec, prepare_spinor
 from spinphase.berry import spinor_amplitudes
 from spinphase.cli import _grid
-from spinphase.states import NORM_TOLERANCE, unit_vector
+from spinphase.states import NORM_TOLERANCE, _checked_unit_vector, unit_vector
 
 MAX_ULP = 2
 
@@ -158,3 +158,103 @@ def test_unit_vector_rejects_like_numpy():
     for bad in ([[1.0, 0.0]], "10", [1.0, "x"], 1.0, {1: 0, 0: 0}, {0, 1}):
         with pytest.raises(DomainError, match="flat sequence of numbers"):
             unit_vector(bad, "state")
+
+
+# ---------------------------------------------------------------------------
+# unit_vector's fast path (2 or 4 plain floats or complexes) against its checked path
+
+
+def outcome(fn, values):
+    """fn's result as part bits (signed zeros distinct), or its error's type and text."""
+    try:
+        result = fn(values, "state")
+    except Exception as exc:  # noqa: BLE001 - the type and text are the outcome
+        return type(exc), str(exc)
+    return [(z.real.hex(), z.imag.hex()) for z in result]
+
+
+def assert_same_outcome(values):
+    assert outcome(unit_vector, values) == outcome(_checked_unit_vector, values), values
+
+
+SIGNED_ZEROS = [(sr * 0.0, si * 0.0) for sr in (1, -1) for si in (1, -1)]
+
+
+@pytest.mark.parametrize("zero", SIGNED_ZEROS)
+@pytest.mark.parametrize("unit", SIGNED_ZEROS)
+@pytest.mark.parametrize("n", [2, 4])
+def test_fast_unit_vector_keeps_signed_zeros(zero, unit, n):
+    """All 16 pairs of a zero amplitude's and a unit amplitude's signed-zero parts."""
+    z = complex(*zero)
+    for u in (complex(math.copysign(1.0, unit[0]), unit[1]),
+              complex(unit[0], math.copysign(1.0, unit[1])),
+              complex(0.6 * math.copysign(1.0, unit[0]), unit[1])):
+        for values in ([u, z], [z, u], [u, z, z, z][:n], [z, z, z, u][:n]):
+            assert_same_outcome(values)
+            assert_same_outcome(tuple(values))
+    # float parts: a float's imaginary part is +0.0, as complex(x) gives
+    for values in ([zero[0], 1.0], [-1.0, unit[0]], [zero[0], unit[1], -0.6, 0.8][:n]):
+        assert_same_outcome(values)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_fast_unit_vector_matches_checked_path_on_seeded_vectors(n):
+    rng = random.Random(f"fast unit_vector:{n}")
+    accepted = 0
+    for _ in range(20000):
+        values = random_vector(rng, n)
+        if rng.random() < 0.3:  # real values as floats, some parts as plain reals
+            values = [z.real if rng.random() < 0.5 else z for z in values]
+        if rng.random() < 0.5:
+            values = tuple(values)
+        assert_same_outcome(values)
+        accepted += isinstance(outcome(unit_vector, values), list)
+    assert accepted > 10000
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_fast_unit_vector_decides_the_tolerance_edge_as_the_checked_path(n):
+    rng = random.Random(f"fast unit_vector edge:{n}")
+    verdicts = set()
+    for _ in range(2000):
+        values = random_vector(rng, n)
+        norm = math.sqrt(math.fsum([z.real * z.real for z in values]
+                                   + [z.imag * z.imag for z in values]))
+        # norms at 1 +- 1e-6, a few parts in 10^10 to either side of the bound
+        target = 1.0 + rng.choice((-1, 1)) * NORM_TOLERANCE * (1.0 + rng.uniform(-1e-10, 1e-10))
+        values = [z * (target / norm) for z in values]
+        assert_same_outcome(values)
+        verdicts.add(isinstance(outcome(unit_vector, values), list))
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("values", [
+    [1e200, 0.0], [0.0, complex(0.0, -1e200)], [1.2e154, 1.2e154],  # squares overflow
+    [complex(1e154, 1e154), 1e154, 0.0, 1.0], [1.3407807929942596e154, 0.0],
+    [math.nan, 1.0], [1.0, complex(0.0, math.nan)], [math.inf, 0.0],
+    [complex(-math.inf, 0.0), 0.0, 0.0, 0.0], [0.0, 0.0], [0.0, 0.0, 0.0, 5e-324],
+    [1.0, 0.0, 0.0], [1.0], [], [1.0, 0.0, 0.0, 0.0, 0.0],
+    [np.float64(0.6), 0.8], [0.6, np.complex128(0.8j)], [np.float32(1.0), 0.0],
+    [1, 0], [0, 1, 0, 0], [True, False], [1.0, False], ["1", "0"], ["1.0", 0.0], ["a", 1.0],
+    "10", np.array([0.6, 0.8]), {1.0: 0, 0.0: 1}, [[1.0, 0.0]],
+], ids=repr)
+def test_fast_unit_vector_leaves_every_other_input_to_the_checked_path(values):
+    if not isinstance(values, (list, tuple)):
+        assert outcome(unit_vector, values) == outcome(_checked_unit_vector, values)
+        return
+    assert_same_outcome(values)
+    assert_same_outcome(tuple(values))
+
+
+def test_fast_unit_vector_leaves_iterators_to_the_checked_path():
+    assert (outcome(unit_vector, iter([0.6, 0.8j]))
+            == outcome(_checked_unit_vector, iter([0.6, 0.8j])))
+
+
+def test_fast_unit_vector_takes_plain_floats_and_complexes(monkeypatch):
+    def unexpected(values, what):
+        raise AssertionError(f"checked path taken for {values!r}")
+
+    monkeypatch.setattr("spinphase.states._checked_unit_vector", unexpected)
+    for values in ([0.6, 0.8j], (1.0, 0.0), [0.5, -0.5, 0.5j, complex(0.5, -0.0)]):
+        unit_vector(values, "state")

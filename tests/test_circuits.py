@@ -1,6 +1,8 @@
 """Circuit language: tokenizing, parsing, folding, formatting, execution."""
 
+import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -30,6 +32,24 @@ from spinphase import (
 from spinphase.circuits import _angle
 
 FOUR_PI = 4.0 * math.pi
+INV_SQRT2 = complex(1.0 / math.sqrt(2.0))
+
+
+def part_bits(amplitudes):
+    """The amplitudes' parts as hex text: equal bits, signed zeros included."""
+    return [(z.real.hex(), z.imag.hex()) for z in amplitudes]
+
+
+def compose_once(angles, state):
+    """Hadamards (None) and phase rotations by already reduced angles, applied to
+    the plain amplitude pair, then one checked state."""
+    a, b = state.amplitudes
+    for angle in angles:
+        if angle is None:
+            a, b = (a + b) * INV_SQRT2, (a - b) * INV_SQRT2
+        else:
+            b = b * cmath.exp(1j * angle)
+    return PureState([a, b]).amplitudes
 
 
 class TestParsing:
@@ -214,11 +234,10 @@ class TestBinding:
         assert out.amplitudes == apply_gate(Gate("P", 1.0), s).amplitudes
 
     def test_each_gate_gets_its_evaluated_angle(self):
+        # the evaluated gates composed on plain amplitudes, checked once at the end
         out = run_circuit(general_state_circuit(), {"theta": 0.25, "phi": 0.5}, ket("0"))
-        state = ket("0")
-        for gate in [Gate("H"), Gate("P", 2 * 0.25), Gate("H"), Gate("P", math.pi / 2 + 0.5)]:
-            state = apply_gate(gate, state)
-        assert out.amplitudes == state.amplitudes
+        assert part_bits(out.amplitudes) == part_bits(
+            compose_once([None, 2 * 0.25, None, math.pi / 2 + 0.5], ket("0")))
 
     def test_apply_gate_binds_nothing(self):
         with pytest.raises(UnboundSymbolError, match="symbol 'theta' is unbound"):
@@ -315,6 +334,43 @@ class TestExecution:
     def test_two_qubit_state_rejected(self):
         with pytest.raises(DomainError):
             apply_gate(Gate("H"), ket("00"))
+
+    def test_checked_once_stays_within_two_ulp_of_a_check_per_gate(self):
+        """run_circuit checks its state once, after the last gate; the apply_gate
+        chain checks (and renormalizes) after every gate.  Over 4000 seeded
+        circuits of 1 to 10 gates the parts differ by at most 2 ulp of 1, the
+        scale of a unit vector's parts (1.5 measured; 2796 of the 4000 differ),
+        and the bits agree exactly for one-gate circuits."""
+        rng = random.Random("checked once")
+        ulp_of_one = math.ulp(1.0)
+        worst, differing = 0.0, 0
+        for _ in range(4000):
+            gates = tuple(Gate("H") if rng.random() < 0.5 else Gate("P", rng.uniform(-20.0, 20.0))
+                          for _ in range(rng.randint(1, 10)))
+            theta, phi = rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi)
+            state = PureState([math.cos(theta), math.sin(theta) * cmath.exp(1j * phi)])
+            once = run_circuit(Circuit(gates, frozenset()), {}, state).amplitudes
+            chained = state
+            for gate in gates:
+                chained = apply_gate(gate, chained)
+            if len(gates) == 1:
+                assert part_bits(once) == part_bits(chained.amplitudes)
+            for x, y in zip(once, chained.amplitudes):
+                worst = max(worst, abs(x.real - y.real) / ulp_of_one,
+                            abs(x.imag - y.imag) / ulp_of_one)
+            differing += part_bits(once) != part_bits(chained.amplitudes)
+        assert worst <= 2.0, f"largest gap {worst} ulp of 1"
+        assert differing > 0  # the routes do differ, so the bound is a real check
+
+    def test_run_circuit_is_the_compose_once_reference(self):
+        rng = random.Random("compose once")
+        for _ in range(500):
+            gates = tuple(Gate("H") if rng.random() < 0.5 else Gate("P", rng.uniform(-60.0, 60.0))
+                          for _ in range(rng.randint(1, 8)))
+            state = PureState([complex(0.6, rng.choice((0.0, -0.0))), 0.8j])
+            out = run_circuit(Circuit(gates, frozenset()), {}, state)
+            angles = [_angle(gate, {}) for gate in gates]
+            assert part_bits(out.amplitudes) == part_bits(compose_once(angles, state))
 
 
 class TestPreparationCircuits:

@@ -55,6 +55,53 @@ records_strategy = st.lists(st.builds(
     outputs=st.dictionaries(texts, reals, min_size=1),
     metadata=st.dictionaries(texts, texts),
 ), max_size=4)
+# texts that are markup in str.format or %-templates, quotes and non-ASCII
+TEMPLATE_TEXTS = ["%", "%s", "%%", "{", "}", "{0}", "{}", "{{}}", "{0:.12g}", '"', "'",
+                  "\u00e9", "\u043a\u043b\u044e\u0447", "\u2028", "\U0001f600", "a,b", ""]
+keys = st.one_of(texts, st.sampled_from(TEMPLATE_TEXTS))
+
+
+@st.composite
+def mixed_shape_records(draw, max_shapes=3):
+    """Records drawn from a few shapes (command and key lists), each record with
+    its shape's keys in a fresh order and fresh values, metadata included."""
+    key_lists = st.lists(keys, unique=True, max_size=4)
+    shapes = draw(st.lists(st.tuples(keys, key_lists, st.lists(keys, unique=True, min_size=1,
+                                                                max_size=4), key_lists),
+                           min_size=1, max_size=max_shapes))
+    records = []
+    for _ in range(draw(st.integers(0, 6))):
+        command, inputs, outputs, metadata = draw(st.sampled_from(shapes))
+        inputs, outputs, metadata = (draw(st.permutations(k)) for k in (inputs, outputs, metadata))
+        records.append(RunRecord(command, {k: draw(reals) for k in inputs},
+                                 {k: draw(reals) for k in outputs},
+                                 {k: draw(st.one_of(texts, st.sampled_from(TEMPLATE_TEXTS)))
+                                  for k in metadata}))
+    return records
+
+
+def csv_reference(records):
+    """The CSV bytes emit pins itself to: the first record's sorted input then
+    output names, and each record's reals by name to 12 significant digits."""
+    if not records:
+        return b""
+    in_names, out_names = sorted(records[0].inputs), sorted(records[0].outputs)
+    if any(sorted(r.inputs) != in_names or sorted(r.outputs) != out_names for r in records):
+        raise DomainError("csv output needs records with a common shape")
+    lines = [",".join(in_names + out_names)]
+    for r in records:
+        lines.append(",".join([format(float(r.inputs[k]), ".12g") for k in in_names]
+                              + [format(float(r.outputs[k]), ".12g") for k in out_names]))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def emit_outcome(fn, records, *args):
+    """fn's bytes, or its error's type and text (a lone surrogate in a CSV name
+    cannot be encoded)."""
+    try:
+        return fn(records, *args)
+    except (DomainError, UnicodeEncodeError) as exc:
+        return type(exc), str(exc)
 
 
 class TestRunRecord:
@@ -178,6 +225,30 @@ class TestEmit:
     @settings(max_examples=150, deadline=None)
     def test_json_is_json_dumps_bytes(self, records):
         assert emit(records, "json") == json_dumps_bytes(records)
+
+    @given(mixed_shape_records())
+    @example([RunRecord("{0}", {"%s": 1.0, "{": 2.0}, {"}": 3.0}, {"%": "{}"}),
+              RunRecord("{0}", {"{": 2.5, "%s": 1.5}, {"}": 3.5}, {"%": "%s"})])
+    @settings(max_examples=150, deadline=None)
+    def test_json_of_mixed_shapes_is_json_dumps_bytes(self, records):
+        assert emit(records, "json") == json_dumps_bytes(records)
+
+    @given(mixed_shape_records())
+    @settings(max_examples=150, deadline=None)
+    def test_csv_of_mixed_shapes_matches_the_reference(self, records):
+        assert emit_outcome(emit, records, "csv") == emit_outcome(csv_reference, records)
+
+    @given(mixed_shape_records(max_shapes=1))
+    @settings(max_examples=100, deadline=None)
+    def test_csv_of_one_shape_in_any_key_order_matches_the_reference(self, records):
+        assert emit_outcome(emit, records, "csv") == emit_outcome(csv_reference, records)
+
+    def test_metadata_values_may_differ_within_a_shape(self):
+        # rgflow's mu_clamped: one shape, its metadata values record by record
+        records = sweep("rgflow", SweepSpec("separation", 0.2, 12.0, 40), {"a": 0.5, "c": 1.0})
+        assert {r.metadata["mu_clamped"] for r in records} == {"true", "false"}
+        assert emit(records, "json") == json_dumps_bytes(records)
+        assert emit(records, "csv") == csv_reference(records)
 
     def test_json_edge_values(self):
         records = [
