@@ -4,7 +4,9 @@ The small-state code runs in plain Python and must give the bits the array
 code gave: the sweep grid those of ``np.linspace``, ``prepare_spinor`` those
 of the array rows of ``berry.spinor_amplitudes``.  ``unit_vector`` takes its
 norm from ``math.fsum`` rather than numpy's BLAS dot, so it may differ from a
-numpy reference by a rounding or two, but in no sign and in no verdict.
+numpy reference by a rounding or two, but in no sign and in no verdict.  Its
+fast path for 2 or 4 plain floats or complexes must give the checked path's
+bits, and raise its errors.
 """
 
 from __future__ import annotations
@@ -239,11 +241,9 @@ def test_fast_unit_vector_decides_the_tolerance_edge_as_the_checked_path(n):
     "10", np.array([0.6, 0.8]), {1.0: 0, 0.0: 1}, [[1.0, 0.0]],
 ], ids=repr)
 def test_fast_unit_vector_leaves_every_other_input_to_the_checked_path(values):
-    if not isinstance(values, (list, tuple)):
-        assert outcome(unit_vector, values) == outcome(_checked_unit_vector, values)
-        return
     assert_same_outcome(values)
-    assert_same_outcome(tuple(values))
+    if isinstance(values, list):
+        assert_same_outcome(tuple(values))
 
 
 def test_fast_unit_vector_leaves_iterators_to_the_checked_path():
