@@ -30,37 +30,20 @@ from .phases import (  # noqa: F401  MAX_SEGMENTS stays readable as berry.MAX_SE
 from .states import NORM_TOLERANCE, PureState, _off_unit
 
 
-def unit_rows(values, what: str) -> np.ndarray:
-    """The row-wise ``states.unit_vector``: a new complex array with every row at unit 2-norm.
-
-    Every row is held to the ``unit_vector`` contract, with its messages; the
-    first offending row's norm is the one reported.  A finite row whose
-    squared parts overflow has norm inf and is rejected without a warning.
-    Rows are scaled by ``_scale_rows``: one reciprocal per row and one real
-    multiply per float part, with the bits of numpy's complex division by the
-    norm.  That division keeps a -0.0 real part only when the imaginary part
-    has the sign bit set, and a -0.0 imaginary part only when the real part
-    does not; every other -0.0 part becomes +0.0, here too.
-    """
-    arr = np.array(values, dtype=np.complex128, order="C")  # C order: _scale_rows' float view
-    if arr.ndim == 0:
-        raise DomainError(f"{what} must be an array of rows")
-    with np.errstate(over="ignore"):
-        return _unit_rows(arr, what)
-
-
-def _unit_rows(arr: np.ndarray, what: str) -> np.ndarray:
-    """``unit_rows`` on a C-ordered complex128 array the caller owns, renormalized in place."""
+def _unit_rows(arr: np.ndarray) -> np.ndarray:
+    """A C-ordered (n, 2) or (n, 4) complex128 array the caller owns, its rows
+    checked (the first offending row's norm is the one reported), scaled to
+    unit norm in place with the bits of numpy's complex division by the norm,
+    and frozen."""
     if not np.isfinite(arr).all():
-        raise DomainError(f"{what} must be finite")
-    # a view, as arr is C-ordered; the row count is explicit for rows of length 0
-    rows = arr.reshape(math.prod(arr.shape[:-1]), arr.shape[-1])
-    norms = _row_norms(rows)
+        raise DomainError("state must be finite")
+    norms = _row_norms(arr)
     dev = norms - 1.0
     np.abs(dev, out=dev)
     if dev.max(initial=0.0) > NORM_TOLERANCE:
-        raise _off_unit(float(norms[dev > NORM_TOLERANCE][0]), what)
-    _scale_rows(rows, norms)
+        raise _off_unit(float(norms[dev > NORM_TOLERANCE][0]), "state")
+    _scale_rows(arr, norms)
+    arr.flags.writeable = False
     return arr
 
 
@@ -106,18 +89,14 @@ def _scale_rows(rows: np.ndarray, norms: np.ndarray) -> None:
 
 
 def _row_norms(arr: np.ndarray) -> np.ndarray:
-    """The bits of ``np.linalg.norm(arr, axis=-1)`` for an (n, d) arr, without its
-    reduce over a short axis.
+    """The bits of ``np.linalg.norm(arr, axis=-1)`` for an (n, 2) or (n, 4) arr,
+    without its reduce over a short axis.
 
     |x|^2 is the real part of numpy's complex product conj(x)*x, which may be
-    a fused multiply-add, as in ``np.linalg.norm``.  For rows of 2 or 4 the
-    product is formed one column at a time, a block of rows at a time, in
-    reused buffers, and the columns are summed left to right, the order
-    numpy's reduce adds them in.
+    a fused multiply-add, as in ``np.linalg.norm``.  The product is formed one
+    column at a time, a block of rows at a time, in reused buffers, and the
+    columns are summed left to right, the order numpy's reduce adds them in.
     """
-    if arr.shape[1] not in (2, 4):
-        # not a loop's width: unit_rows takes rows of any length
-        return np.linalg.norm(arr, axis=-1)
     norms = np.empty(len(arr))
     conjugates = np.empty(min(len(arr), _BLOCK_ROWS), dtype=np.complex128)
     products = np.empty_like(conjugates)
@@ -143,7 +122,7 @@ def spinor_amplitudes(theta: float, phi, orientation: Orientation) -> np.ndarray
     DOWN: (sin(theta/2), cos(theta/2) e^{+i phi})
 
     The result has shape ``np.shape(phi) + (2,)``; its rows are neither checked
-    nor renormalized (``unit_rows`` does that).  Each row has the bits of
+    nor renormalized (``Loop`` does that).  Each row has the bits of
     ``circuits.prepare_spinor``'s amplitudes before renormalization.
     """
     half = theta / 2.0
@@ -165,26 +144,28 @@ def spinor_amplitudes(theta: float, phi, orientation: Orientation) -> np.ndarray
 class Loop(Sequence):
     """Read-only sequence of states backed by one (n, d) complex amplitude array.
 
-    Building a Loop holds every row to the package's normalization contract
-    (``unit_rows``: finite, 2-norm within 1e-6 of 1, renormalized) and
-    freezes the array.  Items are ``PureState`` values with the bits of their
+    Building a Loop copies the rows and holds each to ``states.unit_vector``'s
+    contract, with its messages: finite, 2-norm within 1e-6 of 1, renormalized.
+    A finite row whose squared parts overflow has norm inf and is rejected
+    without a warning.  Items are ``PureState`` values with the bits of their
     rows, and slices are Loops that share the array.
     """
 
     __slots__ = ("_amps",)
 
     def __init__(self, amplitudes) -> None:
-        arr = np.asarray(amplitudes, dtype=np.complex128)  # unit_rows makes the copy
+        arr = np.array(amplitudes, dtype=np.complex128, order="C")  # _scale_rows' float view
         if arr.ndim != 2 or arr.shape[1] not in (2, 4):
             raise DomainError("loop amplitudes must have shape (n, 2) or (n, 4)")
-        self._amps = _frozen(unit_rows(arr, "state"))
+        with np.errstate(over="ignore"):
+            self._amps = _unit_rows(arr)
 
     @classmethod
     def _adopt(cls, arr: np.ndarray) -> Loop:
         """A Loop over a complex128 (n, 2) or (n, 4) array that nothing else holds,
         without copying it."""
         loop = object.__new__(cls)
-        loop._amps = _frozen(_unit_rows(arr, "state"))
+        loop._amps = _unit_rows(arr)
         return loop
 
     @property
@@ -205,11 +186,6 @@ class Loop(Sequence):
         state = object.__new__(PureState)
         state._amps = tuple(self._amps[operator.index(index)].tolist())
         return state
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 def holonomy_numeric(path: Sequence[PureState]) -> GeometricPhase:

@@ -2,17 +2,16 @@
 
 Records are emitted as JSON (default) or CSV.  Identical invocations produce
 byte-identical output.  Exit codes: 0 success, 1 domain error (bad physics
-input), 2 usage error (bad flags).
+input), 2 usage error (bad command or flags, one ``spinphase: <message>`` line).
 
-Each command is one ``_COMMANDS`` entry (help, loader, flag specs).  The parser
-is generated from it, and a sweep reads its fixed flags once by the same specs.
+Each command is one ``_COMMANDS`` entry (help, loader, flag specs).  Every flag
+is read once by those specs (``_read``); help and usage text come from it too.
 A loader imports the modules its command computes with and returns the runner,
 once per invocation, so a call loads only what its own command needs.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from functools import cached_property
@@ -28,8 +27,8 @@ if TYPE_CHECKING:
 MAX_STEPS = 100_000  # grid points per sweep; each point holds one record
 
 
-class _UsageError(Exception):
-    """Bad flag combination caught after argparse; maps to exit code 2."""
+class _UsageError(DomainError):
+    """A bad command or flag: exit code 2 from the CLI, a DomainError in a library call."""
 
 
 class RunRecord(Frozen):
@@ -187,10 +186,7 @@ def emit(records: Sequence[RunRecord], format: str) -> bytes:
 
 
 def _complex_flag(text: str) -> complex:
-    try:  # one or two reals; a third part is a TypeError
-        return complex(*map(float, text.split(",")))
-    except (TypeError, ValueError):
-        raise argparse.ArgumentTypeError(f"expected 're' or 're,im', got {text!r}") from None
+    return complex(*map(float, text.split(",")))  # one or two reals; a third is a TypeError
 
 
 class _Flag(NamedTuple):
@@ -203,7 +199,6 @@ class _Flag(NamedTuple):
     default: object = None
     choices: tuple[str, ...] | None = None
     metavar: str | None = None
-    help: str | None = None
     sweep: str | None = None
 
     @property
@@ -219,6 +214,35 @@ class _Command(NamedTuple):
     help: str
     load: Callable[[], Callable[..., list[RunRecord]]]
     flags: tuple[_Flag, ...]
+
+
+def _read(flags: Sequence[_Flag], given: Mapping[str, object], context: str,
+          swept: _Flag | None = None) -> dict[str, object]:
+    """The runner's keywords for given, {flag name (dashes optional): text, or
+    True/False for a switch}, each text read once by its flag's converter.
+    Unknown names, values a flag does not take, and flags without a default
+    that are neither given nor swept are usage errors; context leads the last two."""
+    by_name = {flag.name: flag for flag in flags}
+    kwargs = {flag.dest: flag.default for flag in flags if flag.default is not None}
+    for key, value in given.items():
+        key = key.removeprefix("--")
+        if value is False or value is None:
+            continue
+        if key not in by_name:
+            raise _UsageError(f"unrecognized arguments: --{key} {value}")
+        flag = by_name[key]
+        try:  # read once, from the value's text, as on the command line
+            if (value is True) != (flag.type is bool):
+                raise ValueError(value)
+            kwargs[flag.dest] = value if value is True else flag.type(str(value))
+            if flag.choices and kwargs[flag.dest] not in flag.choices:
+                raise ValueError(value)
+        except (TypeError, ValueError):
+            raise _UsageError(f"{context}: --{key} {value}") from None
+    missing = [f"--{f.name}" for f in flags if f.dest not in kwargs and f is not swept]
+    if missing:
+        raise _UsageError(f"{context}: missing {', '.join(missing)}")
+    return kwargs
 
 
 _SPIN = _Flag("spin", str, choices=("up", "down"))
@@ -443,16 +467,17 @@ def _rgflow():
 
 def _run_sweep(cmd: str, param: str, start: float, stop: float, steps: int,
                **fixed: object) -> list[RunRecord]:
+    """The sweep command's runner; fixed holds the target's flags as given."""
     try:
         spec = SweepSpec(param, start, stop, steps)
     except DomainError as exc:
         raise _UsageError(str(exc)) from exc
-    return _sweep(cmd, spec, {dest.replace("_", "-"): value for dest, value in fixed.items()})
+    return sweep(cmd, spec, fixed)
 
 
 _COMMANDS = {
-    "phase": _Command("analytic closed-loop phase of one spinor", _phase, (
-        _SPIN, _THETA, _Flag("degrees", bool, False, help="read --theta in degrees"))),
+    "phase": _Command("analytic closed-loop phase of one spinor, --theta in radians or "
+                      "--degrees", _phase, (_SPIN, _THETA, _Flag("degrees", bool, False))),
     "holonomy": _Command("discrete loop-transport phase against the analytic value",
                          _holonomy, (_SPIN, _THETA, _Flag("segments", int, 20000))),
     "circuit": _Command("run a circuit file on |0>", _circuit, (
@@ -474,32 +499,13 @@ _SWEEP_TARGETS = sorted(_COMMANDS)
 _TARGET_FLAGS = {f.name: f for command in _COMMANDS.values() for f in command.flags}
 # sweep parameter -> a flag it drives
 _SWEEPABLE = {f.sweep: f for f in _TARGET_FLAGS.values() if f.sweep}
-_COMMANDS["sweep"] = _Command("run another command over a uniform parameter grid",
-                              lambda: _run_sweep, (
+_COMMANDS["sweep"] = _Command("run another command, with its other flags, over a uniform "
+                              "parameter grid", lambda: _run_sweep, (
     _Flag("cmd", str, metavar="COMMAND"), _Flag("param", str, choices=tuple(sorted(_SWEEPABLE))),
-    _Flag("start"), _Flag("stop"), _Flag("steps", int),
-    # the target's flags, kept as given and read later by the target's own specs
-    *(_Flag(f.name, bool if f.type is bool else str, argparse.SUPPRESS, help=argparse.SUPPRESS)
-      for f in _TARGET_FLAGS.values())))
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="spinphase",
-        description="Geometric phases of driven spin-1/2 systems, from the command line.",
-        allow_abbrev=False,
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
-        p.add_argument("--format", choices=("csv", "json"), default="json")
-        p.add_argument("--output", default=None, metavar="PATH")
-        for flag in command.flags:
-            kind = dict(action="store_true") if flag.type is bool else dict(
-                type=flag.type, required=flag.default is None, choices=flag.choices,
-                metavar=flag.metavar)
-            p.add_argument(f"--{flag.name}", default=flag.default, help=flag.help, **kind)
-    return parser
+    _Flag("start"), _Flag("stop"), _Flag("steps", int)))
+# every command's own; an empty --output writes to stdout
+_OUTPUT_FLAGS = (_Flag("format", str, "json", choices=("csv", "json")),
+                 _Flag("output", str, "", metavar="PATH"))
 
 
 # ---------------------------------------------------------------------------
@@ -517,31 +523,18 @@ def _grid(spec: SweepSpec) -> list[float]:
     return [start + i * step for i in range(div)] + [stop]
 
 
-def _sweep(name: str, spec: SweepSpec, fixed: Mapping[str, object]) -> list[RunRecord]:
-    if name not in _SWEEP_TARGETS:
+def sweep(subcommand: str, spec: SweepSpec, fixed: Mapping[str, object]) -> list[RunRecord]:
+    """Run one subcommand over the grid, one record per point, in grid order.
+
+    fixed supplies the non-swept flags by their dashed names (leading dashes
+    optional).  Each value is read once by its flag's converter, from its text
+    as on the command line; True/False switch bare flags on and off.
+    """
+    if subcommand not in _SWEEP_TARGETS:
         raise _UsageError(f"--cmd must be one of {_SWEEP_TARGETS}")
-    command = _COMMANDS[name]
-    flags = {flag.name: flag for flag in command.flags}
-    kwargs = {f.dest: f.default for f in command.flags if f.default is not None}
-    for key, value in fixed.items():
-        key = key.removeprefix("--")
-        if value is False or value is None:
-            continue
-        if key not in flags:
-            raise _UsageError(f"unrecognized arguments: --{key} {value}")
-        flag = flags[key]
-        try:  # read once, from the value's text, as on the command line
-            if (value is True) != (flag.type is bool):
-                raise ValueError(value)
-            kwargs[flag.dest] = value if value is True else flag.type(str(value))
-            if flag.choices and kwargs[flag.dest] not in flag.choices:
-                raise ValueError(value)
-        except (ValueError, argparse.ArgumentTypeError):
-            raise _UsageError(f"fixed flags do not fit {name}: --{key} {value}") from None
+    command = _COMMANDS[subcommand]
     swept = next((f for f in command.flags if f.sweep == spec.parameter), None)
-    missing = [f"--{f.name}" for f in command.flags if f.dest not in kwargs and f is not swept]
-    if missing:
-        raise _UsageError(f"fixed flags do not fit {name}: missing {', '.join(missing)}")
+    kwargs = _read(command.flags, fixed, f"fixed flags do not fit {subcommand}", swept)
     if swept is None:
         flag = _SWEEPABLE[spec.parameter].name
         raise _UsageError(f"unrecognized arguments: --{flag} {float(spec.start)!r}")
@@ -559,60 +552,88 @@ def _sweep(name: str, spec: SweepSpec, fixed: Mapping[str, object]) -> list[RunR
     return records
 
 
-def sweep(subcommand: str, spec: SweepSpec, fixed: Mapping[str, object]) -> list[RunRecord]:
-    """Run one subcommand over the grid, one record per point, in grid order.
-
-    fixed supplies the non-swept flags by their dashed names (leading dashes
-    optional).  Each value is read once by its flag's converter, from its text
-    as on the command line; True/False switch bare flags on and off.
-    """
-    try:
-        return _sweep(subcommand, spec, fixed)
-    except _UsageError as exc:
-        raise DomainError(str(exc)) from exc
-
-
 # ---------------------------------------------------------------------------
 # entry points
 
 
-def _run(args: argparse.Namespace, extras: list[str]) -> list[RunRecord]:
-    if extras:
-        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
-    command = _COMMANDS[args.command]
-    return command.load()(**{f.dest: getattr(args, f.dest) for f in command.flags
-                          if hasattr(args, f.dest)})
+def _help(name: str | None) -> str:
+    """--help text from the command table, in a fixed layout that never wraps."""
+    if name is None:
+        width = max(map(len, _COMMANDS))
+        lines = [f"  {cmd:<{width}}  {command.help}\n" for cmd, command in _COMMANDS.items()]
+        return ("usage: spinphase COMMAND [--FLAG VALUE ...]\n\n"
+                "Geometric phases of driven spin-1/2 systems, from the command line.\n\n"
+                "commands (spinphase COMMAND --help lists its flags):\n" + "".join(lines))
+    words = []
+    for flag in _OUTPUT_FLAGS + _COMMANDS[name].flags:
+        value = "{%s}" % ",".join(flag.choices) if flag.choices else \
+            flag.metavar or flag.dest.upper()
+        word = f"--{flag.name}" if flag.type is bool else f"--{flag.name} {value}"
+        words.append(word if flag.default is None else f"[{word}]")
+    return f"usage: spinphase {name} {' '.join(words)}\n\n{_COMMANDS[name].help}\n"
+
+
+def _invoke(argv: Sequence[str]) -> tuple[list[RunRecord], str, str] | None:
+    """The records argv asks for, with the format and output path, or None once
+    the help it asks for is printed.  The token after a value flag is its value
+    whatever it starts with, so ``--start -3e-05`` reads as a number."""
+    name = argv[0] if argv else None
+    if name in ("-h", "--help"):
+        sys.stdout.write(_help(None))
+        return None
+    if name not in _COMMANDS:
+        problem = "missing command" if name is None else f"unknown command {name!r}"
+        raise _UsageError(f"{problem}; COMMAND is one of {', '.join(_COMMANDS)}")
+    flags = _OUTPUT_FLAGS + _COMMANDS[name].flags
+    # a sweep passes its target's flags on as given, for their own specs to read
+    passed = tuple(_TARGET_FLAGS.values()) if name == "sweep" else ()
+    switches = {f"--{flag.name}" for flag in flags + passed if flag.type is bool}
+    own, given, fixed = {f"--{flag.name}" for flag in flags}, {}, {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            sys.stdout.write(_help(name))
+            return None
+        key, is_pair, text = token.partition("=")
+        if not key.startswith("--") or key == "--":
+            raise _UsageError(f"unrecognized arguments: {token}")
+        value = text if is_pair else True if key in switches else next(tokens, None)
+        if value is None:
+            raise _UsageError(f"{key} needs a value")
+        (fixed if passed and key not in own else given)[key] = value
+    kwargs = _read(flags, given, f"invalid flags for {name}")
+    format, output = kwargs.pop("format"), kwargs.pop("output")
+    return _COMMANDS[name].load()(**kwargs, **fixed), format, output
 
 
 def run_records(argv: Sequence[str]) -> list[RunRecord]:
-    """Parse argv and build the records, without serializing or exiting.
-
-    Raises SystemExit (from argparse), _UsageError, or DomainError; mainly a
-    seam for tests and for callers who want records rather than bytes.
-    """
-    return _run(*_build_parser().parse_known_args(list(argv)))
+    """Read argv and build the records, without serializing or exiting (help is
+    printed and builds none).  Raises DomainError, a _UsageError for a bad
+    command or flag; a seam for tests and for callers who want records."""
+    invoked = _invoke(argv)
+    return [] if invoked is None else invoked[0]
 
 
 def dispatch(argv: Sequence[str]) -> int:
     """Run one invocation; returns the process exit code instead of exiting."""
     try:
-        args, extras = _build_parser().parse_known_args(list(argv))
-        payload = emit(_run(args, extras), args.format)
-        if args.output:
+        invoked = _invoke(argv)
+        if invoked is None:
+            return 0
+        records, format, output = invoked
+        payload = emit(records, format)
+        if output:
             try:
-                Path(args.output).write_bytes(payload)
+                Path(output).write_bytes(payload)
             except OSError as exc:
                 raise DomainError(f"cannot write output file: {exc}") from exc
         else:
             sys.stdout.write(payload.decode("utf-8"))
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
     except _UsageError as exc:
         print(f"spinphase: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
-        command = argv[0] if argv else "spinphase"
-        print(f"{command}: {exc}", file=sys.stderr)
+        print(f"{argv[0]}: {exc}", file=sys.stderr)  # argv names a command: else a usage error
         return 1
     return 0
 

@@ -1,7 +1,7 @@
 """Error types shared across the toolkit.
 
-Everything domain-related derives from DomainError so callers (and the CLI
-dispatcher) can tell bad physics inputs apart from plain usage mistakes.
+Everything domain-related derives from DomainError, so callers can tell bad
+physics inputs apart from other errors; the CLI's usage errors derive from it.
 """
 
 

@@ -9,8 +9,8 @@ states are arrays (``berry``).
 One normalization contract covers every unit vector in the package (states,
 Bell and bipartite weights, Rabi coefficients): ``unit_vector`` accepts finite
 values whose 2-norm is within 1e-6 of 1 and renormalizes them, and rejects
-anything else, so silent normalization drift is distinguished from caller bugs.  ``berry.unit_rows`` applies the same contract
-to every row of an array at once, for loops of states, and
+anything else, so silent normalization drift is distinguished from caller
+bugs.  ``berry.Loop`` applies it to every row of a loop at once, and
 ``phases.spinor_holonomy`` to each row of the loop it streams.
 """
 
@@ -96,7 +96,11 @@ def _checked_unit_vector(values, what: str) -> tuple[complex, ...]:
         raise DomainError(f"{what} must be a flat sequence of numbers") from None
     if not all(map(cmath.isfinite, amps)):
         raise DomainError(f"{what} must be finite")
-    norm = math.sqrt(math.fsum([z.real * z.real for z in amps] + [z.imag * z.imag for z in amps]))
+    try:
+        norm = math.sqrt(math.fsum([z.real * z.real for z in amps]
+                                   + [z.imag * z.imag for z in amps]))
+    except OverflowError:  # finite squares whose sum overflows: the norm is inf
+        norm = math.inf
     if abs(norm - 1.0) > NORM_TOLERANCE:
         raise _off_unit(norm, what)
     inv = 1.0 / norm

@@ -403,10 +403,8 @@ class TestLoopSequence:
         # RuntimeWarning (pytest turns warnings into errors)
         with pytest.raises(DomainError, match="state norm inf"):
             Loop([[1e200, 0.0]])
-        with pytest.raises(DomainError, match="row norm inf"):
-            berry.unit_rows([[0.0, 1e200j], [1.0, 0.0]], "row")
-        with pytest.raises(DomainError, match="array of rows"):
-            berry.unit_rows(1.0, "row")
+        with pytest.raises(DomainError, match="state norm inf"):
+            Loop([[0.0, 1e200j], [1.0, 0.0]])
 
 
 class TestDiscreteOracle:
@@ -755,7 +753,6 @@ def zero_sign_counts(rows):
 def test_scaled_rows_keep_the_divisions_signed_zeros(width):
     rows = rows_with_signed_zeros(width)
     want = reference_unit_rows(rows)
-    assert berry.unit_rows(rows, "row").tobytes() == want.tobytes()
     assert Loop(rows).amplitudes.tobytes() == want.tobytes()
     # the division turns some -0.0 parts into +0.0 and keeps others
     negative_before, positive_before = zero_sign_counts(rows)
@@ -766,17 +763,16 @@ def test_scaled_rows_keep_the_divisions_signed_zeros(width):
 @pytest.mark.parametrize("width", [2, 4])
 def test_scaled_rows_do_not_depend_on_the_input_layout(width):
     rows = rows_with_signed_zeros(width, count=500, seed=1)
-    want = berry.unit_rows(rows, "row").tobytes()
+    want = Loop(rows).amplitudes.tobytes()
     assert want == reference_unit_rows(rows).tobytes()
     fortran = np.asfortranarray(rows)
     assert not fortran.flags.c_contiguous
     strided = np.repeat(rows, 2, axis=1)[:, ::2]
     assert not strided.flags.c_contiguous
     for layout in (fortran, strided):
-        assert berry.unit_rows(layout, "row").tobytes() == want
         assert Loop(layout).amplitudes.tobytes() == want
-    # one row at a time, as a 1-D array: a row of the Fortran array is strided too
-    one_by_one = b"".join(berry.unit_rows(row, "row").tobytes() for row in fortran)
+    # one row at a time, a one-row Loop each: a row of the Fortran array is strided too
+    one_by_one = b"".join(Loop([row]).amplitudes.tobytes() for row in fortran)
     assert one_by_one == want
 
 
@@ -793,13 +789,6 @@ def test_blocks_of_one_row_keep_the_reference_bits():
                 raw = reference_raw_rows(family, float(theta), segments)
                 got = build(family, float(theta), segments).amplitudes
                 assert got.tobytes() == reference_unit_rows(raw).tobytes(), (family, theta)
-
-
-def test_wide_rows_keep_the_divisions_signed_zeros():
-    rows = rows_with_signed_zeros(8, count=500, seed=2)
-    assert berry.unit_rows(rows, "row").tobytes() == reference_unit_rows(rows).tobytes()
-    assert berry.unit_rows(np.asfortranarray(rows), "row").tobytes() == \
-        reference_unit_rows(rows).tobytes()
 
 
 def test_public_constructor_copies_the_callers_array():

@@ -1,6 +1,5 @@
 """Command-line dispatch: records, serialization, sweeps, exit codes."""
 
-import argparse
 import json
 import math
 from fractions import Fraction
@@ -21,7 +20,7 @@ from spinphase import (
     run_records,
     sweep,
 )
-from spinphase import circuits
+from spinphase import circuits, cli
 from spinphase.cli import MAX_STEPS
 
 TWO_PI = 2.0 * math.pi
@@ -652,21 +651,26 @@ class TestSweepCommand:
         assert dispatch(argv) == 2
 
     def test_sweeps_parse_argv_at_most_once(self, monkeypatch, capsys):
-        parsed = []
-        original = argparse.ArgumentParser.parse_known_args
+        # every flag goes through the one reader; count its calls
+        reads = []
+        original = cli._read
 
-        def counting(self, *args, **kwargs):
-            parsed.append(self.prog)
-            return original(self, *args, **kwargs)
+        def counting(flags, given, context, *args):
+            reads.append((context, dict(given)))
+            return original(flags, given, context, *args)
 
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        monkeypatch.setattr(cli, "_read", counting)
         sweep("phase", SweepSpec("theta", 0.0, 1.0, 50), {"spin": "up"})
-        assert parsed == []
+        assert reads == [("fixed flags do not fit phase", {"spin": "up"})]
+        reads.clear()
         assert dispatch(
             ["sweep", "--cmd", "phase", "--param", "theta", "--start", "0",
              "--stop", "1", "--steps", "50", "--spin", "up"]
         ) == 0
-        assert parsed == ["spinphase", "spinphase sweep"]  # the subparser re-enters
+        # the sweep's own flags, then the target's fixed flags, once each
+        assert [context for context, _ in reads] == \
+            ["invalid flags for sweep", "fixed flags do not fit phase"]
+        assert reads[1][1] == {"--spin": "up"}
 
     def test_one_record_per_grid_point(self, monkeypatch):
         built = []
@@ -718,3 +722,98 @@ class TestOutputHandling:
     def test_unknown_command_exits_two(self, capsys):
         assert dispatch(["nope"]) == 2
         assert dispatch([]) == 2
+
+
+class TestCommandTable:
+    """Help, usage errors and flag values, all read from the command table."""
+
+    def test_help_names_every_command_and_flag(self, capsys):
+        assert dispatch(["--help"]) == 0
+        top = capsys.readouterr().out
+        for name, command in cli._COMMANDS.items():
+            assert f"\n  {name} " in top and f" {command.help}\n" in top
+            assert dispatch([name, "--help"]) == 0
+            text = capsys.readouterr().out
+            assert text == f"{text.splitlines()[0]}\n\n{command.help}\n"
+            assert text.startswith(f"usage: spinphase {name} ")
+            for flag in cli._OUTPUT_FLAGS + command.flags:
+                assert f" --{flag.name} " in text or f"[--{flag.name}" in text, flag.name
+
+    def test_help_does_not_follow_the_terminal_width(self, monkeypatch, capsys):
+        texts = []
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            for argv in (["--help"], ["sweep", "--help"], ["rabi", "-h"], ["noise", "--help"]):
+                assert dispatch(argv) == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("spaced", [
+        ["noise", "--spin", "up", "--theta", "1", "--delta-theta", "-3e-05"],
+        ["rabi", "--omega", "1", "--t", "1", "--c0", "-0.7,0.1", "--c1", "0.7071067811865476"],
+        ["sweep", "--cmd", "noise", "--param", "delta_theta", "--start", "-3e-05", "--stop",
+         "0.2", "--steps", "3", "--spin", "up", "--theta", "1.0"],
+        ["sweep", "--cmd", "rabi", "--param", "omega_t", "--start", "0", "--stop", "1",
+         "--steps", "3", "--omega", "1", "--c0", "-0.7,0.1", "--c1", "0.7071067811865476"],
+    ], ids=["delta-theta", "c0", "start", "sweep-c0"])
+    def test_a_negative_value_after_its_flag_reads_as_a_value(self, spaced, capsys):
+        paired = list(spaced)
+        k = next(k for k, arg in enumerate(spaced) if arg.startswith("-") and arg[1:2] != "-")
+        paired[k - 1:k + 1] = [f"{spaced[k - 1]}={spaced[k]}"]
+        records = run_records(spaced)
+        assert records and [r.as_dict() for r in records] == \
+            [r.as_dict() for r in run_records(paired)]
+        assert dispatch(spaced) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["phase", "--spin", "up", "--theta"],
+        ["rabi", "--omega", "1", "--t", "1", "--c0", "1", "--c1"],
+        ["sweep", "--cmd", "phase", "--param", "theta", "--start", "0", "--stop", "1",
+         "--steps", "2", "--spin"],
+        ["phase", "--spin", "up", "--theta", "1", "--format"],
+    ], ids=["theta", "c1", "sweep-spin", "format"])
+    def test_a_value_flag_at_the_end_is_a_usage_error(self, argv, capsys):
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"spinphase: {argv[-1]} needs a value\n"
+
+    @pytest.mark.parametrize("argv", [
+        [], ["nope"], ["-x"], ["phase", "up"], ["phase", "-t", "1"], ["phase", "--"],
+        ["phase", "--spin", "sideways", "--theta", "1"], ["phase", "--spin=up", "--theta=x"],
+        ["phase", "--spin", "up", "--theta", "1", "--degrees=yes"],
+        ["phase", "--spin", "up", "--theta", "1", "--format", "xml"],
+        ["holonomy", "--spin", "up", "--theta", "1", "--segments", "2.5"],
+        ["rabi", "--omega", "1", "--t", "1", "--c0", "1,0,0", "--c1", "0"],
+        ["rabi", "--omega", "1", "--t", "1", "--c0", "1", "--c1", "0", "--degrees"],
+        ["sweep", "--cmd", "phase", "--param", "phi", "--start", "0", "--stop", "1",
+         "--steps", "2", "--spin", "up"],
+        ["sweep", "--cmd", "phase", "--param", "theta", "--start", "nan", "--stop", "1",
+         "--steps", "2", "--spin", "up"],
+        ["sweep", "--cmd", "phase", "--param", "theta", "--start", "0", "--stop", "1",
+         "--steps", "2", "--spin", "up", "--degrees", "yes"],
+    ])
+    def test_a_usage_error_is_one_stderr_line(self, argv, capsys):
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("spinphase: ") and captured.err.count("\n") == 1
+
+    def test_help_wins_where_a_flag_name_stands(self, capsys):
+        assert dispatch(["phase", "--spin", "up", "-h"]) == 0
+        assert capsys.readouterr().out.startswith("usage: spinphase phase ")
+        # the token after a value flag is its value, even when it reads -h
+        assert dispatch(["phase", "--spin", "-h", "--theta", "1"]) == 2
+        assert capsys.readouterr().err == "spinphase: invalid flags for phase: --spin -h\n"
+        assert run_records(["--help"]) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["rabi", "--omega", "1", "--t", "1", "--c0", "1.2e154", "--c1", "1.2e154"],
+        ["entangle", "--theta", "1", "--alpha", "1.2e154", "--beta", "1.2e154"],
+    ], ids=["rabi", "entangle"])
+    def test_coefficients_whose_squares_overflow_are_a_domain_error(self, argv, capsys):
+        assert dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{argv[0]}: coefficients norm inf not within 1e-06 of 1\n"

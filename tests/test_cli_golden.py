@@ -3,8 +3,9 @@
 Every command in JSON and CSV, sweeps on the argv route (``dispatch``) and on
 the library route (``sweep`` then ``emit``), domain errors (exit 1) and usage
 errors (exit 2).  Each case pins stdout, stderr and the exit code stored in
-``golden/cli_corpus.json``.  Usage and help text are argparse's, laid out at a
-fixed 80-column width.  A case that runs a circuit carries the file's text
+``golden/cli_corpus.json``.  Usage and help text are built from the CLI's
+command table in a fixed layout, so they read the same on every Python and
+at any terminal width.  A case that runs a circuit carries the file's text
 (``Circ``); the file is written afresh for each run.
 
 The expected file is written by running this module as a script:
@@ -19,7 +20,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
 from pathlib import Path
 from typing import NamedTuple
 
@@ -162,19 +162,13 @@ def golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
-@pytest.fixture
-def workdir(tmp_path, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
-    return tmp_path
-
-
 def test_corpus_names_every_case(golden):
     assert sorted(golden) == sorted(CASES)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_case_matches_golden_bytes(name, golden, workdir):
-    assert run_case(CASES[name], workdir) == golden[name]
+def test_case_matches_golden_bytes(name, golden, tmp_path):
+    assert run_case(CASES[name], tmp_path) == golden[name]
 
 
 def test_corpus_covers_every_exit_code(golden):
@@ -187,7 +181,6 @@ def test_corpus_covers_every_exit_code(golden):
 if __name__ == "__main__":
     import tempfile
 
-    os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as tmp:
         corpus = {name: run_case(case, Path(tmp)) for name, case in sorted(CASES.items())}
     GOLDEN.parent.mkdir(exist_ok=True)

@@ -263,11 +263,12 @@ def test_unknown_names_raise_attribute_error():
 
 
 # ---------------------------------------------------------------------------
-# numpy in the source
+# imports in the source
 
 
-def test_only_berry_imports_numpy():
-    # every import statement, at module level or inside a function body
+def importers_of(package: str) -> set[str]:
+    """The package's modules with an import statement of package, at module
+    level or inside a function body."""
     importers = set()
     for path in Path(spinphase.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -277,6 +278,16 @@ def test_only_berry_imports_numpy():
                 modules = [node.module or ""]
             else:
                 continue
-            if any(module.split(".")[0] == "numpy" for module in modules):
+            if any(module.split(".")[0] == package for module in modules):
                 importers.add(path.name)
-    assert importers == {"berry.py"}
+    return importers
+
+
+def test_only_berry_imports_numpy():
+    assert importers_of("numpy") == {"berry.py"}
+
+
+def test_no_module_imports_argparse():
+    # help and usage text come from the command table, so they cannot follow
+    # the Python version's argparse
+    assert importers_of("argparse") == set()

@@ -18,6 +18,7 @@ from spinphase import (
     evolve_coefficients,
     ket,
 )
+from spinphase.states import unit_vector
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -121,6 +122,15 @@ class TestConstruction:
             PureState(np.array([np.nan, 0.0], dtype=complex))
         with pytest.raises(DomainError):
             PureState(np.array([1.0, np.inf * 1j], dtype=complex))
+
+    @pytest.mark.parametrize("values", [
+        [1.2e154, 1.2e154], (complex(1.2e154, 0.0), 1.2e154j), [1.2e154, 0.0, 0.0, 1.2e154],
+        np.array([1e154, 1e154, 1e154, 1e154]),
+    ], ids=["list-2", "tuple-2", "list-4", "array-4"])
+    def test_finite_parts_whose_squares_overflow_have_norm_inf(self, values):
+        # math.fsum raises on the overflowing sum; the norm reads as inf
+        with pytest.raises(DomainError, match=r"^state norm inf not within 1e-06 of 1$"):
+            unit_vector(values, "state")
 
     def test_amplitudes_not_writable(self):
         s = ket("0")
