@@ -116,6 +116,8 @@ CASES = {
                                           "--file", "/nonexistent/x.circ"],
     "usage-stray-flag": ["phase", "--spin", "up", "--theta", "1.0", "--bogus", "1"],
     "usage-sweep-stray-flag": PHASE_SWEEP + ["--spin", "up", "--bogus", "7"],
+    # the swept flag is not given: the grid drives it
+    "usage-sweep-swept-flag": PHASE_SWEEP + ["--spin", "up", "--theta", "0.5", "--format", "csv"],
     "usage-sweep-cmd-sweep": ["sweep", "--cmd", "sweep", "--param", "theta", "--start", "0",
                               "--stop", "1", "--steps", "2"],
     "usage-sweep-steps-1": ["sweep", "--cmd", "phase", "--param", "theta", "--start", "0",
