@@ -220,8 +220,9 @@ def _read(flags: Sequence[_Flag], given: Mapping[str, object], context: str,
           swept: _Flag | None = None) -> dict[str, object]:
     """The runner's keywords for given, {flag name (dashes optional): text, or
     True/False for a switch}, each text read once by its flag's converter.
-    Unknown names, values a flag does not take, and flags without a default
-    that are neither given nor swept are usage errors; context leads the last two."""
+    Unknown names, values a flag does not take, a value for the swept flag, and
+    flags without a default that are neither given nor swept are usage errors;
+    context leads the last three."""
     by_name = {flag.name: flag for flag in flags}
     kwargs = {flag.dest: flag.default for flag in flags if flag.default is not None}
     for key, value in given.items():
@@ -232,7 +233,7 @@ def _read(flags: Sequence[_Flag], given: Mapping[str, object], context: str,
             raise _UsageError(f"unrecognized arguments: --{key} {value}")
         flag = by_name[key]
         try:  # read once, from the value's text, as on the command line
-            if (value is True) != (flag.type is bool):
+            if flag is swept or (value is True) != (flag.type is bool):
                 raise ValueError(value)
             kwargs[flag.dest] = value if value is True else flag.type(str(value))
             if flag.choices and kwargs[flag.dest] not in flag.choices:

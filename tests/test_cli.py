@@ -3,6 +3,7 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -379,6 +380,29 @@ class TestCircuitCommand:
         assert dispatch(["circuit", "--file", str(path)]) == 0
         assert len(parses) == 4
 
+    def test_file_is_read_once_per_invocation(self, tmp_path, monkeypatch):
+        path = tmp_path / "prep.circ"
+        path.write_text("H P(2*theta) H P(pi/2 + phi)\n")
+        reads = []
+        read_text = Path.read_text
+
+        def counting(self, *args, **kwargs):
+            reads.append(self)
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting)
+        argv = ["sweep", "--cmd", "circuit", "--param", "theta", "--start", "0", "--stop",
+                "3", "--steps", "50", "--file", str(path), "--phi", "0.4"]
+        assert len(run_records(argv)) == 50
+        assert reads == [path]
+        spec, fixed = SweepSpec("theta", 0.0, 3.0, 50), {"file": str(path), "phi": 0.4}
+        reads.clear()
+        assert len(sweep("circuit", spec, fixed)) == 50
+        assert reads == [path]
+        # a new invocation reads the file again
+        assert len(sweep("circuit", spec, fixed)) == 50
+        assert reads == [path, path]
+
     def test_rewritten_file_is_read_again(self, tmp_path):
         path = tmp_path / "prep.circ"
         spec = SweepSpec("theta", 0.0, 1.0, 3)
@@ -649,6 +673,29 @@ class TestSweepCommand:
         for name, value in fixed.items():
             argv += [f"--{name}"] if value is True else [f"--{name}", str(value)]
         assert dispatch(argv) == 2
+
+    @pytest.mark.parametrize("cmd, param, fixed, flag", [
+        ("phase", "theta", {"spin": "up", "theta": 0.5}, "--theta 0.5"),
+        ("rabi", "omega_t", {"omega": 1.0, "t": 2.0, "c0": "1", "c1": "0"}, "--t 2.0"),
+        # a flag with a default
+        ("circuit", "theta", {"file": "FILE", "theta": 0.5}, "--theta 0.5"),
+        ("noise", "delta_theta", {"spin": "up", "theta": 1.0, "delta-theta": 0.05},
+         "--delta-theta 0.05"),
+    ])
+    def test_a_value_for_the_swept_flag_is_a_usage_error(self, cmd, param, fixed, flag,
+                                                         tmp_path, capsys):
+        circuit = tmp_path / "prep.circ"
+        circuit.write_text("H P(theta)\n")
+        fixed = {k: str(circuit) if v == "FILE" else v for k, v in fixed.items()}
+        message = f"fixed flags do not fit {cmd}: {flag}"
+        with pytest.raises(cli._UsageError, match=f"^{message}$"):
+            sweep(cmd, SweepSpec(param, 0.0, 1.0, 2), fixed)
+        argv = ["sweep", "--cmd", cmd, "--param", param, "--start", "0", "--stop", "1",
+                "--steps", "2", "--format", "csv"]
+        for name, value in fixed.items():
+            argv += [f"--{name}", str(value)]
+        assert dispatch(argv) == 2
+        assert capsys.readouterr() == ("", f"spinphase: {message}\n")
 
     def test_sweeps_parse_argv_at_most_once(self, monkeypatch, capsys):
         # every flag goes through the one reader; count its calls
