@@ -14,15 +14,11 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from ._angles import TWO_PI, Frozen, check_integer, check_real
 from .errors import DomainError
-
-if TYPE_CHECKING:
-    from .circuits import Circuit
 
 MAX_STEPS = 100_000  # grid points per sweep; each point holds one record
 
@@ -307,38 +303,25 @@ def _holonomy():
     return run
 
 
-class _CircuitFile:
-    """A ``--file`` value: the path, and the circuit in it, read on first use.
-
-    One value serves one invocation (a sweep reads its fixed flags once), so the
-    file is read, parsed and formatted once however many grid points run it,
-    and a missing or bad file is still a domain error at the first point.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-
-    @cached_property
-    def loaded(self) -> tuple[Circuit, str]:
-        """The parsed circuit and its canonical text."""
-        from .circuits import format_circuit, parse_circuit
-
-        try:
-            text = Path(self.path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise DomainError(f"cannot read circuit file: {exc}") from exc
-        circuit = parse_circuit(text)
-        return circuit, format_circuit(circuit)
-
-
 def _circuit():
-    from .circuits import run_circuit
+    from .circuits import format_circuit, parse_circuit, run_circuit
     from .states import ket
 
     zero = ket("0")  # one input state for every point of the invocation
+    # path -> (circuit, canonical text), filled on first use: a sweep reads,
+    # parses and formats its file once however many grid points run it, and a
+    # missing or bad file is still a domain error at the first point
+    loaded: dict[str, tuple] = {}
 
-    def run(file: _CircuitFile, theta: float, phi: float) -> list[RunRecord]:
-        circuit, text = file.loaded
+    def run(file: str, theta: float, phi: float) -> list[RunRecord]:
+        if file not in loaded:
+            try:
+                source = Path(file).read_text(encoding="utf-8")
+            except OSError as exc:
+                raise DomainError(f"cannot read circuit file: {exc}") from exc
+            circuit = parse_circuit(source)
+            loaded[file] = circuit, format_circuit(circuit)
+        circuit, text = loaded[file]
         state = run_circuit(circuit, {"theta": theta, "phi": phi}, zero)
         a = state.amplitudes
         return [RunRecord(
@@ -482,7 +465,7 @@ _COMMANDS = {
     "holonomy": _Command("discrete loop-transport phase against the analytic value",
                          _holonomy, (_SPIN, _THETA, _Flag("segments", int, 20000))),
     "circuit": _Command("run a circuit file on |0>", _circuit, (
-        _Flag("file", _CircuitFile, metavar="PATH"), _Flag("theta", default=0.0, sweep="theta"),
+        _Flag("file", str, metavar="PATH"), _Flag("theta", default=0.0, sweep="theta"),
         _Flag("phi", default=0.0))),
     "rabi": _Command("resonant coefficient evolution", _rabi, (
         _Flag("omega"), _Flag("t", sweep="omega_t"),
