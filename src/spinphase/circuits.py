@@ -32,7 +32,7 @@ from .errors import (
     UnboundSymbolError,
     UnknownSymbolError,
 )
-from .phases import Orientation, SpinorParams
+from .phases import Orientation, SpinorParams, _half_angles
 from .states import PureState
 
 FREE_SYMBOLS = ("theta", "phi")
@@ -378,13 +378,10 @@ def prepare_spinor(
     UP:   (cos(theta/2), sin(theta/2) e^{-i phi}) times e^{+i(phi-chi)/2}
     DOWN: (sin(theta/2), cos(theta/2) e^{+i phi}) times e^{-i(phi-chi)/2}
     """
-    half = params.theta / 2.0
     # complex factors, as for _INV_SQRT2: the bits of berry.spinor_amplitudes' rows
-    c, s = complex(math.cos(half)), complex(math.sin(half))
-    if orientation is Orientation.UP:
-        amps = [c, s * cmath.exp(-1j * params.phi)]
-    else:
-        amps = [s, c * cmath.exp(1j * params.phi)]
+    c, s = map(complex, _half_angles(orientation, params.theta))
+    winding = -1j if orientation is Orientation.UP else 1j
+    amps = [c, s * cmath.exp(winding * params.phi)]
     if include_overall_phase:
         if orientation is Orientation.UP:
             phase = cmath.exp(0.5j * (params.phi - params.chi))

@@ -1,7 +1,9 @@
 """Berry connections and closed-loop phases of quantized spinors, in closed form.
 
-The spinor's orientation and angles (``Orientation``, ``SpinorParams``) live
-here too, so a closed-form call loads neither the circuit parser nor numpy.
+The spinor's orientation, angles and gauge live here too (``Orientation``,
+``SpinorParams``, and ``_half_angles``, from which ``spinor_holonomy``,
+``berry`` and ``circuits.prepare_spinor`` all take cos and sin of theta/2),
+so a closed-form call loads neither the circuit parser nor numpy.
 Analytic phases are reported raw: 0 and 2*pi label physically distinct loops
 (trivial versus full solid angle) and must not be collapsed.
 
@@ -86,6 +88,14 @@ class GeometricPhase(Frozen):
         return mod_two_pi(self.value)
 
 
+def _half_angles(orientation: Orientation, theta: float) -> tuple[float, float]:
+    """The spinor gauge (c, s): (cos(theta/2), sin(theta/2)) for UP, swapped for
+    DOWN.  Every route builds its spinor rows (c, s e^{-+i phi}) from these."""
+    half = theta / 2.0
+    c, s = math.cos(half), math.sin(half)
+    return (c, s) if orientation is Orientation.UP else (s, c)
+
+
 def winding_phase(mu: float, delta_chi: float) -> complex:
     """Unit phasor e^{i mu delta_chi} picked up by winding the chirality angle.
 
@@ -142,10 +152,7 @@ def spinor_holonomy(orientation: Orientation, theta: float, segments: int) -> Ge
     """
     check_theta(theta)
     _check_segments(segments)
-    half = theta / 2.0
-    c, s = math.cos(half), math.sin(half)
-    if orientation is Orientation.DOWN:
-        c, s = s, c
+    c, s = _half_angles(orientation, theta)
     return GeometricPhase.wrapped(-math.fsum(_overlap_phases(c, s, segments)))
 
 
