@@ -42,22 +42,20 @@ class Orientation(Enum):
 
 
 class SpinorParams(Frozen):
-    """Angles on the sphere plus the chirality winding number of the carrier loop.
+    """Angles on the sphere plus the chirality winding angle of the carrier loop.
 
     theta is polar in [0, pi]; phi azimuthal; chi the extra winding angle that
-    only shows up in the overall phase; mu the winding strength (1/2 for a
-    fermionic spinor).
+    only shows up in the overall phase.
     """
 
-    __slots__ = ("theta", "phi", "chi", "mu")
+    __slots__ = ("theta", "phi", "chi")
 
-    def __init__(self, theta: float, phi: float, chi: float, mu: float = 0.5) -> None:
+    def __init__(self, theta: float, phi: float, chi: float) -> None:
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "mu", mu)
         check_theta(self.theta)
-        check_finite(self, "phi", "chi", "mu")
+        check_finite(self, "phi", "chi")
 
 
 class PhaseConvention(Enum):

@@ -36,8 +36,8 @@ from spinphase import (
 VALUES = [
     (GeometricPhase(1.5, PhaseConvention.RAW), dict(value=1.5, convention=PhaseConvention.RAW),
      "GeometricPhase(value=1.5, convention=<PhaseConvention.RAW: 'raw'>)"),
-    (SpinorParams(1.0, 0.5, 0.2), dict(theta=1.0, phi=0.5, chi=0.2, mu=0.5),
-     "SpinorParams(theta=1.0, phi=0.5, chi=0.2, mu=0.5)"),
+    (SpinorParams(1.0, 0.5, 0.2), dict(theta=1.0, phi=0.5, chi=0.2),
+     "SpinorParams(theta=1.0, phi=0.5, chi=0.2)"),
     (RabiParams(0.0, 1.0, 2.0), dict(omega0=0.0, omega=1.0, duration=2.0),
      "RabiParams(omega0=0.0, omega=1.0, duration=2.0)"),
     (PhaseLedger.of(-1.0, 0.5), dict(geometric=-1.0, dynamical=0.5, total=-0.5),
@@ -119,7 +119,6 @@ def test_unhashable_record():
 
 
 def test_keywords_and_defaults():
-    assert SpinorParams(theta=1.0, phi=0.5, chi=0.2, mu=1.0).mu == 1.0
     assert RunRecord(command="x", inputs={}, outputs={"y": 1.0}).metadata == {}
     # each record gets its own metadata dict
     assert RunRecord("x", {}, {"y": 1.0}).metadata is not RunRecord("x", {}, {"y": 1.0}).metadata
