@@ -3,6 +3,8 @@
 This is the one module that imports numpy when it loads.  A loop of N segments is an
 (N+1, d) complex array; ``holonomy_numeric`` multiplies its consecutive
 overlaps, and its value is checked against the closed forms of ``phases``.
+Row norms and overlaps are sums of one blocked inner-product kernel, and the
+spinor rows take their gauge from ``phases``.
 The transport is 2*pi periodic by construction and reports values in
 [0, 2*pi).  The ``holonomy`` command does not load this module: it uses
 ``phases.spinor_holonomy``, which streams the loop of ``spinor_loop`` in plain
@@ -89,30 +91,34 @@ def _scale_rows(rows: np.ndarray, norms: np.ndarray) -> None:
         parts[:, 1::2][negative_zero[:, 1::2] & sign[:, 0::2]] = 0.0
 
 
-def _row_norms(arr: np.ndarray) -> np.ndarray:
-    """The bits of ``np.linalg.norm(arr, axis=-1)`` for an (n, 2) or (n, 4) arr,
-    without its reduce over a short axis.
-
-    |x|^2 is the real part of numpy's complex product conj(x)*x, which may be
-    a fused multiply-add, as in ``np.linalg.norm``.  The product is formed one
-    column at a time, a block of rows at a time, in reused buffers, and the
-    columns are summed left to right, the order numpy's reduce adds them in.
-    """
-    norms = np.empty(len(arr))
-    conjugates = np.empty(min(len(arr), _BLOCK_ROWS), dtype=np.complex128)
-    products = np.empty_like(conjugates)
-    for start in range(0, len(arr), _BLOCK_ROWS):
-        block, total = arr[start:start + _BLOCK_ROWS], norms[start:start + _BLOCK_ROWS]
-        conjugate, product = conjugates[:len(block)], products[:len(block)]
-        for k in range(block.shape[1]):
-            np.conjugate(block[:, k], out=conjugate)
+def _inner_products(left: np.ndarray, right: np.ndarray):
+    """Yield (start, sums) per block of rows: the inner products <left_i|right_i>
+    of the rows from start, in a buffer that the next block overwrites.  Each
+    adds numpy's complex products conj(a)*b (fused multiply-adds, if any, as in
+    ``np.linalg.norm`` and ``einsum``) over the columns left to right, the order
+    numpy's reduce adds them in, one column at a time in reused buffers."""
+    sums = np.empty(min(len(left), _BLOCK_ROWS), dtype=np.complex128)
+    conjugates, products = np.empty_like(sums), np.empty_like(sums)
+    for start in range(0, len(left), _BLOCK_ROWS):
+        a, b = left[start:start + _BLOCK_ROWS], right[start:start + _BLOCK_ROWS]
+        total, conjugate, product = sums[:len(a)], conjugates[:len(a)], products[:len(a)]
+        for k in range(a.shape[1]):
+            np.conjugate(a[:, k], out=conjugate)
             # not in place: numpy's in-place product of a single element
             # skips the fused multiply-add that longer products may use
-            np.multiply(conjugate, block[:, k], out=product)
-            if k == 0:
-                np.copyto(total, product.real)
-            else:
-                total += product.real
+            np.multiply(conjugate, b[:, k], out=product if k else total)
+            if k:
+                total += product
+        yield start, total
+
+
+def _row_norms(arr: np.ndarray) -> np.ndarray:
+    """The bits of ``np.linalg.norm(arr, axis=-1)`` for an (n, 2) or (n, 4) arr,
+    without its reduce over a short axis: the square roots of the real parts
+    of <x|x>.  The real part of a complex sum is the sum of the real parts."""
+    norms = np.empty(len(arr))
+    for start, sums in _inner_products(arr, arr):
+        norms[start:start + len(sums)] = sums.real
     return np.sqrt(norms, out=norms)
 
 
@@ -206,26 +212,12 @@ def holonomy_numeric(path: Sequence[PureState]) -> GeometricPhase:
         amps = np.stack([s.amplitudes for s in path])
     if float(np.max(np.abs(amps[0] - amps[-1]))) > CLOSURE_TOLERANCE:
         raise DomainError("open path: first and last states differ beyond 1e-12")
-    # the overlaps <psi_k | psi_{k+1}>, summed column by column a block of rows
-    # at a time, and their phases.  The products are not formed in place, as
-    # in _row_norms, so an overlap has the same bits in a block of one row.
-    before, after = amps[:-1], amps[1:]
-    overlap = np.empty(min(len(before), _BLOCK_ROWS), dtype=np.complex128)
-    conjugates, terms = np.empty_like(overlap), np.empty_like(overlap)
+    # the overlaps <psi_k | psi_{k+1}> a block of rows at a time, and their phases
     smallest, block_sums = math.inf, []
-    for start in range(0, len(before), _BLOCK_ROWS):
-        left, right = before[start:start + _BLOCK_ROWS], after[start:start + _BLOCK_ROWS]
-        total = overlap[:len(left)]
-        conjugate, product = conjugates[:len(left)], terms[:len(left)]
-        np.conjugate(left[:, 0], out=conjugate)
-        np.multiply(conjugate, right[:, 0], out=total)
-        for k in range(1, amps.shape[1]):
-            np.conjugate(left[:, k], out=conjugate)
-            np.multiply(conjugate, right[:, k], out=product)
-            total += product
-        reals = product.view(np.float64)[:len(left)]  # product's bytes, reused
-        smallest = min(smallest, float(np.abs(total, out=reals).min()))
-        block_sums.append(float(np.arctan2(total.imag, total.real, out=reals).sum()))
+    for _, overlaps in _inner_products(amps[:-1], amps[1:]):
+        reals = np.abs(overlaps)
+        smallest = min(smallest, float(reals.min()))
+        block_sums.append(float(np.arctan2(overlaps.imag, overlaps.real, out=reals).sum()))
     if smallest < MIN_OVERLAP:
         raise DegeneratePathError("consecutive loop states are nearly orthogonal")
     total = -math.fsum(block_sums)

@@ -1,9 +1,7 @@
 """Berry connections and closed-loop phases of quantized spinors, in closed form.
 
-The spinor's orientation, angles and gauge live here too (``Orientation``,
-``SpinorParams``, and ``_half_angles``, from which ``spinor_holonomy``,
-``berry`` and ``circuits.prepare_spinor`` all take cos and sin of theta/2),
-so a closed-form call loads neither the circuit parser nor numpy.
+The spinor's orientation and angles (``Orientation``, ``SpinorParams``) live
+here too, so a closed-form call loads neither the circuit parser nor numpy.
 Analytic phases are reported raw: 0 and 2*pi label physically distinct loops
 (trivial versus full solid angle) and must not be collapsed.
 
@@ -11,7 +9,8 @@ The discrete transport that checks them has two routes.  ``berry`` builds a
 loop as an array, for the library and for array speed; ``spinor_holonomy``
 here streams the same spinor loop one row at a time in plain Python floats,
 for the ``holonomy`` command, so that command loads no numpy.  The segment
-bounds of both routes live here.
+bounds of both routes live here, and so does the spinor gauge, ``_half_angles``
+(cos and sin of theta/2), that they and ``circuits.prepare_spinor`` build on.
 """
 
 from __future__ import annotations
