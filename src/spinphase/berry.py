@@ -28,7 +28,7 @@ from .phases import (  # noqa: F401  MAX_SEGMENTS stays readable as berry.MAX_SE
     GeometricPhase,
     Orientation,
     _check_segments,
-    _half_angles,
+    _spinor_gauge,
 )
 from .states import NORM_TOLERANCE, PureState, _off_unit
 
@@ -132,7 +132,7 @@ def spinor_amplitudes(theta: float, phi, orientation: Orientation) -> np.ndarray
     nor renormalized (``Loop`` does that).  Each row has the bits of
     ``circuits.prepare_spinor``'s amplitudes before renormalization.
     """
-    c, s = _half_angles(orientation, theta)
+    c, s = _spinor_gauge(orientation, theta)
     phi = np.asarray(phi, dtype=np.float64)
     out = np.empty(phi.shape + (2,), dtype=np.complex128)
     out.fill(c)  # one contiguous pass; the second column is overwritten below

@@ -32,7 +32,7 @@ from .errors import (
     UnboundSymbolError,
     UnknownSymbolError,
 )
-from .phases import Orientation, SpinorParams, _half_angles
+from .phases import Orientation, SpinorParams, _spinor_gauge
 from .states import PureState
 
 FREE_SYMBOLS = ("theta", "phi")
@@ -379,7 +379,7 @@ def prepare_spinor(
     DOWN: (sin(theta/2), cos(theta/2) e^{+i phi}) times e^{-i(phi-chi)/2}
     """
     # complex factors, as for _INV_SQRT2: the bits of berry.spinor_amplitudes' rows
-    c, s = map(complex, _half_angles(orientation, params.theta))
+    c, s = map(complex, _spinor_gauge(orientation, params.theta))
     winding = -1j if orientation is Orientation.UP else 1j
     amps = [c, s * cmath.exp(winding * params.phi)]
     if include_overall_phase:

@@ -9,8 +9,8 @@ The discrete transport that checks them has two routes.  ``berry`` builds a
 loop as an array, for the library and for array speed; ``spinor_holonomy``
 here streams the same spinor loop one row at a time in plain Python floats,
 for the ``holonomy`` command, so that command loads no numpy.  The segment
-bounds of both routes live here, and so does the spinor gauge, ``_half_angles``
-(cos and sin of theta/2), that they and ``circuits.prepare_spinor`` build on.
+bounds of both routes live here, and so does the spinor gauge (``_spinor_gauge``,
+cos and sin of theta/2) that they and ``circuits.prepare_spinor`` build on.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class GeometricPhase(Frozen):
         return mod_two_pi(self.value)
 
 
-def _half_angles(orientation: Orientation, theta: float) -> tuple[float, float]:
+def _spinor_gauge(orientation: Orientation, theta: float) -> tuple[float, float]:
     """The spinor gauge (c, s): (cos(theta/2), sin(theta/2)) for UP, swapped for
     DOWN.  Every route builds its spinor rows (c, s e^{-+i phi}) from these."""
     half = theta / 2.0
@@ -149,7 +149,7 @@ def spinor_holonomy(orientation: Orientation, theta: float, segments: int) -> Ge
     """
     check_theta(theta)
     _check_segments(segments)
-    c, s = _half_angles(orientation, theta)
+    c, s = _spinor_gauge(orientation, theta)
     return GeometricPhase.wrapped(-math.fsum(_overlap_phases(c, s, segments)))
 
 
