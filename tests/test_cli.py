@@ -677,16 +677,12 @@ class TestSweepCommand:
     @pytest.mark.parametrize("cmd, param, fixed, flag", [
         ("phase", "theta", {"spin": "up", "theta": 0.5}, "--theta 0.5"),
         ("rabi", "omega_t", {"omega": 1.0, "t": 2.0, "c0": "1", "c1": "0"}, "--t 2.0"),
-        # a flag with a default
-        ("circuit", "theta", {"file": "FILE", "theta": 0.5}, "--theta 0.5"),
+        # a flag with a default; the flags are read before the file is
+        ("circuit", "theta", {"file": "missing.circ", "theta": 0.5}, "--theta 0.5"),
         ("noise", "delta_theta", {"spin": "up", "theta": 1.0, "delta-theta": 0.05},
          "--delta-theta 0.05"),
     ])
-    def test_a_value_for_the_swept_flag_is_a_usage_error(self, cmd, param, fixed, flag,
-                                                         tmp_path, capsys):
-        circuit = tmp_path / "prep.circ"
-        circuit.write_text("H P(theta)\n")
-        fixed = {k: str(circuit) if v == "FILE" else v for k, v in fixed.items()}
+    def test_a_value_for_the_swept_flag_is_a_usage_error(self, cmd, param, fixed, flag, capsys):
         message = f"fixed flags do not fit {cmd}: {flag}"
         with pytest.raises(cli._UsageError, match=f"^{message}$"):
             sweep(cmd, SweepSpec(param, 0.0, 1.0, 2), fixed)
