@@ -109,6 +109,10 @@ CASES = {
                                  "--segments", "1"],
     "domain-circuit-missing-file": ["circuit", "--file", "/nonexistent/x.circ"],
     "domain-rgflow-separation": ["rgflow", "--a", "1", "--c", "1", "--separation", "0"],
+    # finite flags whose angle overflows a float
+    "domain-rabi-overflow": ["rabi", "--omega", "1e308", "--t", "1e10", "--c0", "1",
+                             "--c1", "0"],
+    "domain-echo-overflow": ["echo", "--phi", "1e308", "--chi", "1e308"],
     "domain-sweep-grid-point": ["sweep", "--cmd", "phase", "--param", "theta", "--start",
                                 "3.0", "--stop", "4.0", "--steps", "3", "--spin", "up"],
     "domain-sweep-circuit-missing-file": ["sweep", "--cmd", "circuit", "--param", "theta",
