@@ -59,7 +59,8 @@ def check_theta(theta: float) -> float:
 
 
 def mod_two_pi(x: float) -> float:
-    """Reduce an angle into [0, 2*pi)."""
+    """Reduce a finite angle into [0, 2*pi)."""
+    check_real("angle", x)
     r = math.fmod(x, TWO_PI)
     if r < 0.0:
         r += TWO_PI
@@ -69,7 +70,8 @@ def mod_two_pi(x: float) -> float:
 
 
 def wrap_pm_pi(x: float) -> float:
-    """Reduce an angle into the canonical branch (-pi, pi]."""
+    """Reduce a finite angle into the canonical branch (-pi, pi]."""
+    check_real("angle", x)
     r = math.fmod(x, TWO_PI)
     if r > math.pi:
         r -= TWO_PI

@@ -61,6 +61,8 @@ def evolve_coefficients(c0: complex, c1: complex, params: RabiParams) -> tuple[c
     """Rotate normalized coefficients through the resonant drive for params.duration."""
     c0, c1 = unit_vector((c0, c1), "coefficients")
     half = 0.5 * params.omega * params.duration
+    if not math.isfinite(half):  # finite inputs whose product overflows
+        raise DomainError("rotation angle omega*t/2 is not finite")
     cos_half = math.cos(half)
     sin_half = math.sin(half)
     return (

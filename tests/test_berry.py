@@ -30,9 +30,11 @@ from spinphase import (
     entangled_family_loop,
     holonomy_numeric,
     ket,
+    mod_two_pi,
     prepare_spinor,
     spinor_loop,
     winding_phase,
+    wrap_pm_pi,
 )
 from spinphase import berry, phases, states
 from spinphase.phases import spinor_holonomy
@@ -106,9 +108,15 @@ class TestPhaseContainer:
         with pytest.raises(DomainError):
             GeometricPhase(-0.1, PhaseConvention.MOD_2PI)
 
-    def test_nonfinite_rejected(self):
-        with pytest.raises(DomainError):
-            GeometricPhase.raw(math.inf)
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_rejected(self, value):
+        with pytest.raises(DomainError, match="must be finite"):
+            GeometricPhase.raw(value)
+        with pytest.raises(DomainError, match="angle must be finite"):
+            GeometricPhase.wrapped(value)
+        for reduce in (mod_two_pi, wrap_pm_pi):
+            with pytest.raises(DomainError, match="angle must be finite"):
+                reduce(value)
 
     def test_wrapped_negative_zero_is_positive_zero(self):
         for value in (-0.0, 0.0, -TWO_PI, TWO_PI):

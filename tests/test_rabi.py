@@ -66,6 +66,12 @@ class TestEvolve:
         with pytest.raises(DomainError):
             evolve_coefficients(1.0, 1.0, RabiParams(0.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize(("omega", "t"), [(1e308, 1e10), (-1e308, 1e308), (4.0, 1e308)])
+    def test_overflowing_rotation_angle_rejected(self, omega, t):
+        # each flag is finite; omega*t/2 is not, and cos(inf) has no value
+        with pytest.raises(DomainError, match=r"omega\*t/2 is not finite"):
+            evolve_coefficients(1.0, 0.0, RabiParams(0.0, omega, t))
+
     def test_matches_matrix_exponential_oracle(self):
         rng = np.random.default_rng(2024)
         for _ in range(200):
@@ -120,6 +126,11 @@ class TestSpinEcho:
         ledger = spin_echo_ledger(SpinorParams(theta=math.pi, phi=0.4, chi=-math.pi + 0.1))
         assert ledger.dynamical == pytest.approx(0.4, abs=1e-12)
         assert ledger.geometric == pytest.approx(-math.pi + 0.1, abs=1e-12)
+
+    def test_overflowing_half_angles_rejected(self):
+        # phi and chi are finite, (phi + chi)/2 overflows before the halving
+        with pytest.raises(DomainError, match="angle must be finite"):
+            spin_echo_ledger(SpinorParams(theta=math.pi, phi=1e308, chi=1e308))
 
     @given(
         st.floats(-math.pi + 1e-9, math.pi - 1e-9),
