@@ -104,6 +104,9 @@ CASES = {
                                       "--theta", "1"],
     "domain-circuit-infinite-angle": ["circuit", "--file", Circ("H P(theta * 1e308 * 10)"),
                                       "--theta", "0.7"],
+    # a sum of 10^4 terms parses without recursion; formatting and running it would not
+    "domain-circuit-too-deep": ["circuit", "--file",
+                                Circ("H P(theta" + " + theta" * 10**4 + ")"), "--theta", "1"],
     "domain-phase-theta": ["phase", "--spin", "up", "--theta", "4.0"],
     "domain-holonomy-segments": ["holonomy", "--spin", "up", "--theta", "1.0",
                                  "--segments", "1"],
