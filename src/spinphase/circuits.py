@@ -11,7 +11,10 @@ Circuit text is applied left to right to the input state:
 "#" starts a comment running to end of line.  theta and phi stay free until
 run time; every constant subexpression is folded during parsing, so division
 by zero among constants, or a number or fold that is not finite, is a parse
-error, not a runtime surprise.  Bindings must be real numbers.
+error, not a runtime surprise.  So is a phase argument nested deeper than
+``MAX_DEPTH``, in parentheses and minus signs or in the operators of its
+parsed tree: parsing, formatting and running recurse that deep.  Bindings must
+be real numbers.
 
 A parsed circuit has one form.  An expression is a float (a folded constant),
 a symbol's name, ``("-", operand)`` or ``(op, left, right)`` with op one of
@@ -36,6 +39,9 @@ from .phases import Orientation, SpinorParams, _spinor_gauge
 from .states import PureState
 
 FREE_SYMBOLS = ("theta", "phi")
+# Each level costs the parser up to three Python frames and format_circuit and
+# run_circuit one, well inside the interpreter's default limit of 1000.
+MAX_DEPTH = 100
 
 # A complex, so that scaling by it is a full complex product, as it was in numpy:
 # its signed zeros then do not depend on the Python version (3.14 changed the
@@ -200,6 +206,7 @@ class _Parser:
         self._tokens = tokens
         self._pos = 0
         self._symbols: set[str] = set()
+        self._nesting = 0
 
     def _peek(self) -> str:
         return self._tokens[self._pos][0]
@@ -224,6 +231,8 @@ class _Parser:
                 self._expect("(")
                 arg = self._expr()
                 self._expect(")")
+                if _depth(arg) > MAX_DEPTH:  # a long sum is folded without recursion
+                    raise _too_deep(tok)
                 gates.append(Gate("P", arg))
             else:
                 raise _unexpected("a gate", tok)
@@ -259,13 +268,22 @@ class _Parser:
                 return text
             raise UnknownSymbolError(f"unknown symbol {text!r}", line, column)
         if kind == "-":
-            operand = self._factor()
+            operand = self._nested(self._factor, tok)
             return -operand if isinstance(operand, float) else ("-", operand)
         if kind == "(":
-            node = self._expr()
+            node = self._nested(self._expr, tok)
             self._expect(")")
             return node
         raise _unexpected("a value", tok)
+
+    def _nested(self, parse, token: tuple) -> Expr:
+        """parse() one level deeper than the caller; token opens the level."""
+        if self._nesting == MAX_DEPTH:
+            raise _too_deep(token)
+        self._nesting += 1
+        node = parse()
+        self._nesting -= 1
+        return node
 
     @staticmethod
     def _fold(op_token: tuple, left: Expr, right: Expr) -> Expr:
@@ -276,6 +294,23 @@ class _Parser:
         if op == "/" and right == 0.0:
             raise CircuitSyntaxError("division by zero", line, column)
         return _finite_constant(_evaluate_expr(node, {}), "constant expression", op_token)
+
+
+def _depth(expr: Expr) -> int:
+    """The operator levels of expr's tree, counted without recursion."""
+    deepest, pending = 0, [(expr, 0)]
+    while pending:
+        node, depth = pending.pop()
+        if isinstance(node, tuple):
+            deepest = max(deepest, depth + 1)
+            pending += [(child, depth + 1) for child in node[1:]]
+    return deepest
+
+
+def _too_deep(token: tuple) -> CircuitSyntaxError:
+    _, _, line, column = token
+    return CircuitSyntaxError(f"phase argument nested deeper than {MAX_DEPTH} levels",
+                              line, column)
 
 
 def _finite_constant(value: float, what: str, token: tuple) -> float:

@@ -20,6 +20,7 @@ from spinphase import (
     UnboundSymbolError,
     UnknownSymbolError,
     apply_gate,
+    dispatch,
     equal_up_to_global_phase,
     format_circuit,
     general_state_circuit,
@@ -29,7 +30,7 @@ from spinphase import (
     run_circuit,
     spinor_state_circuit,
 )
-from spinphase.circuits import _angle
+from spinphase.circuits import MAX_DEPTH, _angle
 
 FOUR_PI = 4.0 * math.pi
 INV_SQRT2 = complex(1.0 / math.sqrt(2.0))
@@ -175,6 +176,48 @@ class TestParsing:
             parse_circuit("Q")
 
 
+def nested(shape: str, levels: int) -> str:
+    """A phase argument of one shape, nested levels deep."""
+    if shape == "sum":  # folded left-deep: levels + 1 terms, levels operators
+        return "theta" + " + theta" * levels
+    if shape == "parentheses":
+        return "(" * levels + "theta" + ")" * levels
+    return "-" * levels + "theta"
+
+
+SHAPES = ("sum", "parentheses", "unary-minus")
+
+
+class TestDepthBound:
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_an_argument_at_the_bound_parses_formats_and_runs(self, shape):
+        c = parse_circuit(f"H P({nested(shape, MAX_DEPTH)})")
+        assert parse_circuit(format_circuit(c)) == c
+        run_circuit(c, {"theta": 0.5}, ket("0"))
+
+    # the sum is measured on its tree, at its P; the others on the token past the bound
+    @pytest.mark.parametrize(("shape", "column"), [
+        ("sum", 3), ("parentheses", 5 + MAX_DEPTH), ("unary-minus", 5 + MAX_DEPTH)])
+    def test_one_level_past_the_bound_is_a_syntax_error(self, shape, column):
+        with pytest.raises(CircuitSyntaxError, match=f"deeper than {MAX_DEPTH} levels") as err:
+            parse_circuit(f"H P({nested(shape, MAX_DEPTH + 1)})")
+        assert (err.value.line, err.value.column) == (1, column)
+
+    # before the bound, each of these exhausted the recursion limit
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_ten_thousand_levels_are_a_syntax_error(self, shape):
+        with pytest.raises(CircuitSyntaxError, match="nested deeper"):
+            parse_circuit(f"H P({nested(shape, 10**4)})")
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_ten_thousand_levels_exit_1_with_one_line(self, shape, tmp_path, capsys):
+        file = tmp_path / "deep.circ"
+        file.write_text(f"H P({nested(shape, 10**4)})", encoding="utf-8")
+        assert dispatch(["circuit", "--file", str(file), "--theta", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "nested deeper" in err
+
+
 class TestFormatting:
     CASES = [
         "H",
@@ -210,6 +253,7 @@ class TestFormatting:
         ),
         max_leaves=8,
     ))
+    # its trees are at most a few levels deep, far inside MAX_DEPTH
     @settings(max_examples=150)
     def test_round_trip_fixpoint_property(self, expr):
         # format reads only the gates, so the hand-built circuit names no symbols
