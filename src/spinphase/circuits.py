@@ -11,10 +11,8 @@ Circuit text is applied left to right to the input state:
 "#" starts a comment running to end of line.  theta and phi stay free until
 run time; every constant subexpression is folded during parsing, so division
 by zero among constants, or a number or fold that is not finite, is a parse
-error, not a runtime surprise.  So is a phase argument nested deeper than
-``MAX_DEPTH``, in parentheses and minus signs or in the operators of its
-parsed tree: parsing, formatting and running recurse that deep.  Bindings must
-be real numbers.
+error, not a runtime surprise; so is a phase argument nested deeper than
+``MAX_DEPTH`` levels.  Bindings must be real numbers.
 
 A parsed circuit has one form.  An expression is a float (a folded constant),
 a symbol's name, ``("-", operand)`` or ``(op, left, right)`` with op one of
@@ -39,9 +37,9 @@ from .phases import Orientation, SpinorParams, _spinor_gauge
 from .states import PureState
 
 FREE_SYMBOLS = ("theta", "phi")
-# Each level costs the parser up to three Python frames and format_circuit and
-# run_circuit one, well inside the interpreter's default limit of 1000.
+# a level costs parsing up to 3 Python frames and formatting or running 1, of 1000
 MAX_DEPTH = 100
+_TOO_DEEP = f"phase argument nested deeper than {MAX_DEPTH} levels"
 
 # A complex, so that scaling by it is a full complex product, as it was in numpy:
 # its signed zeros then do not depend on the Python version (3.14 changed the
@@ -206,7 +204,6 @@ class _Parser:
         self._tokens = tokens
         self._pos = 0
         self._symbols: set[str] = set()
-        self._nesting = 0
 
     def _peek(self) -> str:
         return self._tokens[self._pos][0]
@@ -232,7 +229,7 @@ class _Parser:
                 arg = self._expr()
                 self._expect(")")
                 if _depth(arg) > MAX_DEPTH:  # a long sum is folded without recursion
-                    raise _too_deep(tok)
+                    raise CircuitSyntaxError(_TOO_DEEP, *tok[2:])
                 gates.append(Gate("P", arg))
             else:
                 raise _unexpected("a gate", tok)
@@ -241,21 +238,22 @@ class _Parser:
             raise CircuitSyntaxError("empty circuit", line, column)
         return Circuit(tuple(gates), frozenset(self._symbols))
 
-    def _expr(self) -> Expr:
-        node = self._term()
+    # nesting counts the parentheses and minus signs open around the text parsed
+    def _expr(self, nesting: int = 0) -> Expr:
+        node = self._term(nesting)
         while self._peek() in "+-":
             op = self._next()
-            node = self._fold(op, node, self._term())
+            node = self._fold(op, node, self._term(nesting))
         return node
 
-    def _term(self) -> Expr:
-        node = self._factor()
+    def _term(self, nesting: int) -> Expr:
+        node = self._factor(nesting)
         while self._peek() in "*/":
             op = self._next()
-            node = self._fold(op, node, self._factor())
+            node = self._fold(op, node, self._factor(nesting))
         return node
 
-    def _factor(self) -> Expr:
+    def _factor(self, nesting: int) -> Expr:
         tok = self._next()
         kind, text, line, column = tok
         if kind == "NUMBER":
@@ -267,23 +265,16 @@ class _Parser:
                 self._symbols.add(text)
                 return text
             raise UnknownSymbolError(f"unknown symbol {text!r}", line, column)
+        if kind in ("-", "(") and nesting == MAX_DEPTH:
+            raise CircuitSyntaxError(_TOO_DEEP, line, column)
         if kind == "-":
-            operand = self._nested(self._factor, tok)
+            operand = self._factor(nesting + 1)
             return -operand if isinstance(operand, float) else ("-", operand)
         if kind == "(":
-            node = self._nested(self._expr, tok)
+            node = self._expr(nesting + 1)
             self._expect(")")
             return node
         raise _unexpected("a value", tok)
-
-    def _nested(self, parse, token: tuple) -> Expr:
-        """parse() one level deeper than the caller; token opens the level."""
-        if self._nesting == MAX_DEPTH:
-            raise _too_deep(token)
-        self._nesting += 1
-        node = parse()
-        self._nesting -= 1
-        return node
 
     @staticmethod
     def _fold(op_token: tuple, left: Expr, right: Expr) -> Expr:
@@ -297,20 +288,11 @@ class _Parser:
 
 
 def _depth(expr: Expr) -> int:
-    """The operator levels of expr's tree, counted without recursion."""
-    deepest, pending = 0, [(expr, 0)]
-    while pending:
-        node, depth = pending.pop()
-        if isinstance(node, tuple):
-            deepest = max(deepest, depth + 1)
-            pending += [(child, depth + 1) for child in node[1:]]
-    return deepest
-
-
-def _too_deep(token: tuple) -> CircuitSyntaxError:
-    _, _, line, column = token
-    return CircuitSyntaxError(f"phase argument nested deeper than {MAX_DEPTH} levels",
-                              line, column)
+    """The operator levels of expr's tree, counted level by level without recursion."""
+    depth, level = 0, [expr]
+    while level := [kid for node in level if isinstance(node, tuple) for kid in node[1:]]:
+        depth += 1
+    return depth
 
 
 def _finite_constant(value: float, what: str, token: tuple) -> float:

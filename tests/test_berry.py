@@ -108,15 +108,13 @@ class TestPhaseContainer:
         with pytest.raises(DomainError):
             GeometricPhase(-0.1, PhaseConvention.MOD_2PI)
 
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-    def test_nonfinite_rejected(self, value):
-        with pytest.raises(DomainError, match="must be finite"):
-            GeometricPhase.raw(value)
-        with pytest.raises(DomainError, match="angle must be finite"):
-            GeometricPhase.wrapped(value)
-        for reduce in (mod_two_pi, wrap_pm_pi):
-            with pytest.raises(DomainError, match="angle must be finite"):
-                reduce(value)
+    def test_nonfinite_rejected(self):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError, match="phase must be finite"):
+                GeometricPhase.raw(value)
+            for reduce in (GeometricPhase.wrapped, mod_two_pi, wrap_pm_pi):
+                with pytest.raises(DomainError, match="angle must be finite"):
+                    reduce(value)
 
     def test_wrapped_negative_zero_is_positive_zero(self):
         for value in (-0.0, 0.0, -TWO_PI, TWO_PI):
