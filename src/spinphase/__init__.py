@@ -24,7 +24,7 @@ _PUBLIC = {
         swap_expectation""",
     "errors": """CircuitSyntaxError DegeneratePathError DomainError UnboundSymbolError
         UnknownSymbolError""",
-    "noise": "NoiseSpec NoiseTarget entangled_noise_shift noisy_phase post_echo_noise_shift",
+    "noise": "NoiseSpec entangled_noise_shift noisy_phase post_echo_noise_shift",
     "phases": """CLOSURE_TOLERANCE MIN_OVERLAP GeometricPhase Orientation PhaseConvention
         SpinorParams berry_phase_analytic berry_phase_entangled connection winding_phase""",
     "rabi": "PhaseLedger RabiParams evolve_coefficients matched_echo_params spin_echo_ledger",

@@ -337,7 +337,7 @@ def _rabi():
     from .rabi import RabiParams, evolve_coefficients
 
     def run(omega: float, t: float, c0: complex, c1: complex) -> list[RunRecord]:
-        params = RabiParams(omega0=0.0, omega=omega, duration=t)
+        params = RabiParams(omega=omega, duration=t)
         c0_out, c1_out = evolve_coefficients(c0, c1, params)
         return [RunRecord(
             command="rabi",
@@ -401,20 +401,13 @@ def _entangle():
 
 
 def _noise():
-    from .noise import (
-        NoiseSpec,
-        NoiseTarget,
-        entangled_noise_shift,
-        noisy_phase,
-        post_echo_noise_shift,
-    )
+    from .noise import NoiseSpec, entangled_noise_shift, noisy_phase, post_echo_noise_shift
     from .phases import Orientation
 
     def run(spin: str, theta: float, delta_theta: float) -> list[RunRecord]:
-        target = NoiseTarget(spin)
-        spec = NoiseSpec(delta_theta, target)
+        spec = NoiseSpec(delta_theta)
         metadata = {"spin": spin, "phase_convention": "raw"}
-        if target is NoiseTarget.ENTANGLED:
+        if spin == "entangled":  # the flag's choices hold spin to up, down or entangled
             outputs = {
                 "entangled_shift": entangled_noise_shift(theta, spec),
                 "post_echo_shift": post_echo_noise_shift(theta, spec),

@@ -12,9 +12,9 @@ from __future__ import annotations
 import cmath
 import math
 
-from ._angles import Frozen, check_finite, check_real, check_theta, mod_two_pi
+from ._angles import Frozen, check_finite, check_real, mod_two_pi
 from .errors import DomainError
-from .phases import Orientation, berry_phase_analytic
+from .phases import Orientation, berry_phase_analytic, connection
 from .states import PureState, unit_vector
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -79,7 +79,6 @@ def evolve_bell(coeffs: BellCoefficients, theta: float) -> tuple[PureState, floa
     the evolved state and the residual relative phase 2 gamma_up mod 2*pi
     (equal to gamma_up - gamma_down mod 2*pi, since the two phases sum to 2*pi).
     """
-    check_theta(theta)
     gamma_up = berry_phase_analytic(Orientation.UP, theta).value
     gamma_down = berry_phase_analytic(Orientation.DOWN, theta).value
     residual = cmath.exp(1j * (gamma_up - gamma_down))
@@ -106,8 +105,7 @@ def concurrence_from_theta(theta: float) -> float:
     This is the anisotropy measure of the UP spinor; it is kept separate from
     concurrence_general so the two routes can be compared rather than conflated.
     """
-    check_theta(theta)
-    return 0.5 * (1.0 - math.cos(theta))
+    return connection(Orientation.UP, theta)
 
 
 def entanglement_entropy(concurrence_norm: float) -> float:

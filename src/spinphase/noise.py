@@ -10,29 +10,21 @@ noise doubles; after an echo only a single residual term carries it.
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 from ._angles import TWO_PI, Frozen, check_finite, check_theta
 from .errors import DomainError
-from .phases import GeometricPhase, Orientation
+from .phases import GeometricPhase, Orientation, _solid_angle_factor
 
 MAX_SHIFT = 0.5
 
 
-class NoiseTarget(Enum):
-    UP = "up"
-    DOWN = "down"
-    ENTANGLED = "entangled"
-
-
 class NoiseSpec(Frozen):
-    """A small polar shift and the state family it applies to."""
+    """A small polar shift; the function it is passed to picks the state family."""
 
-    __slots__ = ("delta_theta", "applies_to")
+    __slots__ = ("delta_theta",)
 
-    def __init__(self, delta_theta: float, applies_to: NoiseTarget) -> None:
+    def __init__(self, delta_theta: float) -> None:
         object.__setattr__(self, "delta_theta", delta_theta)
-        object.__setattr__(self, "applies_to", applies_to)
         check_finite(self, "delta_theta")
         if abs(self.delta_theta) > MAX_SHIFT:
             raise DomainError(
@@ -41,14 +33,8 @@ class NoiseSpec(Frozen):
 
 
 def _single_shift(theta: float, delta_theta: float) -> float:
+    check_theta(theta)
     return math.pi * math.sin(theta) * delta_theta
-
-
-def _tilted_connection(orientation: Orientation, theta: float, delta_theta: float) -> float:
-    tilt = math.sin(theta) * delta_theta
-    if orientation is Orientation.UP:
-        return 0.5 * (1.0 - math.cos(theta) + tilt)
-    return 0.5 * (1.0 + math.cos(theta) - tilt)
 
 
 def noisy_phase(
@@ -59,17 +45,18 @@ def noisy_phase(
     UP:   pi (1 - cos theta + sin theta delta_theta), shift +pi sin theta delta_theta
     DOWN: pi (1 + cos theta - sin theta delta_theta), shift -pi sin theta delta_theta
     """
-    check_theta(theta)
-    # 2 pi times the connection: the factor 2 against pi (...) is exact
-    gamma = TWO_PI * _tilted_connection(orientation, theta, noise.delta_theta)
+    factor = _solid_angle_factor(orientation, theta)
+    tilt = math.sin(theta) * noise.delta_theta
     shift = _single_shift(theta, noise.delta_theta)
-    return GeometricPhase.raw(gamma), shift if orientation is Orientation.UP else -shift
+    if orientation is not Orientation.UP:
+        tilt, shift = -tilt, -shift
+    # 2 pi times half the sum, not pi times it: halving rounds a subnormal sum
+    return GeometricPhase.raw(TWO_PI * (0.5 * (factor + tilt))), shift
 
 
 def entangled_noise_shift(theta: float, noise: NoiseSpec) -> float:
     """Relative-phase shift of the antisymmetric two-spinor state: exactly twice
     the single-orientation shift, 2 pi sin(theta) delta_theta."""
-    check_theta(theta)
     return 2.0 * _single_shift(theta, noise.delta_theta)
 
 
@@ -77,5 +64,4 @@ def post_echo_noise_shift(theta: float, noise: NoiseSpec) -> float:
     """Shift surviving an echo, where a single residual term carries the noise:
     pi sin(theta) delta_theta.  The halving relative to the entangled shift is
     a qualitative robustness statement, not a derived bound."""
-    check_theta(theta)
     return _single_shift(theta, noise.delta_theta)

@@ -103,13 +103,18 @@ def winding_phase(mu: float, delta_chi: float) -> complex:
     return cmath.exp(1j * (mu * delta_chi))
 
 
-def connection(orientation: Orientation, theta: float) -> float:
-    """Berry connection of the spinor family at fixed theta: (1 -+ cos theta)/2."""
+def _solid_angle_factor(orientation: Orientation, theta: float) -> float:
+    """1 - cos theta for UP, 1 + cos theta for DOWN: the solid angle the loop
+    sweeps about the spinor's own axis, over 2*pi.  The connection, the loop
+    phase and its noise all scale this one factor."""
     check_theta(theta)
     c = math.cos(theta)
-    if orientation is Orientation.UP:
-        return 0.5 * (1.0 - c)
-    return 0.5 * (1.0 + c)
+    return 1.0 - c if orientation is Orientation.UP else 1.0 + c
+
+
+def connection(orientation: Orientation, theta: float) -> float:
+    """Berry connection of the spinor family at fixed theta: (1 -+ cos theta)/2."""
+    return 0.5 * _solid_angle_factor(orientation, theta)
 
 
 def berry_phase_analytic(orientation: Orientation, theta: float) -> GeometricPhase:
@@ -118,11 +123,7 @@ def berry_phase_analytic(orientation: Orientation, theta: float) -> GeometricPha
     This is half the solid angle swept about the spinor's own quantization
     axis, so the UP and DOWN values always add to 2*pi.
     """
-    check_theta(theta)
-    c = math.cos(theta)
-    if orientation is Orientation.UP:
-        return GeometricPhase.raw(math.pi * (1.0 - c))
-    return GeometricPhase.raw(math.pi * (1.0 + c))
+    return GeometricPhase.raw(math.pi * _solid_angle_factor(orientation, theta))
 
 
 def berry_phase_entangled(theta: float) -> GeometricPhase:

@@ -7,10 +7,7 @@ Internal units put hbar = 1.  The resonant drive rotates the coefficients as
 
 i.e. U(t) = exp(+i (Omega t / 2) sigma_x).  The identity term Omega_0 of the
 Hamiltonian contributes only the global phase e^{-i Omega_0 t / 2}, which is
-kept out of the state.  No computation reads it: ``RabiParams.omega0`` is
-validated and then unused, the phase ledger never receives it, and the CLI
-passes 0.0.  Feeding it to a dynamical phase, or deleting the field, is item
-10 of ROADMAP.md.
+kept out of the state.
 """
 
 from __future__ import annotations
@@ -22,39 +19,33 @@ from .errors import DomainError
 from .phases import SpinorParams
 from .states import unit_vector
 
-_LEDGER_TOLERANCE = 1e-12
-
 
 class RabiParams(Frozen):
-    """Static drive parameters: identity offset, Rabi frequency, pulse length."""
+    """Static drive parameters: Rabi frequency and pulse length."""
 
-    __slots__ = ("omega0", "omega", "duration")
+    __slots__ = ("omega", "duration")
 
-    def __init__(self, omega0: float, omega: float, duration: float) -> None:
-        object.__setattr__(self, "omega0", omega0)
+    def __init__(self, omega: float, duration: float) -> None:
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "duration", duration)
-        check_finite(self, "omega0", "omega", "duration")
+        check_finite(self, "omega", "duration")
         if self.duration < 0.0:
             raise DomainError("duration must be nonnegative")
 
 
 class PhaseLedger(Frozen):
-    """Split of an accumulated phase into geometric and dynamical parts."""
+    """Split of an accumulated phase into geometric and dynamical parts, and their sum."""
 
-    __slots__ = ("geometric", "dynamical", "total")
+    __slots__ = ("geometric", "dynamical")
 
-    def __init__(self, geometric: float, dynamical: float, total: float) -> None:
+    def __init__(self, geometric: float, dynamical: float) -> None:
         object.__setattr__(self, "geometric", geometric)
         object.__setattr__(self, "dynamical", dynamical)
-        object.__setattr__(self, "total", total)
         check_finite(self, "geometric", "dynamical", "total")
-        if abs(self.total - (self.geometric + self.dynamical)) > _LEDGER_TOLERANCE:
-            raise DomainError("ledger total must equal geometric + dynamical")
 
-    @classmethod
-    def of(cls, geometric: float, dynamical: float) -> "PhaseLedger":
-        return cls(geometric, dynamical, geometric + dynamical)
+    @property
+    def total(self) -> float:
+        return self.geometric + self.dynamical
 
 
 def evolve_coefficients(c0: complex, c1: complex, params: RabiParams) -> tuple[complex, complex]:
@@ -88,4 +79,4 @@ def spin_echo_ledger(params: SpinorParams) -> PhaseLedger:
     """
     half_sum = wrap_pm_pi(0.5 * (params.phi + params.chi))
     half_diff = wrap_pm_pi(0.5 * (params.phi - params.chi))
-    return PhaseLedger.of(geometric=half_sum - half_diff, dynamical=half_sum + half_diff)
+    return PhaseLedger(geometric=half_sum - half_diff, dynamical=half_sum + half_diff)

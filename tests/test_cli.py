@@ -431,7 +431,7 @@ class TestRabiCommand:
             capsys,
         )
         assert code == 0
-        want = evolve_coefficients(0.6, 0.8j, RabiParams(0.0, 1.5, 2.0))
+        want = evolve_coefficients(0.6, 0.8j, RabiParams(1.5, 2.0))
         out = recs[0]["outputs"]
         assert out["c0_out_re"] == pytest.approx(want[0].real, abs=1e-12)
         assert out["c0_out_im"] == pytest.approx(want[0].imag, abs=1e-12)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from spinphase import (
     DomainError,
     NoiseSpec,
-    NoiseTarget,
     Orientation,
     berry_phase_analytic,
     entangled_noise_shift,
@@ -24,29 +23,29 @@ theta_range = st.floats(0.0, math.pi)
 
 
 def up_spec(d):
-    return NoiseSpec(d, NoiseTarget.UP)
+    return NoiseSpec(d)
 
 
 def down_spec(d):
-    return NoiseSpec(d, NoiseTarget.DOWN)
+    return NoiseSpec(d)
 
 
 def ent_spec(d):
-    return NoiseSpec(d, NoiseTarget.ENTANGLED)
+    return NoiseSpec(d)
 
 
 class TestNoiseSpec:
     def test_boundary_allowed(self):
-        NoiseSpec(0.5, NoiseTarget.UP)
-        NoiseSpec(-0.5, NoiseTarget.DOWN)
+        NoiseSpec(0.5)
+        NoiseSpec(-0.5)
 
     def test_large_shift_rejected(self):
         with pytest.raises(DomainError, match="small-perturbation"):
-            NoiseSpec(0.51, NoiseTarget.UP)
+            NoiseSpec(0.51)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
-            NoiseSpec(math.inf, NoiseTarget.UP)
+            NoiseSpec(math.inf)
 
 
 class TestPerturbedConnection:

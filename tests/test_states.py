@@ -44,7 +44,7 @@ def _bipartite_norm(values):
 
 def _rabi_norm(values):
     # a zero-length pulse hands the renormalized coefficients straight back
-    return np.linalg.norm(evolve_coefficients(*values, RabiParams(0.0, 1.0, 0.0)))
+    return np.linalg.norm(evolve_coefficients(*values, RabiParams(1.0, 0.0)))
 
 
 def _loop_row_norm(values):
