@@ -267,21 +267,49 @@ def test_unknown_names_raise_attribute_error():
 # imports in the source
 
 
+def import_statements():
+    """(module file name, its source lines, its tree, an import statement) for
+    every import statement of the package's modules, at module level or inside
+    a function body."""
+    for path in sorted(Path(spinphase.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                yield path.name, source.splitlines(), tree, node
+
+
 def importers_of(package: str) -> set[str]:
-    """The package's modules with an import statement of package, at module
-    level or inside a function body."""
+    """The package's modules with an import statement of package."""
     importers = set()
-    for path in Path(spinphase.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                modules = [node.module or ""]
-            else:
-                continue
-            if any(module.split(".")[0] == package for module in modules):
-                importers.add(path.name)
+    for name, _, _, node in import_statements():
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif not node.level:
+            modules = [node.module or ""]
+        else:
+            continue
+        if any(module.split(".")[0] == package for module in modules):
+            importers.add(name)
     return importers
+
+
+def unused_imports() -> list[str]:
+    """"module: name" for each name an import binds that its module never reads.
+    A re-export names itself after a ``# noqa: F401`` on the statement's first
+    line; __future__ imports bind no name."""
+    unused, reads = [], {}
+    for name, lines, tree, node in import_statements():
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        kept = lines[node.lineno - 1].partition("# noqa: F401")[2].split()
+        if name not in reads:
+            reads[name] = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in reads[name] and bound not in kept:
+                unused.append(f"{name}: {bound}")
+    return unused
 
 
 def test_only_berry_imports_numpy():
@@ -292,3 +320,7 @@ def test_no_module_imports_argparse():
     # help and usage text come from the command table, so they cannot follow
     # the Python version's argparse
     assert importers_of("argparse") == set()
+
+
+def test_every_imported_name_is_read():
+    assert unused_imports() == []
