@@ -37,7 +37,7 @@ from .phases import Orientation, SpinorParams, _spinor_gauge
 from .states import PureState
 
 FREE_SYMBOLS = ("theta", "phi")
-# a level costs parsing up to 3 Python frames and formatting or running 1, of 1000
+# each level costs up to 3 Python frames to parse and 1 to format or run, of 1000
 MAX_DEPTH = 100
 _TOO_DEEP = f"phase argument nested deeper than {MAX_DEPTH} levels"
 
@@ -228,7 +228,10 @@ class _Parser:
                 self._expect("(")
                 arg = self._expr()
                 self._expect(")")
-                if _depth(arg) > MAX_DEPTH:  # a long sum is folded without recursion
+                level = [arg]  # a long sum parses without recursion; walk its tree's levels
+                for _ in range(MAX_DEPTH + 1):
+                    level = [kid for node in level if isinstance(node, tuple) for kid in node[1:]]
+                if level:
                     raise CircuitSyntaxError(_TOO_DEEP, *tok[2:])
                 gates.append(Gate("P", arg))
             else:
@@ -285,14 +288,6 @@ class _Parser:
         if op == "/" and right == 0.0:
             raise CircuitSyntaxError("division by zero", line, column)
         return _finite_constant(_evaluate_expr(node, {}), "constant expression", op_token)
-
-
-def _depth(expr: Expr) -> int:
-    """The operator levels of expr's tree, counted level by level without recursion."""
-    depth, level = 0, [expr]
-    while level := [kid for node in level if isinstance(node, tuple) for kid in node[1:]]:
-        depth += 1
-    return depth
 
 
 def _finite_constant(value: float, what: str, token: tuple) -> float:
