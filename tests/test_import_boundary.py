@@ -273,10 +273,10 @@ def import_statements():
     a function body."""
     for path in sorted(Path(spinphase.__file__).parent.glob("*.py")):
         source = path.read_text(encoding="utf-8")
-        tree = ast.parse(source)
+        tree, lines = ast.parse(source), source.splitlines()
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
-                yield path.name, source.splitlines(), tree, node
+                yield path.name, lines, tree, node
 
 
 def importers_of(package: str) -> set[str]:
@@ -295,7 +295,7 @@ def importers_of(package: str) -> set[str]:
 
 
 def unused_imports() -> list[str]:
-    """"module: name" for each name an import binds that its module never reads.
+    """Each name an import binds that its module never reads, as "module: name".
     A re-export names itself after a ``# noqa: F401`` on the statement's first
     line; __future__ imports bind no name."""
     unused, reads = [], {}

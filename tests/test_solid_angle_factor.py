@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 import struct
+import sys
 
 from spinphase import (
     NoiseSpec,
@@ -48,13 +49,13 @@ def computed(orientation: Orientation, theta: float, delta_theta: float) -> tupl
             gp.value, shift, concurrence_from_theta(theta))
 
 
-SUBNORMAL = 2.2250738585072014e-308  # the least normal float; below it, subnormals
+LEAST_NORMAL = sys.float_info.min  # nonzero floats below it are subnormal
 
 
 def polar_angles(rng: random.Random):
     """Edges (signed zero, the least subnormal, pi and the float below it) and
     draws from every decade down to the subnormals."""
-    yield from (0.0, -0.0, 5e-324, SUBNORMAL, 1e-8, math.pi / 2, math.pi,
+    yield from (0.0, -0.0, 5e-324, LEAST_NORMAL, 1e-8, math.pi / 2, math.pi,
                 math.nextafter(math.pi, 0.0), math.pi - 1e-12)
     while True:
         kind = rng.randrange(4)
@@ -95,7 +96,7 @@ def test_shared_factor_keeps_every_bit():
             mismatches.append((orientation, theta.hex(), delta_theta.hex(),
                                [x.hex() for x in got], [x.hex() for x in want]))
         tilt = abs(math.sin(theta) * delta_theta)
-        subnormal_tilts += 0.0 < tilt < SUBNORMAL
+        subnormal_tilts += 0.0 < tilt < LEAST_NORMAL
     assert mismatches[:5] == [] and not mismatches
     # the draws reach the inputs where halving a tilted factor rounds
     assert subnormal_tilts > 1000
