@@ -112,6 +112,9 @@ CASES = {
                                  "--segments", "1"],
     "domain-circuit-missing-file": ["circuit", "--file", "/nonexistent/x.circ"],
     "domain-rgflow-separation": ["rgflow", "--a", "1", "--c", "1", "--separation", "0"],
+    # finite flags whose flow overflows: to +inf an error, to -inf clamped to 0
+    "domain-rgflow-overflow": ["rgflow", "--a", "1e308", "--c", "0", "--separation", "1e-310"],
+    "rgflow-clamped-overflow": ["rgflow", "--a", "1e308", "--c", "0", "--separation", "1e300"],
     # finite flags whose angle overflows a float
     "domain-rabi-overflow": ["rabi", "--omega", "1e308", "--t", "1e10", "--c0", "1",
                              "--c1", "0"],
