@@ -19,15 +19,15 @@ _PUBLIC = {
     "circuits": """GENERAL_STATE_TEXT SPINOR_STATE_TEXT Circuit Gate apply_gate format_circuit
         general_state_circuit parse_circuit prepare_spinor run_circuit spinor_state_circuit""",
     "cli": "RunRecord SweepSpec dispatch emit main run_records sweep",
-    "entangle": """BellCoefficients BipartiteCoefficients RgFlowParams concurrence_from_theta
+    "entangle": """BellCoefficients BipartiteCoefficients concurrence_from_theta
         concurrence_general entanglement_entropy evolve_bell monopole_strength_rg
         swap_expectation""",
     "errors": """CircuitSyntaxError DegeneratePathError DomainError UnboundSymbolError
         UnknownSymbolError""",
-    "noise": "NoiseSpec entangled_noise_shift noisy_phase post_echo_noise_shift",
+    "noise": "entangled_noise_shift noisy_phase post_echo_noise_shift",
     "phases": """CLOSURE_TOLERANCE MIN_OVERLAP GeometricPhase Orientation PhaseConvention
-        SpinorParams berry_phase_analytic berry_phase_entangled connection winding_phase""",
-    "rabi": "PhaseLedger RabiParams evolve_coefficients matched_echo_params spin_echo_ledger",
+        berry_phase_analytic berry_phase_entangled connection winding_phase""",
+    "rabi": "PhaseLedger evolve_coefficients matched_echo_params spin_echo_ledger",
     "states": "NORM_TOLERANCE PureState equal_up_to_global_phase ket",
 }
 # public name -> the module that defines it

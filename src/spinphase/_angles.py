@@ -36,12 +36,6 @@ def _is_numpy_bool(value) -> bool:
     return numpy is not None and isinstance(value, numpy.bool_)
 
 
-def check_finite(obj, *names: str) -> None:
-    """Reject the first named attribute of obj that is not a finite real."""
-    for name in names:
-        check_real(name, getattr(obj, name))
-
-
 def check_integer(value, name: str) -> None:
     """Reject a size input that is not an integer (floats such as 3.0 included)."""
     try:

@@ -27,13 +27,14 @@ import cmath
 import math
 from typing import Mapping, NamedTuple, Union
 
+from ._angles import check_real, check_theta
 from .errors import (
     CircuitSyntaxError,
     DomainError,
     UnboundSymbolError,
     UnknownSymbolError,
 )
-from .phases import Orientation, SpinorParams, _spinor_gauge
+from .phases import Orientation, _spinor_gauge
 from .states import PureState
 
 FREE_SYMBOLS = ("theta", "phi")
@@ -377,27 +378,29 @@ def spinor_state_circuit() -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# spinor constructor (its parameter types live in phases)
+# spinor constructor
 
 
-def prepare_spinor(
-    params: SpinorParams,
-    orientation: Orientation,
-    include_overall_phase: bool = False,
-) -> PureState:
-    """Spinor state at (theta, phi), optionally carrying its overall winding phase.
+def prepare_spinor(orientation: Orientation, theta: float, phi: float,
+                   chi: float | None = None) -> PureState:
+    """Spinor state at polar angle theta in [0, pi] and azimuth phi; given the
+    chirality winding angle chi, it carries its overall winding phase too.
 
     UP:   (cos(theta/2), sin(theta/2) e^{-i phi}) times e^{+i(phi-chi)/2}
     DOWN: (sin(theta/2), cos(theta/2) e^{+i phi}) times e^{-i(phi-chi)/2}
     """
+    check_theta(theta)
+    check_real("phi", phi)
+    if chi is not None:
+        check_real("chi", chi)
     # complex factors, as for _INV_SQRT2: the bits of berry.spinor_amplitudes' rows
-    c, s = map(complex, _spinor_gauge(orientation, params.theta))
+    c, s = map(complex, _spinor_gauge(orientation, theta))
     winding = -1j if orientation is Orientation.UP else 1j
-    amps = [c, s * cmath.exp(winding * params.phi)]
-    if include_overall_phase:
+    amps = [c, s * cmath.exp(winding * phi)]
+    if chi is not None:
         if orientation is Orientation.UP:
-            phase = cmath.exp(0.5j * (params.phi - params.chi))
+            phase = cmath.exp(0.5j * (phi - chi))
         else:
-            phase = cmath.exp(-0.5j * (params.phi - params.chi))
+            phase = cmath.exp(-0.5j * (phi - chi))
         amps = [a * phase for a in amps]
     return PureState(amps)

@@ -334,11 +334,10 @@ def _circuit():
 
 
 def _rabi():
-    from .rabi import RabiParams, evolve_coefficients
+    from .rabi import evolve_coefficients
 
     def run(omega: float, t: float, c0: complex, c1: complex) -> list[RunRecord]:
-        params = RabiParams(omega=omega, duration=t)
-        c0_out, c1_out = evolve_coefficients(c0, c1, params)
+        c0_out, c1_out = evolve_coefficients(c0, c1, omega, t)
         return [RunRecord(
             command="rabi",
             inputs={"omega": omega, "t": t, **_re_im(c0=c0, c1=c1)},
@@ -349,11 +348,10 @@ def _rabi():
 
 
 def _echo():
-    from .phases import SpinorParams
     from .rabi import spin_echo_ledger
 
     def run(phi: float, chi: float) -> list[RunRecord]:
-        ledger = spin_echo_ledger(SpinorParams(theta=math.pi, phi=phi, chi=chi))
+        ledger = spin_echo_ledger(phi, chi)
         return [RunRecord(
             command="echo",
             inputs={"phi": phi, "chi": chi},
@@ -401,20 +399,19 @@ def _entangle():
 
 
 def _noise():
-    from .noise import NoiseSpec, entangled_noise_shift, noisy_phase, post_echo_noise_shift
+    from .noise import entangled_noise_shift, noisy_phase, post_echo_noise_shift
     from .phases import Orientation
 
     def run(spin: str, theta: float, delta_theta: float) -> list[RunRecord]:
-        spec = NoiseSpec(delta_theta)
         metadata = {"spin": spin, "phase_convention": "raw"}
         if spin == "entangled":  # the flag's choices hold spin to up, down or entangled
             outputs = {
-                "entangled_shift": entangled_noise_shift(theta, spec),
-                "post_echo_shift": post_echo_noise_shift(theta, spec),
+                "entangled_shift": entangled_noise_shift(theta, delta_theta),
+                "post_echo_shift": post_echo_noise_shift(theta, delta_theta),
             }
             metadata["post_echo_comparison"] = "qualitative"
         else:
-            gp, shift = noisy_phase(Orientation(spin), theta, spec)
+            gp, shift = noisy_phase(Orientation(spin), theta, delta_theta)
             outputs = {"gamma_noisy": gp.value, "shift": shift}
         return [RunRecord(
             command="noise",
@@ -426,16 +423,16 @@ def _noise():
 
 
 def _rgflow():
-    from .entangle import RgFlowParams, monopole_strength_rg, monopole_strength_unclamped
+    from .entangle import monopole_strength_rg, monopole_strength_unclamped
 
     def run(a: float, c: float, separation: float) -> list[RunRecord]:
-        params = RgFlowParams(a, c, separation)
+        clamped = monopole_strength_unclamped(a, c, separation) < 0.0
         return [RunRecord(
             command="rgflow",
             inputs={"a": a, "c": c, "separation": separation},
-            outputs={"mu": monopole_strength_rg(params)},
+            outputs={"mu": monopole_strength_rg(a, c, separation)},
             metadata={
-                "mu_clamped": "true" if monopole_strength_unclamped(params) < 0.0 else "false",
+                "mu_clamped": "true" if clamped else "false",
                 "phase_convention": "none",
             },
         )]

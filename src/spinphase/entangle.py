@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from ._angles import Frozen, check_finite, check_real, mod_two_pi
+from ._angles import Frozen, check_real, mod_two_pi
 from .errors import DomainError
 from .phases import Orientation, berry_phase_analytic, connection
 from .states import PureState, unit_vector
@@ -53,22 +53,6 @@ class BipartiteCoefficients(Frozen):
         if state.num_qubits != 2:
             raise DomainError("bipartite coefficients need a two-qubit state")
         return cls(*state.amplitudes)
-
-
-class RgFlowParams(Frozen):
-    """Flow inputs: decay rate a >= 0, integration constant c, length scale."""
-
-    __slots__ = ("a", "c", "separation")
-
-    def __init__(self, a: float, c: float, separation: float) -> None:
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "separation", separation)
-        check_finite(self, "a", "c", "separation")
-        if self.a < 0.0:
-            raise DomainError("decay rate a must be nonnegative")
-        if self.separation <= 0.0:
-            raise DomainError("separation must be positive")
 
 
 def evolve_bell(coeffs: BellCoefficients, theta: float) -> tuple[PureState, float]:
@@ -123,15 +107,23 @@ def entanglement_entropy(concurrence_norm: float) -> float:
     return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
 
 
-def monopole_strength_unclamped(params: RgFlowParams) -> float:
-    """The flow mu(L) = -a ln(L) + c itself, negative past its zero crossing."""
-    return -params.a * math.log(params.separation) + params.c
+def monopole_strength_unclamped(a: float, c: float, separation: float) -> float:
+    """The flow mu(L) = -a ln(L) + c itself, at decay rate a >= 0 and length scale
+    L = separation > 0; negative past its zero crossing."""
+    check_real("a", a)
+    check_real("c", c)
+    check_real("separation", separation)
+    if a < 0.0:
+        raise DomainError("decay rate a must be nonnegative")
+    if separation <= 0.0:
+        raise DomainError("separation must be positive")
+    return -a * math.log(separation) + c
 
 
-def monopole_strength_rg(params: RgFlowParams) -> float:
+def monopole_strength_rg(a: float, c: float, separation: float) -> float:
     """Monopole strength mu(L) = -a ln(L) + c, clamped at zero from below.
 
     The linear-in-ln(L) flow crosses zero at large separation; the physical
     strength is reported as max(0, .) since mu only tends to zero there.
     """
-    return max(0.0, monopole_strength_unclamped(params))
+    return max(0.0, monopole_strength_unclamped(a, c, separation))

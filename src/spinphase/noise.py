@@ -11,25 +11,18 @@ from __future__ import annotations
 
 import math
 
-from ._angles import TWO_PI, Frozen, check_finite, check_theta
+from ._angles import TWO_PI, check_real, check_theta
 from .errors import DomainError
 from .phases import GeometricPhase, Orientation, _solid_angle_factor
 
 MAX_SHIFT = 0.5
 
 
-class NoiseSpec(Frozen):
-    """A small polar shift; the function it is passed to picks the state family."""
-
-    __slots__ = ("delta_theta",)
-
-    def __init__(self, delta_theta: float) -> None:
-        object.__setattr__(self, "delta_theta", delta_theta)
-        check_finite(self, "delta_theta")
-        if abs(self.delta_theta) > MAX_SHIFT:
-            raise DomainError(
-                f"|delta_theta| above {MAX_SHIFT} leaves the small-perturbation regime"
-            )
+def _check_shift(delta_theta: float) -> None:
+    """Reject a polar shift that is not finite or leaves the small-perturbation regime."""
+    check_real("delta_theta", delta_theta)
+    if abs(delta_theta) > MAX_SHIFT:
+        raise DomainError(f"|delta_theta| above {MAX_SHIFT} leaves the small-perturbation regime")
 
 
 def _single_shift(theta: float, delta_theta: float) -> float:
@@ -38,30 +31,33 @@ def _single_shift(theta: float, delta_theta: float) -> float:
 
 
 def noisy_phase(
-    orientation: Orientation, theta: float, noise: NoiseSpec
+    orientation: Orientation, theta: float, delta_theta: float
 ) -> tuple[GeometricPhase, float]:
     """Noise-shifted loop phase and its shift, signed + for UP and - for DOWN.
 
     UP:   pi (1 - cos theta + sin theta delta_theta), shift +pi sin theta delta_theta
     DOWN: pi (1 + cos theta - sin theta delta_theta), shift -pi sin theta delta_theta
     """
+    _check_shift(delta_theta)
     factor = _solid_angle_factor(orientation, theta)
-    tilt = math.sin(theta) * noise.delta_theta
-    shift = _single_shift(theta, noise.delta_theta)
+    tilt = math.sin(theta) * delta_theta
+    shift = _single_shift(theta, delta_theta)
     if orientation is not Orientation.UP:
         tilt, shift = -tilt, -shift
     # 2 pi times half the sum, not pi times it: halving rounds a subnormal sum
     return GeometricPhase.raw(TWO_PI * (0.5 * (factor + tilt))), shift
 
 
-def entangled_noise_shift(theta: float, noise: NoiseSpec) -> float:
+def entangled_noise_shift(theta: float, delta_theta: float) -> float:
     """Relative-phase shift of the antisymmetric two-spinor state: exactly twice
     the single-orientation shift, 2 pi sin(theta) delta_theta."""
-    return 2.0 * _single_shift(theta, noise.delta_theta)
+    _check_shift(delta_theta)
+    return 2.0 * _single_shift(theta, delta_theta)
 
 
-def post_echo_noise_shift(theta: float, noise: NoiseSpec) -> float:
+def post_echo_noise_shift(theta: float, delta_theta: float) -> float:
     """Shift surviving an echo, where a single residual term carries the noise:
     pi sin(theta) delta_theta.  The halving relative to the entangled shift is
     a qualitative robustness statement, not a derived bound."""
-    return _single_shift(theta, noise.delta_theta)
+    _check_shift(delta_theta)
+    return _single_shift(theta, delta_theta)

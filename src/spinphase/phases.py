@@ -1,7 +1,7 @@
 """Berry connections and closed-loop phases of quantized spinors, in closed form.
 
-The spinor's orientation and angles (``Orientation``, ``SpinorParams``) live
-here too, so a closed-form call loads neither the circuit parser nor numpy.
+The spinor's ``Orientation`` lives here too, so a closed-form call loads
+neither the circuit parser nor numpy.
 Analytic phases are reported raw: 0 and 2*pi label physically distinct loops
 (trivial versus full solid angle) and must not be collapsed.
 
@@ -19,8 +19,7 @@ import cmath
 import math
 from enum import Enum
 
-from ._angles import (TWO_PI, Frozen, check_finite, check_integer, check_real, check_theta,
-                      mod_two_pi)
+from ._angles import TWO_PI, Frozen, check_integer, check_real, check_theta, mod_two_pi
 from .errors import DegeneratePathError, DomainError
 
 CLOSURE_TOLERANCE = 1e-12
@@ -38,23 +37,6 @@ MAX_SEGMENTS = 1_000_000
 class Orientation(Enum):
     UP = "up"
     DOWN = "down"
-
-
-class SpinorParams(Frozen):
-    """Angles on the sphere plus the chirality winding angle of the carrier loop.
-
-    theta is polar in [0, pi]; phi azimuthal; chi the extra winding angle that
-    only shows up in the overall phase.
-    """
-
-    __slots__ = ("theta", "phi", "chi")
-
-    def __init__(self, theta: float, phi: float, chi: float) -> None:
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "chi", chi)
-        check_theta(self.theta)
-        check_finite(self, "phi", "chi")
 
 
 class PhaseConvention(Enum):

@@ -14,23 +14,9 @@ from __future__ import annotations
 
 import math
 
-from ._angles import Frozen, check_finite, wrap_pm_pi
+from ._angles import Frozen, check_real, wrap_pm_pi
 from .errors import DomainError
-from .phases import SpinorParams
 from .states import unit_vector
-
-
-class RabiParams(Frozen):
-    """Static drive parameters: Rabi frequency and pulse length."""
-
-    __slots__ = ("omega", "duration")
-
-    def __init__(self, omega: float, duration: float) -> None:
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "duration", duration)
-        check_finite(self, "omega", "duration")
-        if self.duration < 0.0:
-            raise DomainError("duration must be nonnegative")
 
 
 class PhaseLedger(Frozen):
@@ -41,17 +27,25 @@ class PhaseLedger(Frozen):
     def __init__(self, geometric: float, dynamical: float) -> None:
         object.__setattr__(self, "geometric", geometric)
         object.__setattr__(self, "dynamical", dynamical)
-        check_finite(self, "geometric", "dynamical", "total")
+        check_real("geometric", geometric)
+        check_real("dynamical", dynamical)
+        check_real("total", self.total)
 
     @property
     def total(self) -> float:
         return self.geometric + self.dynamical
 
 
-def evolve_coefficients(c0: complex, c1: complex, params: RabiParams) -> tuple[complex, complex]:
-    """Rotate normalized coefficients through the resonant drive for params.duration."""
+def evolve_coefficients(c0: complex, c1: complex, omega: float,
+                        duration: float) -> tuple[complex, complex]:
+    """Rotate normalized coefficients through the resonant drive of Rabi
+    frequency omega for a pulse of the given duration."""
+    check_real("omega", omega)
+    check_real("duration", duration)
+    if duration < 0.0:
+        raise DomainError("duration must be nonnegative")
     c0, c1 = unit_vector((c0, c1), "coefficients")
-    half = 0.5 * params.omega * params.duration
+    half = 0.5 * omega * duration
     if not math.isfinite(half):  # finite inputs whose product overflows
         raise DomainError("rotation angle omega*t/2 is not finite")
     cos_half = math.cos(half)
@@ -62,13 +56,13 @@ def evolve_coefficients(c0: complex, c1: complex, params: RabiParams) -> tuple[c
     )
 
 
-def matched_echo_params() -> SpinorParams:
-    """Angles satisfying both pulse matchings of the echo: (phi+chi)/2 = -pi/2
-    on the way up and (phi-chi)/2 = +pi/2 on the way down."""
-    return SpinorParams(theta=math.pi, phi=0.0, chi=-math.pi)
+def matched_echo_params() -> tuple[float, float]:
+    """Angles (phi, chi) satisfying both pulse matchings of the echo: (phi+chi)/2
+    = -pi/2 on the way up and (phi-chi)/2 = +pi/2 on the way down."""
+    return 0.0, -math.pi
 
 
-def spin_echo_ledger(params: SpinorParams) -> PhaseLedger:
+def spin_echo_ledger(phi: float, chi: float) -> PhaseLedger:
     """Phase ledger of the two-pulse round trip (ground -> excited -> ground).
 
     The first pulse imprints the half-sum (phi+chi)/2, the second the
@@ -77,6 +71,8 @@ def spin_echo_ledger(params: SpinorParams) -> PhaseLedger:
     matchings cancel, i.e. phi = 0) and their difference is the trapped
     geometric phase (chi; -pi under the matched protocol, magnitude pi).
     """
-    half_sum = wrap_pm_pi(0.5 * (params.phi + params.chi))
-    half_diff = wrap_pm_pi(0.5 * (params.phi - params.chi))
+    check_real("phi", phi)
+    check_real("chi", chi)
+    half_sum = wrap_pm_pi(0.5 * (phi + chi))
+    half_diff = wrap_pm_pi(0.5 * (phi - chi))
     return PhaseLedger(geometric=half_sum - half_diff, dynamical=half_sum + half_diff)

@@ -15,11 +15,8 @@ import numpy as np
 from spinphase import (
     BellCoefficients,
     BipartiteCoefficients,
-    NoiseSpec,
     Orientation,
     PureState,
-    RabiParams,
-    RgFlowParams,
     berry_phase_analytic,
     berry_phase_entangled,
     concurrence_general,
@@ -126,10 +123,10 @@ def test_criterion_04_preparation_circuits_hit_targets():
 
 def test_criterion_05_resonant_rotation():
     failures = []
-    c0, c1 = evolve_coefficients(1.0, 0.0, RabiParams(1.0, math.pi))
+    c0, c1 = evolve_coefficients(1.0, 0.0, 1.0, math.pi)
     if abs(c0) > 1e-12 or abs(c1 - 1j) > 1e-12:
         failures.append(f"pi pulse from ground: got ({c0!r}, {c1!r})")
-    c0, c1 = evolve_coefficients(1.0, 0.0, RabiParams(1.0, math.pi / 2))
+    c0, c1 = evolve_coefficients(1.0, 0.0, 1.0, math.pi / 2)
     s = 1.0 / math.sqrt(2.0)
     if abs(c0 - s) > 1e-12 or abs(c1 - 1j * s) > 1e-12:
         failures.append(f"half-pi pulse from ground: got ({c0!r}, {c1!r})")
@@ -141,14 +138,14 @@ def test_criterion_05_resonant_rotation():
         omega = float(rng.uniform(0.1, 4.0))
         t1 = float(rng.uniform(0.0, 6.0))
         t2 = float(rng.uniform(0.0, 6.0))
-        a = evolve_coefficients(complex(v[0]), complex(v[1]), RabiParams(omega, t1))
+        a = evolve_coefficients(complex(v[0]), complex(v[1]), omega, t1)
         norm = abs(a[0]) ** 2 + abs(a[1]) ** 2
         if abs(norm - 1.0) > 1e-12:
             failures.append(f"norm drift {norm - 1.0:.3e} at omega={omega}, t={t1}")
             break
-        b = evolve_coefficients(*a, RabiParams(omega, t2))
+        b = evolve_coefficients(*a, omega, t2)
         direct = evolve_coefficients(
-            complex(v[0]), complex(v[1]), RabiParams(omega, t1 + t2)
+            complex(v[0]), complex(v[1]), omega, t1 + t2
         )
         if abs(b[0] - direct[0]) > 1e-9 or abs(b[1] - direct[1]) > 1e-9:
             failures.append(f"composition broke at omega={omega}, t1={t1}, t2={t2}")
@@ -157,7 +154,7 @@ def test_criterion_05_resonant_rotation():
 
 
 def test_criterion_06_matched_echo_cancels_dynamical_phase():
-    ledger = spin_echo_ledger(matched_echo_params())
+    ledger = spin_echo_ledger(*matched_echo_params())
     failures = []
     if abs(ledger.dynamical) > 1e-12:
         failures.append(f"dynamical = {ledger.dynamical!r}")
@@ -211,7 +208,7 @@ def test_criterion_08_entanglement_measures():
 
 def test_criterion_09_noise_response():
     failures = []
-    gp, _ = noisy_phase(Orientation.UP, math.pi / 2, NoiseSpec(0.01))
+    gp, _ = noisy_phase(Orientation.UP, math.pi / 2, 0.01)
     if abs(gp.value - 1.01 * math.pi) > 1e-12:
         failures.append(f"equator value {gp.value!r} != 1.01*pi")
 
@@ -219,20 +216,20 @@ def test_criterion_09_noise_response():
     for _ in range(1000):
         theta = float(rng.uniform(0.0, math.pi))
         d = float(rng.uniform(-0.4, 0.4))
-        up = noisy_phase(Orientation.UP, theta, NoiseSpec(d))[0].value
-        down = noisy_phase(Orientation.DOWN, theta, NoiseSpec(d))[0].value
+        up = noisy_phase(Orientation.UP, theta, d)[0].value
+        down = noisy_phase(Orientation.DOWN, theta, d)[0].value
         if abs(up + down - TWO_PI) > 1e-12:
             failures.append(f"noisy pair sum off at theta={theta}, d={d}")
             break
-        shift = noisy_phase(Orientation.UP, theta, NoiseSpec(d))[1]
-        if entangled_noise_shift(theta, NoiseSpec(d)) != 2.0 * shift:
+        shift = noisy_phase(Orientation.UP, theta, d)[1]
+        if entangled_noise_shift(theta, d) != 2.0 * shift:
             failures.append(f"entangled shift not exactly doubled at theta={theta}")
             break
 
     for _ in range(1000):
         theta = float(rng.uniform(0.0, math.pi - 0.1))
         d = float(rng.uniform(0.0, 0.1))
-        noisy = noisy_phase(Orientation.UP, theta, NoiseSpec(d))[0].value
+        noisy = noisy_phase(Orientation.UP, theta, d)[0].value
         exact = berry_phase_analytic(Orientation.UP, theta + d).value
         if abs(noisy - exact) > 0.5 * math.pi * d * d + 1e-12:
             failures.append(f"first-order bound broken at theta={theta}, d={d}")
@@ -244,14 +241,14 @@ def test_criterion_09_noise_response():
 def test_criterion_10_strength_flow():
     failures = []
     seps = np.linspace(0.1, 50.0, 200)
-    values = [monopole_strength_rg(RgFlowParams(0.7, 1.2, float(s))) for s in seps]
+    values = [monopole_strength_rg(0.7, 1.2, float(s)) for s in seps]
     for a, b in zip(values, values[1:]):
         if b > a + 1e-12:
             failures.append("strength increased with separation")
             break
     if any(v < 0.0 for v in values):
         failures.append("negative strength reported")
-    frozen = [monopole_strength_rg(RgFlowParams(0.0, 0.9, float(s))) for s in (0.2, 1.0, 40.0)]
+    frozen = [monopole_strength_rg(0.0, 0.9, float(s)) for s in (0.2, 1.0, 40.0)]
     if any(v != 0.9 for v in frozen):
         failures.append(f"zero decay rate did not freeze the flow: {frozen}")
     records = run_records(["rgflow", "--a", "2.0", "--c", "0.1", "--separation", "10.0"])

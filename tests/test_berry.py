@@ -23,7 +23,6 @@ from spinphase import (
     Orientation,
     PhaseConvention,
     PureState,
-    SpinorParams,
     berry_phase_analytic,
     berry_phase_entangled,
     connection,
@@ -54,7 +53,7 @@ def circular_distance(a, b):
 def reference_spinor_loop(orientation, theta, segments):
     sign = 1.0 if orientation is Orientation.UP else -1.0
     return [
-        prepare_spinor(SpinorParams(theta, sign * TWO_PI * (k / segments), 0.0), orientation)
+        prepare_spinor(orientation, theta, sign * TWO_PI * (k / segments))
         for k in range(segments + 1)
     ]
 
@@ -62,9 +61,9 @@ def reference_spinor_loop(orientation, theta, segments):
 def reference_entangled_loop(theta, segments):
     out = []
     for k in range(segments + 1):
-        params = SpinorParams(theta, TWO_PI * (k / segments), 0.0)
-        up = prepare_spinor(params, Orientation.UP).amplitudes
-        down = prepare_spinor(params, Orientation.DOWN).amplitudes
+        phi = TWO_PI * (k / segments)
+        up = prepare_spinor(Orientation.UP, theta, phi).amplitudes
+        down = prepare_spinor(Orientation.DOWN, theta, phi).amplitudes
         raw = np.kron(up, down) - np.kron(down, up)
         out.append(PureState(raw / np.linalg.norm(raw)))
     return out
@@ -287,9 +286,7 @@ class TestSpinorLoop:
     def test_down_loop_winds_backwards(self):
         # the second point of the down loop sits at negative azimuth
         loop = spinor_loop(Orientation.DOWN, 1.0, 8)
-        expected = prepare_spinor(
-            SpinorParams(1.0, -TWO_PI / 8, 0.0), Orientation.DOWN
-        )
+        expected = prepare_spinor(Orientation.DOWN, 1.0, -TWO_PI / 8)
         np.testing.assert_allclose(loop[1].amplitudes, expected.amplitudes, atol=1e-15)
 
     def test_degenerate_segment_count_rejected(self):

@@ -17,7 +17,7 @@ import random
 import numpy as np
 import pytest
 
-from spinphase import DomainError, Orientation, PureState, SpinorParams, SweepSpec, prepare_spinor
+from spinphase import DomainError, Orientation, PureState, SweepSpec, prepare_spinor
 from spinphase.berry import spinor_amplitudes
 from spinphase.cli import _grid
 from spinphase.states import NORM_TOLERANCE, _checked_unit_vector, unit_vector
@@ -99,7 +99,7 @@ def test_prepare_spinor_is_the_array_row(orientation, overall):
             sign = 0.5j if orientation is Orientation.UP else -0.5j
             phase = complex(np.exp(sign * (phi - chi)))
             row = [complex(a) * phase for a in row]
-        got = prepare_spinor(SpinorParams(theta, phi, chi), orientation, overall)
+        got = prepare_spinor(orientation, theta, phi, chi if overall else None)
         assert np.array_equal(bits(got.amplitudes), bits(PureState(row).amplitudes)), \
             (theta, phi, chi)
 

@@ -16,7 +16,6 @@ from spinphase import (
     Gate,
     Orientation,
     PureState,
-    SpinorParams,
     UnboundSymbolError,
     UnknownSymbolError,
     apply_gate,
@@ -447,14 +446,13 @@ class TestPreparationCircuits:
     @settings(max_examples=150)
     def test_spinor_circuit_matches_prepared_spinor(self, theta, phi):
         out = run_circuit(spinor_state_circuit(), {"theta": theta, "phi": phi}, ket("0"))
-        direct = prepare_spinor(SpinorParams(theta, phi, 0.0), Orientation.UP)
+        direct = prepare_spinor(Orientation.UP, theta, phi)
         assert equal_up_to_global_phase(out, direct, 1e-10)
 
 
 class TestSpinorConstructors:
     def test_up_components(self):
-        p = SpinorParams(theta=1.0, phi=0.5, chi=0.2)
-        s = prepare_spinor(p, Orientation.UP)
+        s = prepare_spinor(Orientation.UP, 1.0, 0.5)
         np.testing.assert_allclose(
             s.amplitudes,
             [math.cos(0.5), math.sin(0.5) * np.exp(-0.5j)],
@@ -462,9 +460,8 @@ class TestSpinorConstructors:
         )
 
     def test_up_overall_phase(self):
-        p = SpinorParams(theta=1.0, phi=0.5, chi=0.2)
-        bare = prepare_spinor(p, Orientation.UP)
-        full = prepare_spinor(p, Orientation.UP, include_overall_phase=True)
+        bare = prepare_spinor(Orientation.UP, 1.0, 0.5)
+        full = prepare_spinor(Orientation.UP, 1.0, 0.5, chi=0.2)
         np.testing.assert_allclose(
             full.amplitudes,
             np.array(bare.amplitudes) * np.exp(0.5j * (0.5 - 0.2)),
@@ -472,8 +469,7 @@ class TestSpinorConstructors:
         )
 
     def test_down_components(self):
-        p = SpinorParams(theta=1.0, phi=0.5, chi=0.0)
-        s = prepare_spinor(p, Orientation.DOWN)
+        s = prepare_spinor(Orientation.DOWN, 1.0, 0.5)
         np.testing.assert_allclose(
             s.amplitudes,
             [math.sin(0.5), math.cos(0.5) * np.exp(0.5j)],
@@ -481,9 +477,8 @@ class TestSpinorConstructors:
         )
 
     def test_down_overall_phase_is_conjugate(self):
-        p = SpinorParams(theta=1.0, phi=0.5, chi=0.2)
-        full = prepare_spinor(p, Orientation.DOWN, include_overall_phase=True)
-        bare = prepare_spinor(p, Orientation.DOWN)
+        full = prepare_spinor(Orientation.DOWN, 1.0, 0.5, chi=0.2)
+        bare = prepare_spinor(Orientation.DOWN, 1.0, 0.5)
         np.testing.assert_allclose(
             full.amplitudes,
             np.array(bare.amplitudes) * np.exp(-0.5j * (0.5 - 0.2)),
@@ -492,14 +487,17 @@ class TestSpinorConstructors:
 
     def test_down_equals_up_at_antipode_with_reversed_azimuth(self):
         theta, phi = 0.9, 2.2
-        down = prepare_spinor(SpinorParams(theta, phi, 0.0), Orientation.DOWN)
-        up_antipode = prepare_spinor(
-            SpinorParams(math.pi - theta, -phi, 0.0), Orientation.UP
-        )
+        down = prepare_spinor(Orientation.DOWN, theta, phi)
+        up_antipode = prepare_spinor(Orientation.UP, math.pi - theta, -phi)
         np.testing.assert_allclose(down.amplitudes, up_antipode.amplitudes, atol=1e-15)
 
     def test_theta_domain_enforced(self):
         with pytest.raises(DomainError, match=r"theta out of \[0, pi\]"):
-            SpinorParams(theta=4.0, phi=0.0, chi=0.0)
-        with pytest.raises(DomainError, match="finite"):
-            SpinorParams(theta=0.5, phi=math.inf, chi=0.0)
+            prepare_spinor(Orientation.UP, 4.0, 0.0)
+        with pytest.raises(DomainError, match="^phi must be finite$"):
+            prepare_spinor(Orientation.UP, 0.5, math.inf)
+        # theta, then phi, then chi, which is checked only when given
+        with pytest.raises(DomainError, match=r"theta out of \[0, pi\]"):
+            prepare_spinor(Orientation.DOWN, 4.0, math.nan, math.nan)
+        with pytest.raises(DomainError, match="^chi must be finite$"):
+            prepare_spinor(Orientation.DOWN, 0.5, 0.0, math.inf)

@@ -17,7 +17,6 @@ from spinphase import (
     dispatch,
     emit,
     evolve_coefficients,
-    RabiParams,
     run_records,
     sweep,
 )
@@ -431,7 +430,7 @@ class TestRabiCommand:
             capsys,
         )
         assert code == 0
-        want = evolve_coefficients(0.6, 0.8j, RabiParams(1.5, 2.0))
+        want = evolve_coefficients(0.6, 0.8j, 1.5, 2.0)
         out = recs[0]["outputs"]
         assert out["c0_out_re"] == pytest.approx(want[0].real, abs=1e-12)
         assert out["c0_out_im"] == pytest.approx(want[0].imag, abs=1e-12)

@@ -12,7 +12,6 @@ from spinphase import (
     BipartiteCoefficients,
     DomainError,
     PureState,
-    RgFlowParams,
     concurrence_from_theta,
     concurrence_general,
     entanglement_entropy,
@@ -228,45 +227,51 @@ class TestEntropy:
 
 class TestStrengthFlow:
     def test_validation(self):
-        with pytest.raises(DomainError, match="nonnegative"):
-            RgFlowParams(-1.0, 0.0, 1.0)
-        with pytest.raises(DomainError, match="positive"):
-            RgFlowParams(1.0, 0.0, 0.0)
-        with pytest.raises(DomainError, match="positive"):
-            RgFlowParams(1.0, 0.0, -2.0)
+        for flow in (monopole_strength_rg, monopole_strength_unclamped):
+            with pytest.raises(DomainError, match="nonnegative"):
+                flow(-1.0, 0.0, 1.0)
+            with pytest.raises(DomainError, match="positive"):
+                flow(1.0, 0.0, 0.0)
+            with pytest.raises(DomainError, match="positive"):
+                flow(1.0, 0.0, -2.0)
+            # a, c and separation finite, then a >= 0, then separation > 0
+            with pytest.raises(DomainError, match="^c must be finite$"):
+                flow(-1.0, math.nan, -1.0)
+            with pytest.raises(DomainError, match="^separation must be real$"):
+                flow(-1.0, 0.0, "1")
+            with pytest.raises(DomainError, match="^decay rate a must be nonnegative$"):
+                flow(-1.0, 0.0, -1.0)
 
     def test_frozen_values(self):
-        assert monopole_strength_rg(RgFlowParams(1.0, 0.0, 1.0)) == 0.0
-        assert monopole_strength_rg(RgFlowParams(0.3, 1.0, 2.0)) == pytest.approx(
+        assert monopole_strength_rg(1.0, 0.0, 1.0) == 0.0
+        assert monopole_strength_rg(0.3, 1.0, 2.0) == pytest.approx(
             1.0 - 0.3 * math.log(2.0), abs=1e-15
         )
 
     def test_clamped_at_zero(self):
-        assert monopole_strength_rg(RgFlowParams(2.0, 0.1, 10.0)) == 0.0
+        assert monopole_strength_rg(2.0, 0.1, 10.0) == 0.0
 
     def test_zero_rate_freezes_the_flow(self):
         for sep in (0.5, 1.0, 7.0):
-            assert monopole_strength_rg(RgFlowParams(0.0, 0.8, sep)) == 0.8
+            assert monopole_strength_rg(0.0, 0.8, sep) == 0.8
 
     def test_crossing_point(self):
-        assert monopole_strength_rg(RgFlowParams(1.0, math.log(2.0), 2.0)) == 0.0
-        assert monopole_strength_rg(RgFlowParams(1.0, math.log(2.0), 1.9)) > 0.0
+        assert monopole_strength_rg(1.0, math.log(2.0), 2.0) == 0.0
+        assert monopole_strength_rg(1.0, math.log(2.0), 1.9) > 0.0
 
     def test_unclamped_flow_keeps_its_sign(self):
-        assert monopole_strength_unclamped(RgFlowParams(1.0, math.log(2.0), 2.0)) == 0.0
-        assert monopole_strength_unclamped(RgFlowParams(2.0, 0.1, 10.0)) == pytest.approx(
+        assert monopole_strength_unclamped(1.0, math.log(2.0), 2.0) == 0.0
+        assert monopole_strength_unclamped(2.0, 0.1, 10.0) == pytest.approx(
             0.1 - 2.0 * math.log(10.0), abs=1e-15)
-        params = RgFlowParams(0.3, 1.0, 2.0)
-        assert monopole_strength_unclamped(params) == monopole_strength_rg(params)
+        assert monopole_strength_unclamped(0.3, 1.0, 2.0) == monopole_strength_rg(0.3, 1.0, 2.0)
 
     @given(st.floats(0.0, 5.0), st.floats(-5.0, 5.0),
            st.floats(0.01, 100.0), st.floats(0.01, 100.0))
     @settings(max_examples=200)
     def test_nonincreasing_in_separation(self, a, c, s1, s2):
         lo, hi = sorted((s1, s2))
-        assert (monopole_strength_rg(RgFlowParams(a, c, hi))
-                <= monopole_strength_rg(RgFlowParams(a, c, lo)) + 1e-12)
+        assert monopole_strength_rg(a, c, hi) <= monopole_strength_rg(a, c, lo) + 1e-12
 
     @given(st.floats(0.0, 5.0), st.floats(-5.0, 5.0), st.floats(0.01, 100.0))
     def test_never_negative(self, a, c, sep):
-        assert monopole_strength_rg(RgFlowParams(a, c, sep)) >= 0.0
+        assert monopole_strength_rg(a, c, sep) >= 0.0

@@ -130,9 +130,9 @@ def test_import_loads_no_other_module():
     assert loaded_by("import spinphase") == (None, {"spinphase"}, False)
     assert loaded_by("from spinphase.cli import main") == (None, CLI, False)
     # a module's name loads that module, as the eager import bound them all
-    code, modules, _ = loaded_by("import spinphase; spinphase.rabi.RabiParams")
-    assert modules == {"spinphase", "spinphase.rabi", "spinphase.phases", "spinphase.states",
-                       "spinphase._angles", "spinphase.errors"}
+    code, modules, _ = loaded_by("import spinphase; spinphase.rabi.PhaseLedger")
+    assert modules == {"spinphase", "spinphase.rabi", "spinphase.states", "spinphase._angles",
+                       "spinphase.errors"}
 
 
 # (argv, exit code, the package modules beyond the CLI's own that it loads);
@@ -150,8 +150,8 @@ OWN_MODULES = [
     (["circuit", "--file", "CIRCUIT", "--theta", "0.7"], 0, {"circuits", "phases", "states"}),
     (sweep("circuit", "theta", "--file", "CIRCUIT"), 0, {"circuits", "phases", "states"}),
     (["rabi", "--omega", "1", "--t", "2", "--c0", "0.6", "--c1", "0,0.8"], 0,
-     {"rabi", "phases", "states"}),
-    (["echo", "--phi", "0.3", "--chi", "-1.0"], 0, {"rabi", "phases", "states"}),
+     {"rabi", "states"}),
+    (["echo", "--phi", "0.3", "--chi", "-1.0"], 0, {"rabi", "states"}),
     (["entangle", "--theta", "1.0", "--alpha", "0.6", "--beta", "0.8"], 0,
      {"entangle", "phases", "states"}),
     (["rgflow", "--a", "0.3", "--c", "1.0", "--separation", "2.0"], 0,
@@ -196,32 +196,33 @@ def test_json_loads_only_for_json_output(argv, code, json_loaded):
 
 
 # every public name as the eager __init__ of earlier releases imported it,
-# less the ten that no command, criterion or document used, and NoiseTarget, which
-# nothing read
+# less the ten that no command, criterion or document used, NoiseTarget, which
+# nothing read, and the four parameter classes whose floats the functions now take
 EXPORTS = {
     "_angles": "TWO_PI mod_two_pi wrap_pm_pi",
     "berry": "Loop entangled_family_loop holonomy_numeric spinor_loop",
-    "circuits": """GENERAL_STATE_TEXT SPINOR_STATE_TEXT Circuit Gate Orientation SpinorParams
-        apply_gate format_circuit general_state_circuit parse_circuit prepare_spinor
-        run_circuit spinor_state_circuit""",
+    "circuits": """GENERAL_STATE_TEXT SPINOR_STATE_TEXT Circuit Gate Orientation apply_gate
+        format_circuit general_state_circuit parse_circuit prepare_spinor run_circuit
+        spinor_state_circuit""",
     "cli": "RunRecord SweepSpec dispatch emit main run_records sweep",
-    "entangle": """BellCoefficients BipartiteCoefficients RgFlowParams concurrence_from_theta
+    "entangle": """BellCoefficients BipartiteCoefficients concurrence_from_theta
         concurrence_general entanglement_entropy evolve_bell monopole_strength_rg
         swap_expectation""",
     "errors": """CircuitSyntaxError DegeneratePathError DomainError UnboundSymbolError
         UnknownSymbolError""",
-    "noise": "NoiseSpec entangled_noise_shift noisy_phase post_echo_noise_shift",
+    "noise": "entangled_noise_shift noisy_phase post_echo_noise_shift",
     "phases": """CLOSURE_TOLERANCE MIN_OVERLAP GeometricPhase PhaseConvention
         berry_phase_analytic berry_phase_entangled connection winding_phase""",
-    "rabi": "PhaseLedger RabiParams evolve_coefficients matched_echo_params spin_echo_ledger",
+    "rabi": "PhaseLedger evolve_coefficients matched_echo_params spin_echo_ledger",
     "states": "NORM_TOLERANCE PureState equal_up_to_global_phase ket",
 }
 # the public names that were removed, by the module that defined them
 DELETED = {
     "circuits": "evaluate_expr",
-    "entangle": "bell_singlet_qubits",
-    "noise": "NoiseTarget perturbed_connection",
-    "rabi": "PulseKind PulseSpec apply_pulse hamiltonian_matrix pulse_ledger",
+    "entangle": "RgFlowParams bell_singlet_qubits",
+    "noise": "NoiseSpec NoiseTarget perturbed_connection",
+    "phases": "SpinorParams",
+    "rabi": "PulseKind PulseSpec RabiParams apply_pulse hamiltonian_matrix pulse_ledger",
     "states": "inner_product tensor_product",
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names.split()]

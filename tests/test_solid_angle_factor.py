@@ -16,7 +16,6 @@ import struct
 import sys
 
 from spinphase import (
-    NoiseSpec,
     Orientation,
     berry_phase_analytic,
     concurrence_from_theta,
@@ -44,7 +43,7 @@ def reference(orientation: Orientation, theta: float, delta_theta: float) -> tup
 
 
 def computed(orientation: Orientation, theta: float, delta_theta: float) -> tuple:
-    gp, shift = noisy_phase(orientation, theta, NoiseSpec(delta_theta))
+    gp, shift = noisy_phase(orientation, theta, delta_theta)
     return (connection(orientation, theta), berry_phase_analytic(orientation, theta).value,
             gp.value, shift, concurrence_from_theta(theta))
 

@@ -13,7 +13,6 @@ from spinphase import (
     DomainError,
     Loop,
     PureState,
-    RabiParams,
     equal_up_to_global_phase,
     evolve_coefficients,
     ket,
@@ -44,7 +43,7 @@ def _bipartite_norm(values):
 
 def _rabi_norm(values):
     # a zero-length pulse hands the renormalized coefficients straight back
-    return np.linalg.norm(evolve_coefficients(*values, RabiParams(1.0, 0.0)))
+    return np.linalg.norm(evolve_coefficients(*values, 1.0, 0.0))
 
 
 def _loop_row_norm(values):
