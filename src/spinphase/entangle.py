@@ -109,7 +109,9 @@ def entanglement_entropy(concurrence_norm: float) -> float:
 
 def monopole_strength_unclamped(a: float, c: float, separation: float) -> float:
     """The flow mu(L) = -a ln(L) + c itself, at decay rate a >= 0 and length scale
-    L = separation > 0; negative past its zero crossing."""
+    L = separation > 0; negative past its zero crossing.  Finite inputs whose
+    flow overflows to -inf keep that value, which clamps to 0; +inf is an error.
+    """
     check_real("a", a)
     check_real("c", c)
     check_real("separation", separation)
@@ -117,7 +119,10 @@ def monopole_strength_unclamped(a: float, c: float, separation: float) -> float:
         raise DomainError("decay rate a must be nonnegative")
     if separation <= 0.0:
         raise DomainError("separation must be positive")
-    return -a * math.log(separation) + c
+    mu = -a * math.log(separation) + c
+    if mu == math.inf:  # a large a with a separation far below 1
+        raise DomainError("flow -a*ln(separation) + c overflows")
+    return mu
 
 
 def monopole_strength_rg(a: float, c: float, separation: float) -> float:

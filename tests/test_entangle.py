@@ -242,6 +242,14 @@ class TestStrengthFlow:
             with pytest.raises(DomainError, match="^decay rate a must be nonnegative$"):
                 flow(-1.0, 0.0, -1.0)
 
+    def test_overflow(self):
+        # finite inputs: +inf is an error naming the inputs, -inf clamps to 0
+        for flow in (monopole_strength_rg, monopole_strength_unclamped):
+            with pytest.raises(DomainError, match=r"^flow -a\*ln\(separation\) \+ c overflows$"):
+                flow(1e308, 0.0, 1e-310)
+        assert monopole_strength_unclamped(1e308, 0.0, 1e300) == -math.inf
+        assert monopole_strength_rg(1e308, 0.0, 1e300) == 0.0
+
     def test_frozen_values(self):
         assert monopole_strength_rg(1.0, 0.0, 1.0) == 0.0
         assert monopole_strength_rg(0.3, 1.0, 2.0) == pytest.approx(
