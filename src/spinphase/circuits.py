@@ -232,6 +232,8 @@ class _Parser:
                 level = [arg]  # a long sum parses without recursion; walk its tree's levels
                 for _ in range(MAX_DEPTH + 1):
                     level = [kid for node in level if isinstance(node, tuple) for kid in node[1:]]
+                    if not level:
+                        break
                 if level:
                     raise CircuitSyntaxError(_TOO_DEEP, *tok[2:])
                 gates.append(Gate("P", arg))
