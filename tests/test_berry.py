@@ -28,10 +28,13 @@ from spinphase import (
     connection,
     entangled_family_loop,
     holonomy_numeric,
+    general_state_circuit,
     ket,
     mod_two_pi,
     prepare_spinor,
+    run_circuit,
     spinor_loop,
+    spinor_state_circuit,
     winding_phase,
     wrap_pm_pi,
 )
@@ -440,6 +443,46 @@ class TestDiscreteOracle:
     def test_entangled_family_transports_to_zero(self, theta):
         got = holonomy_numeric(entangled_family_loop(theta, 2000)).value
         assert circular_distance(got, 0.0) <= 1e-12
+
+
+def gate_loop(circuit, theta, segments):
+    """The loop the circuit prepares from |0> at phi_k = 2 pi k/segments, k = 0..segments."""
+    zero = ket("0")
+    return Loop([run_circuit(circuit, {"theta": theta, "phi": TWO_PI * (k / segments)},
+                             zero).amplitudes for k in range(segments + 1)])
+
+
+class TestGateBuiltLoops:
+    """The loops the preparation circuits build transport to the closed forms.
+
+    The spinor circuit prepares the UP spinor at theta, the general circuit
+    the state at polar angle 2 theta winding e^{+i phi}; their global phases
+    are constant along a loop.  The transport's N^-2 term is
+    -+(pi^3/3) sin^2(T) cos(T) / N^2 at polar angle T, at most 3.98 / N^2 in
+    size; T is drawn away from 0, pi/2 and pi, where it vanishes.
+    """
+
+    CASES = {
+        "spinor": (spinor_state_circuit, lambda t: t, lambda t: math.pi * (1 - math.cos(t))),
+        "general": (general_state_circuit, lambda t: t / 2,
+                    lambda t: -math.pi * (1 - math.cos(2 * t))),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_transport_matches_closed_form(self, name):
+        build, theta_of, closed_form = self.CASES[name]
+        circuit = build()
+        rng = random.Random(f"gate-loop:{name}")
+        for _ in range(20):
+            polar = rng.choice((rng.uniform(0.2, 1.3), rng.uniform(1.85, 2.95)))
+            theta = theta_of(polar)
+            want = mod_two_pi(closed_form(theta))
+            errors = []
+            for segments in (1000, 2000):
+                got = holonomy_numeric(gate_loop(circuit, theta, segments)).value
+                errors.append(circular_distance(got, want))
+                assert errors[-1] <= 4.0 / segments**2, (theta, segments)
+            assert 3.5 <= errors[0] / errors[1] <= 4.5, theta
 
 
 class TestEntangledFamily:
