@@ -18,14 +18,11 @@ from .phases import GeometricPhase, Orientation, _solid_angle_factor
 MAX_SHIFT = 0.5
 
 
-def _check_shift(delta_theta: float) -> None:
-    """Reject a polar shift that is not finite or leaves the small-perturbation regime."""
+def _single_shift(theta: float, delta_theta: float) -> float:
+    """pi sin(theta) delta_theta, with delta_theta checked before theta."""
     check_real("delta_theta", delta_theta)
     if abs(delta_theta) > MAX_SHIFT:
         raise DomainError(f"|delta_theta| above {MAX_SHIFT} leaves the small-perturbation regime")
-
-
-def _single_shift(theta: float, delta_theta: float) -> float:
     check_theta(theta)
     return math.pi * math.sin(theta) * delta_theta
 
@@ -38,10 +35,9 @@ def noisy_phase(
     UP:   pi (1 - cos theta + sin theta delta_theta), shift +pi sin theta delta_theta
     DOWN: pi (1 + cos theta - sin theta delta_theta), shift -pi sin theta delta_theta
     """
-    _check_shift(delta_theta)
+    shift = _single_shift(theta, delta_theta)
     factor = _solid_angle_factor(orientation, theta)
     tilt = math.sin(theta) * delta_theta
-    shift = _single_shift(theta, delta_theta)
     if orientation is not Orientation.UP:
         tilt, shift = -tilt, -shift
     # 2 pi times half the sum, not pi times it: halving rounds a subnormal sum
@@ -51,7 +47,6 @@ def noisy_phase(
 def entangled_noise_shift(theta: float, delta_theta: float) -> float:
     """Relative-phase shift of the antisymmetric two-spinor state: exactly twice
     the single-orientation shift, 2 pi sin(theta) delta_theta."""
-    _check_shift(delta_theta)
     return 2.0 * _single_shift(theta, delta_theta)
 
 
@@ -59,5 +54,4 @@ def post_echo_noise_shift(theta: float, delta_theta: float) -> float:
     """Shift surviving an echo, where a single residual term carries the noise:
     pi sin(theta) delta_theta.  The halving relative to the entangled shift is
     a qualitative robustness statement, not a derived bound."""
-    _check_shift(delta_theta)
     return _single_shift(theta, delta_theta)
