@@ -1,20 +1,20 @@
 """Compare the CLI of two source trees byte for byte over the seeded fuzz argvs.
 
-    python3 tools/cli_differential.py OLD_SRC NEW_SRC [--per-command N] [--sweeps N] [--show K]
+    python3 tools/cli_differential.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts.  The argvs
-are those of ``tests/test_cli_fuzz.py``: N calls of each computing command,
-drawn from that module's generator with its seeds (so the first 1000 of each
-are the fuzz test's own), and N sweeps of the sweepable commands, each a
-drawn call with its swept flag replaced by a grid.  Each tree runs every argv
-through ``spinphase.cli.dispatch`` in its own subprocess, with one circuit
-file shared by both.  Prints the number of argvs and of differences in exit
-code, stdout or stderr, and the first K differences; exits 1 if any differ.
+are those of ``tests/test_cli_fuzz.py``: PER_COMMAND calls of each computing
+command, drawn from that module's generator with its seeds (so the first 1000
+of each are the fuzz test's own), and SWEEPS sweeps of the sweepable commands,
+each a drawn call with its swept flag replaced by a grid.  Each tree runs
+every argv through ``spinphase.cli.dispatch`` in its own subprocess, with one
+circuit file shared by both.  Prints the number of argvs and of differences
+in exit code, stdout or stderr, and the first SHOW differences; exits 1 if
+any differ.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import subprocess
@@ -23,6 +23,9 @@ import tempfile
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent.parent / "tests"
+PER_COMMAND = 3000
+SWEEPS = 3000
+SHOW = 5
 
 CHILD = r"""
 import contextlib, io, json, sys
@@ -56,8 +59,8 @@ SWEPT = {
 }
 
 
-def fuzz_argvs(src: str, per_command: int, sweeps: int, circuit: str) -> list[list[str]]:
-    """The fuzz test's draws, per_command for each command, then the sweeps; the
+def fuzz_argvs(src: str, circuit: str) -> list[list[str]]:
+    """The fuzz test's draws, PER_COMMAND for each command, then the sweeps; the
     fuzz module imports spinphase, from src here, but runs none of it."""
     sys.path[:0] = [str(TESTS), src]
     import test_cli_fuzz as fuzz
@@ -65,9 +68,9 @@ def fuzz_argvs(src: str, per_command: int, sweeps: int, circuit: str) -> list[li
     argvs = []
     for command in fuzz.COMMANDS:
         rng = random.Random(f"cli-fuzz-{command}")
-        argvs += [fuzz.argv(command, rng, circuit) for _ in range(per_command)]
+        argvs += [fuzz.argv(command, rng, circuit) for _ in range(PER_COMMAND)]
     rng = random.Random("cli-differential-sweep")
-    for _ in range(sweeps):
+    for _ in range(SWEEPS):
         command = rng.choice(sorted(SWEPT))
         flag, param = rng.choice(sorted(SWEPT[command].items()))
         call = fuzz.argv(command, rng, circuit)
@@ -90,22 +93,18 @@ def run_tree(src: str, argvs: list[list[str]]) -> list[list]:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("old_src")
-    parser.add_argument("new_src")
-    parser.add_argument("--per-command", type=int, default=3000)
-    parser.add_argument("--sweeps", type=int, default=3000)
-    parser.add_argument("--show", type=int, default=5)
-    args = parser.parse_args()
+    if len(sys.argv) != 3:
+        raise SystemExit("usage: " + __doc__.split("\n\n")[1].strip())
+    old_src, new_src = sys.argv[1:]
     with tempfile.TemporaryDirectory() as tmp:
         circuit = Path(tmp) / "prep.circ"
         circuit.write_text("H P(2*theta) H P(pi/2 + phi)\n", encoding="utf-8")
-        argvs = fuzz_argvs(args.new_src, args.per_command, args.sweeps, str(circuit))
-        old = run_tree(args.old_src, argvs)
-        new = run_tree(args.new_src, argvs)
+        argvs = fuzz_argvs(new_src, str(circuit))
+        old = run_tree(old_src, argvs)
+        new = run_tree(new_src, argvs)
     differences = [(argv, a, b) for argv, a, b in zip(argvs, old, new, strict=True) if a != b]
     print(f"{len(argvs)} argvs, {len(differences)} differences")
-    for argv, a, b in differences[:args.show]:
+    for argv, a, b in differences[:SHOW]:
         print(json.dumps({"argv": argv, "old": a, "new": b}))
     raise SystemExit(1 if differences else 0)
 
