@@ -423,16 +423,16 @@ def _noise():
 
 
 def _rgflow():
-    from .entangle import monopole_strength_rg, monopole_strength_unclamped
+    from .entangle import monopole_strength_unclamped
 
     def run(a: float, c: float, separation: float) -> list[RunRecord]:
-        clamped = monopole_strength_unclamped(a, c, separation) < 0.0
+        mu = monopole_strength_unclamped(a, c, separation)
         return [RunRecord(
             command="rgflow",
             inputs={"a": a, "c": c, "separation": separation},
-            outputs={"mu": monopole_strength_rg(a, c, separation)},
+            outputs={"mu": max(0.0, mu)},  # monopole_strength_rg's clamp
             metadata={
-                "mu_clamped": "true" if clamped else "false",
+                "mu_clamped": "true" if mu < 0.0 else "false",
                 "phase_convention": "none",
             },
         )]
