@@ -121,6 +121,10 @@ CASES = {
     "domain-echo-overflow": ["echo", "--phi", "1e308", "--chi", "1e308"],
     "domain-sweep-grid-point": ["sweep", "--cmd", "phase", "--param", "theta", "--start",
                                 "3.0", "--stop", "4.0", "--steps", "3", "--spin", "up"],
+    # the first point computes, a later one fails: no row reaches stdout
+    "domain-sweep-grid-point-csv": ["sweep", "--cmd", "phase", "--param", "theta", "--start",
+                                    "3.0", "--stop", "4.0", "--steps", "3", "--spin", "up",
+                                    "--format", "csv"],
     "domain-sweep-circuit-missing-file": ["sweep", "--cmd", "circuit", "--param", "theta",
                                           "--start", "0", "--stop", "1", "--steps", "3",
                                           "--file", "/nonexistent/x.circ"],
