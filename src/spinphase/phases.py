@@ -67,12 +67,22 @@ class GeometricPhase(Frozen):
         return mod_two_pi(self.value)
 
 
+def _not_an_orientation(orientation: object) -> DomainError:
+    return DomainError(f"orientation must be Orientation.UP or Orientation.DOWN, "
+                       f"not {orientation!r}")
+
+
 def _spinor_gauge(orientation: Orientation, theta: float) -> tuple[float, float]:
     """The spinor gauge (c, s): (cos(theta/2), sin(theta/2)) for UP, swapped for
-    DOWN.  Every route builds its spinor rows (c, s e^{-+i phi}) from these."""
+    DOWN.  Every route builds its spinor rows (c, s e^{-+i phi}) from these, so
+    every route rejects an orientation that is neither here."""
     half = theta / 2.0
     c, s = math.cos(half), math.sin(half)
-    return (c, s) if orientation is Orientation.UP else (s, c)
+    if orientation is Orientation.UP:
+        return c, s
+    if orientation is Orientation.DOWN:
+        return s, c
+    raise _not_an_orientation(orientation)
 
 
 def winding_phase(mu: float, delta_chi: float) -> complex:
@@ -91,7 +101,11 @@ def _solid_angle_factor(orientation: Orientation, theta: float) -> float:
     phase and its noise all scale this one factor."""
     check_theta(theta)
     c = math.cos(theta)
-    return 1.0 - c if orientation is Orientation.UP else 1.0 + c
+    if orientation is Orientation.UP:
+        return 1.0 - c
+    if orientation is Orientation.DOWN:
+        return 1.0 + c
+    raise _not_an_orientation(orientation)
 
 
 def connection(orientation: Orientation, theta: float) -> float:

@@ -6,6 +6,7 @@ import copy
 import math
 import pickle
 import random
+import re
 
 import numpy as np
 import pytest
@@ -21,13 +22,17 @@ from spinphase import (
     RunRecord,
     SweepSpec,
     berry_phase_analytic,
+    connection,
     entanglement_entropy,
     evolve_coefficients,
     ket,
     noisy_phase,
+    prepare_spinor,
     spinor_loop,
     winding_phase,
 )
+from spinphase.berry import spinor_amplitudes
+from spinphase.phases import spinor_holonomy
 
 # (value, its fields in order, its repr)
 VALUES = [
@@ -157,3 +162,29 @@ def test_non_real_inputs_rejected(call, message):
 def test_bools_rejected(call, message, flag):
     with pytest.raises(DomainError, match=f"^{message}$"):
         call(flag)
+
+
+# every route that takes an orientation goes through phases._spinor_gauge or
+# phases._solid_angle_factor; a value that is no member is an error there, not
+# the DOWN branch
+@pytest.mark.parametrize("orientation", ["up", "down", None, 1, Orientation.UP.value,
+                                         PhaseConvention.RAW],
+                         ids=["up", "down", "None", "int", "member-value", "other-enum"])
+@pytest.mark.parametrize("call", [
+    lambda o: berry_phase_analytic(o, 1.0),
+    lambda o: connection(o, 1.0),
+    lambda o: noisy_phase(o, 1.0, 0.1),
+    lambda o: prepare_spinor(o, 1.0, 0.5),
+    lambda o: prepare_spinor(o, 1.0, 0.5, chi=0.2),
+    lambda o: spinor_loop(o, 1.0, 8),
+    lambda o: spinor_amplitudes(1.0, [0.0, 1.0], o),
+    lambda o: spinor_holonomy(o, 1.0, 8),
+], ids=["berry_phase_analytic", "connection", "noisy_phase", "prepare_spinor",
+        "prepare_spinor-chi", "spinor_loop", "spinor_amplitudes", "spinor_holonomy"])
+def test_orientation_must_be_a_member(call, orientation):
+    message = ("orientation must be Orientation.UP or Orientation.DOWN, "
+               f"not {orientation!r}")
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call(orientation)
+    call(Orientation.UP)
+    call(Orientation.DOWN)
