@@ -12,15 +12,19 @@ once per invocation, so a call loads only what its own command needs.
 
 from __future__ import annotations
 
+import codecs
+import io
+import itertools
 import math
 import sys
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._angles import TWO_PI, Frozen, check_integer, check_real
 from .errors import DomainError
 
-MAX_STEPS = 100_000  # grid points per sweep; each point holds one record
+MAX_STEPS = 100_000  # grid points per sweep
+_SLICE = 1 << 20  # payload bytes decoded per write to stdout
 
 
 class _UsageError(DomainError):
@@ -117,7 +121,7 @@ def _json_layout(quote: Callable[[str], str], command: str,
             f'    "outputs": {outputs}\n  }}}}')
 
 
-def _json_records(records: Sequence[RunRecord]) -> list[str]:
+def _json_records(records: Iterable[RunRecord]) -> Iterator[str]:
     """Each record's JSON text, from one layout per shape (command and the
     three key tuples); values are printed as json prints them: float.__repr__,
     for float subclasses too, and quoted strings."""
@@ -126,26 +130,29 @@ def _json_records(records: Sequence[RunRecord]) -> list[str]:
 
     real = float.__repr__
     layouts: dict[tuple, str] = {}
-    texts = []
     for record in records:
         inputs, metadata, outputs = record.inputs, record.metadata, record.outputs
         shape = (record.command, tuple(inputs), tuple(metadata), tuple(outputs))
         layout = layouts.get(shape)
         if layout is None:
             layout = layouts[shape] = _json_layout(quote, *shape)
-        texts.append(layout.format(*map(real, inputs.values()), *map(quote, metadata.values()),
-                                   *map(real, outputs.values())))
-    return texts
+        yield layout.format(*map(real, inputs.values()), *map(quote, metadata.values()),
+                            *map(real, outputs.values()))
 
 
-def _csv_rows(records: Sequence[RunRecord]) -> list[str]:
-    """The header, sorted input names then sorted output names, and one row per
-    record, reals to 12 significant digits.  Each record shape (the input and
-    output key tuples) is checked against the header and laid out once."""
-    in_names, out_names = sorted(records[0].inputs), sorted(records[0].outputs)
+def _csv_lines(records: Iterable[RunRecord]) -> Iterator[str]:
+    """The header line, sorted input names then sorted output names, and one
+    line per record, reals to 12 significant digits; nothing for no records.
+    Each record shape (the input and output key tuples) is checked against the
+    header and laid out once."""
+    records = iter(records)
+    first = next(records, None)
+    if first is None:
+        return
+    in_names, out_names = sorted(first.inputs), sorted(first.outputs)
     layouts: dict[tuple, str] = {}
-    rows = [",".join(in_names + out_names)]
-    for record in records:
+    yield ",".join(in_names + out_names) + "\n"
+    for record in itertools.chain((first,), records):
         inputs, outputs = record.inputs, record.outputs
         shape = (tuple(inputs), tuple(outputs))
         layout = layouts.get(shape)
@@ -154,27 +161,44 @@ def _csv_rows(records: Sequence[RunRecord]) -> list[str]:
                 raise DomainError("csv output needs records with a common shape")
             slots = ([shape[0].index(k) for k in in_names]
                      + [len(inputs) + shape[1].index(k) for k in out_names])
-            layout = layouts[shape] = ",".join(f"{{{k}:.12g}}" for k in slots)
-        rows.append(layout.format(*map(float, inputs.values()), *map(float, outputs.values())))
-    return rows
+            layout = layouts[shape] = ",".join(f"{{{k}:.12g}}" for k in slots) + "\n"
+        yield layout.format(*map(float, inputs.values()), *map(float, outputs.values()))
 
 
-def emit(records: Sequence[RunRecord], format: str) -> bytes:
+def emit(records: Iterable[RunRecord], format: str) -> bytes:
     """Serialize records to a byte stream, JSON by default or flat CSV.
 
     CSV columns are the sorted input names then the sorted output names, reals
     printed to 12 significant digits.  JSON mirrors the records exactly, with
     the bytes of json.dumps(indent=2, sort_keys=True) plus a newline.  Layouts
     are built once per record shape and live for this call only.
+
+    records may be any iterable, read once: each record's text goes into one
+    buffer as it is made, so the payload is held once, and a record that fails
+    to build or to fit the CSV header raises before any byte is returned.
     """
-    if format == "json":
-        body = ",\n".join(_json_records(records))
-        return (f"[\n{body}\n]\n" if body else "[]\n").encode("utf-8")
+    out = io.BytesIO()
+    if format == "json":  # JSON text is ASCII: no record can fail to encode
+        for text in _json_records(records):
+            out.write(b",\n" if out.tell() else b"[\n")
+            out.write(text.encode())
+        out.write(b"\n]\n" if out.tell() else b"[]\n")
+        return out.getvalue()
     if format != "csv":
         raise DomainError(f"unknown format {format!r}")
-    if not records:
+    lines = _csv_lines(records)
+    header = next(lines, None)
+    if header is None:
         return b""
-    return ("\n".join(_csv_rows(records)) + "\n").encode("utf-8")
+    try:
+        out.write(header.encode())
+    except UnicodeEncodeError:  # a name that cannot be encoded: a shape error wins
+        for _ in lines:
+            pass
+        raise
+    for line in lines:  # reals only: ASCII
+        out.write(line.encode())
+    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +232,7 @@ class _Command(NamedTuple):
     as keywords."""
 
     help: str
-    load: Callable[[], Callable[..., list[RunRecord]]]
+    load: Callable[[], Callable[..., Iterable[RunRecord]]]
     flags: tuple[_Flag, ...]
 
 
@@ -440,13 +464,14 @@ def _rgflow():
 
 
 def _run_sweep(cmd: str, param: str, start: float, stop: float, steps: int,
-               **fixed: object) -> list[RunRecord]:
-    """The sweep command's runner; fixed holds the target's flags as given."""
+               **fixed: object) -> _Points:
+    """The sweep command's runner; fixed holds the target's flags as given.
+    Its records are built as emit reads them."""
     try:
         spec = SweepSpec(param, start, stop, steps)
     except DomainError as exc:
         raise _UsageError(str(exc)) from exc
-    return sweep(cmd, spec, fixed)
+    return _points(cmd, spec, fixed)
 
 
 _COMMANDS = {
@@ -497,13 +522,37 @@ def _grid(spec: SweepSpec) -> list[float]:
     return [start + i * step for i in range(div)] + [stop]
 
 
-def sweep(subcommand: str, spec: SweepSpec, fixed: Mapping[str, object]) -> list[RunRecord]:
-    """Run one subcommand over the grid, one record per point, in grid order.
+class _Points:
+    """A sweep's records in grid order, each built when it is read, so a reader
+    that streams them holds one at a time; a failing point raises when it is
+    reached.  len() is the number of grid points, one record each, known
+    before any is built (the benchmark's traced emit counts records by it)."""
 
-    fixed supplies the non-swept flags by their dashed names (leading dashes
-    optional).  Each value is read once by its flag's converter, from its text
-    as on the command line; True/False switch bare flags on and off.
-    """
+    __slots__ = ("run", "kwargs", "dest", "spec")
+
+    def __init__(self, run: Callable[..., list[RunRecord]], kwargs: dict[str, object],
+                 dest: str, spec: SweepSpec) -> None:
+        self.run, self.kwargs, self.dest, self.spec = run, kwargs, dest, spec
+
+    def __len__(self) -> int:
+        return self.spec.steps
+
+    def __iter__(self) -> Iterator[RunRecord]:
+        run, kwargs, parameter = self.run, self.kwargs, self.spec.parameter
+        for value in _grid(self.spec):
+            kwargs[self.dest] = value
+            try:
+                produced = run(**kwargs)
+            except DomainError as exc:
+                raise DomainError(f"at {parameter}={value!r}: {exc}") from exc
+            for record in produced:  # a runner builds a fresh metadata dict per record
+                record.metadata["swept"] = parameter
+            yield from produced
+
+
+def _points(subcommand: str, spec: SweepSpec, fixed: Mapping[str, object]) -> _Points:
+    """``sweep``'s records, unbuilt, once its flags are read and its command is
+    loaded: a bad name, flag or parameter raises here, before any point."""
     if subcommand not in _SWEEP_TARGETS:
         raise _UsageError(f"--cmd must be one of {_SWEEP_TARGETS}")
     command = _COMMANDS[subcommand]
@@ -512,18 +561,17 @@ def sweep(subcommand: str, spec: SweepSpec, fixed: Mapping[str, object]) -> list
     if swept is None:
         flag = _SWEEPABLE[spec.parameter].name
         raise _UsageError(f"unrecognized arguments: --{flag} {float(spec.start)!r}")
-    run = command.load()
-    records: list[RunRecord] = []
-    for value in _grid(spec):
-        kwargs[swept.dest] = value
-        try:
-            produced = run(**kwargs)
-        except DomainError as exc:
-            raise DomainError(f"at {spec.parameter}={value!r}: {exc}") from exc
-        for record in produced:  # a runner builds a fresh metadata dict per record
-            record.metadata["swept"] = spec.parameter
-        records += produced
-    return records
+    return _Points(command.load(), kwargs, swept.dest, spec)
+
+
+def sweep(subcommand: str, spec: SweepSpec, fixed: Mapping[str, object]) -> list[RunRecord]:
+    """Run one subcommand over the grid, one record per point, in grid order.
+
+    fixed supplies the non-swept flags by their dashed names (leading dashes
+    optional).  Each value is read once by its flag's converter, from its text
+    as on the command line; True/False switch bare flags on and off.
+    """
+    return list(_points(subcommand, spec, fixed))
 
 
 # ---------------------------------------------------------------------------
@@ -547,10 +595,11 @@ def _help(name: str | None) -> str:
     return f"usage: spinphase {name} {' '.join(words)}\n\n{_COMMANDS[name].help}\n"
 
 
-def _invoke(argv: Sequence[str]) -> tuple[list[RunRecord], str, str] | None:
+def _invoke(argv: Sequence[str]) -> tuple[Iterable[RunRecord], str, str] | None:
     """The records argv asks for, with the format and output path, or None once
-    the help it asks for is printed.  The token after a value flag is its value
-    whatever it starts with, so ``--start -3e-05`` reads as a number."""
+    the help it asks for is printed; a sweep's records are built as they are
+    read.  The token after a value flag is its value whatever it starts with,
+    so ``--start -3e-05`` reads as a number."""
     name = argv[0] if argv else None
     if name in ("-h", "--help"):
         sys.stdout.write(_help(None))
@@ -585,7 +634,7 @@ def run_records(argv: Sequence[str]) -> list[RunRecord]:
     printed and builds none).  Raises DomainError, a _UsageError for a bad
     command or flag; a seam for tests and for callers who want records."""
     invoked = _invoke(argv)
-    return [] if invoked is None else invoked[0]
+    return [] if invoked is None else list(invoked[0])
 
 
 def dispatch(argv: Sequence[str]) -> int:
@@ -601,8 +650,10 @@ def dispatch(argv: Sequence[str]) -> int:
                 Path(output).write_bytes(payload)
             except OSError as exc:
                 raise DomainError(f"cannot write output file: {exc}") from exc
-        else:
-            sys.stdout.write(payload.decode("utf-8"))
+        else:  # in slices: the payload's text is never held whole
+            decode = codecs.getincrementaldecoder("utf-8")().decode
+            for start in range(0, len(payload), _SLICE):
+                sys.stdout.write(decode(payload[start:start + _SLICE]))
     except _UsageError as exc:
         print(f"spinphase: {exc}", file=sys.stderr)
         return 2

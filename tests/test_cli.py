@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -764,6 +765,72 @@ class TestOutputHandling:
     def test_unknown_command_exits_two(self, capsys):
         assert dispatch(["nope"]) == 2
         assert dispatch([]) == 2
+
+
+def entangle_sweep(steps, stop):
+    return ["sweep", "--cmd", "entangle", "--param", "theta", "--start", "0", "--stop",
+            repr(stop), "--steps", str(steps), "--alpha", "0.6", "--beta", "0.8"]
+
+
+def traced_peak(call):
+    """call's result and the peak of the memory allocated while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestStreamedSweeps:
+    """A CLI sweep holds one copy of its output: emit writes each record's text
+    into one buffer, and the argv route builds each record as emit reads it."""
+
+    def test_json_emit_holds_one_copy_of_the_payload(self):
+        records = run_records(entangle_sweep(20000, 3.14))
+        payload, peak = traced_peak(lambda: emit(records, "json"))
+        assert peak <= 1.25 * len(payload) + 256 * 1024, (peak, len(payload))
+
+    def test_dispatch_to_a_file_holds_one_copy_of_the_output(self, tmp_path):
+        target = tmp_path / "sweep.json"
+        argv = entangle_sweep(20000, 3.14) + ["--output", str(target)]
+        assert dispatch(entangle_sweep(2, 3.14) + ["--output", str(target)]) == 0  # loads
+        code, peak = traced_peak(lambda: dispatch(argv))
+        assert code == 0
+        assert peak <= 1.5 * target.stat().st_size, (peak, target.stat().st_size)
+
+    def test_a_sweep_failing_at_its_last_point_writes_no_file(self, tmp_path, capsys):
+        target = tmp_path / "sweep.json"
+        # only the last of the 20000 grid points lies above pi
+        assert dispatch(entangle_sweep(20000, 3.1416) + ["--output", str(target)]) == 1
+        assert not target.exists()
+        assert capsys.readouterr() == ("", "sweep: at theta=3.1416: theta out of [0, pi]\n")
+
+    def test_stdout_in_slices_is_the_payload(self, monkeypatch, capsys):
+        argv = entangle_sweep(7, 3.0)
+        payload = emit(run_records(argv), "json")
+        for size in (1, 7, len(payload) - 1, len(payload), len(payload) + 1):
+            monkeypatch.setattr(cli, "_SLICE", size)
+            assert dispatch(argv) == 0
+            assert capsys.readouterr().out.encode() == payload
+
+    def test_argv_sweep_records_are_counted_before_they_are_built(self):
+        argv = entangle_sweep(5, 3.0)
+        records, format, output = cli._invoke(argv)
+        assert (len(records), format, output) == (5, "json", "")
+        assert list(records) == run_records(argv) == list(records)
+
+    @given(mixed_shape_records())
+    @settings(max_examples=100, deadline=None)
+    def test_emit_reads_a_generator_as_it_reads_a_list(self, records):
+        for format in ("json", "csv"):
+            assert emit_outcome(emit, (r for r in records), format) == \
+                emit_outcome(emit, records, format)
+
+    def test_emit_of_an_empty_generator(self):
+        assert emit(iter(()), "json") == emit([], "json") == b"[]\n"
+        assert emit(iter(()), "csv") == emit([], "csv") == b""
 
 
 class TestCommandTable:
