@@ -471,7 +471,7 @@ def _run_sweep(cmd: str, param: str, start: float, stop: float, steps: int,
         spec = SweepSpec(param, start, stop, steps)
     except DomainError as exc:
         raise _UsageError(str(exc)) from exc
-    return _points(cmd, spec, fixed)
+    return _Points(cmd, spec, fixed)
 
 
 _COMMANDS = {
@@ -525,14 +525,22 @@ def _grid(spec: SweepSpec) -> list[float]:
 class _Points:
     """A sweep's records in grid order, each built when it is read, so a reader
     that streams them holds one at a time; a failing point raises when it is
-    reached.  len() is the number of grid points, one record each, known
-    before any is built (the benchmark's traced emit counts records by it)."""
+    reached.  A bad name, flag or parameter raises at construction, before any
+    point.  len() is the number of grid points, one record each, known before
+    any is built (the benchmark's traced emit counts records by it)."""
 
     __slots__ = ("run", "kwargs", "dest", "spec")
 
-    def __init__(self, run: Callable[..., list[RunRecord]], kwargs: dict[str, object],
-                 dest: str, spec: SweepSpec) -> None:
-        self.run, self.kwargs, self.dest, self.spec = run, kwargs, dest, spec
+    def __init__(self, subcommand: str, spec: SweepSpec, fixed: Mapping[str, object]) -> None:
+        if subcommand not in _SWEEP_TARGETS:
+            raise _UsageError(f"--cmd must be one of {_SWEEP_TARGETS}")
+        command = _COMMANDS[subcommand]
+        swept = next((f for f in command.flags if f.sweep == spec.parameter), None)
+        kwargs = _read(command.flags, fixed, f"fixed flags do not fit {subcommand}", swept)
+        if swept is None:
+            flag = _SWEEPABLE[spec.parameter].name
+            raise _UsageError(f"unrecognized arguments: --{flag} {float(spec.start)!r}")
+        self.run, self.kwargs, self.dest, self.spec = command.load(), kwargs, swept.dest, spec
 
     def __len__(self) -> int:
         return self.spec.steps
@@ -550,20 +558,6 @@ class _Points:
             yield from produced
 
 
-def _points(subcommand: str, spec: SweepSpec, fixed: Mapping[str, object]) -> _Points:
-    """``sweep``'s records, unbuilt, once its flags are read and its command is
-    loaded: a bad name, flag or parameter raises here, before any point."""
-    if subcommand not in _SWEEP_TARGETS:
-        raise _UsageError(f"--cmd must be one of {_SWEEP_TARGETS}")
-    command = _COMMANDS[subcommand]
-    swept = next((f for f in command.flags if f.sweep == spec.parameter), None)
-    kwargs = _read(command.flags, fixed, f"fixed flags do not fit {subcommand}", swept)
-    if swept is None:
-        flag = _SWEEPABLE[spec.parameter].name
-        raise _UsageError(f"unrecognized arguments: --{flag} {float(spec.start)!r}")
-    return _Points(command.load(), kwargs, swept.dest, spec)
-
-
 def sweep(subcommand: str, spec: SweepSpec, fixed: Mapping[str, object]) -> list[RunRecord]:
     """Run one subcommand over the grid, one record per point, in grid order.
 
@@ -571,7 +565,7 @@ def sweep(subcommand: str, spec: SweepSpec, fixed: Mapping[str, object]) -> list
     optional).  Each value is read once by its flag's converter, from its text
     as on the command line; True/False switch bare flags on and off.
     """
-    return list(_points(subcommand, spec, fixed))
+    return list(_Points(subcommand, spec, fixed))
 
 
 # ---------------------------------------------------------------------------

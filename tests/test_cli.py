@@ -815,11 +815,14 @@ class TestStreamedSweeps:
             assert dispatch(argv) == 0
             assert capsys.readouterr().out.encode() == payload
 
-    def test_argv_sweep_records_are_counted_before_they_are_built(self):
-        argv = entangle_sweep(5, 3.0)
+    def test_argv_sweep_records_are_counted_before_any_is_built(self):
+        # every grid point lies above pi: counting the records does not fail, reading them does
+        argv = ["sweep", "--cmd", "phase", "--param", "theta", "--start", "3.5", "--stop", "4",
+                "--steps", "5", "--spin", "up"]
         records, format, output = cli._invoke(argv)
         assert (len(records), format, output) == (5, "json", "")
-        assert list(records) == run_records(argv) == list(records)
+        with pytest.raises(DomainError, match=r"^at theta=3\.5: theta out of \[0, pi\]$"):
+            list(records)
 
     @given(mixed_shape_records())
     @settings(max_examples=100, deadline=None)
