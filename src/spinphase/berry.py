@@ -4,7 +4,11 @@ This is the one module that imports numpy when it loads.  A loop of N segments i
 (N+1, d) complex array; ``holonomy_numeric`` multiplies its consecutive
 overlaps, and its value is checked against the closed forms of ``phases``.
 Row norms and overlaps are sums of one blocked inner-product kernel, and the
-spinor rows take their gauge from ``phases``.
+spinor rows take their gauge from ``phases``.  A spinor loop is not held as
+an array: its rows are (c, s e^{-i x_k}) over one cached winding grid, made
+a block at a time as the transport reads them and in full only when its
+amplitudes, an item or a slice are read.  The grid costs 16 B a segment
+(16 MB at ``MAX_SEGMENTS``) and is kept for the most recent segment count.
 The transport is 2*pi periodic by construction and reports values in
 [0, 2*pi).  The ``holonomy`` command does not load this module: it uses
 ``phases.spinor_holonomy``, which streams the loop of ``spinor_loop`` in plain
@@ -15,7 +19,8 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,9 +40,8 @@ from .states import NORM_TOLERANCE, PureState, _off_unit
 
 def _unit_rows(arr: np.ndarray) -> np.ndarray:
     """A C-ordered (n, 2) or (n, 4) complex128 array the caller owns, its rows
-    checked (the first offending row's norm is the one reported), scaled to
-    unit norm in place with the bits of numpy's complex division by the norm,
-    and frozen."""
+    checked (the first offending row's norm is the one reported) and scaled to
+    unit norm in place with the bits of numpy's complex division by the norm."""
     if not np.isfinite(arr).all():
         raise DomainError("state must be finite")
     norms = _row_norms(arr)
@@ -46,6 +50,10 @@ def _unit_rows(arr: np.ndarray) -> np.ndarray:
     if dev.max(initial=0.0) > NORM_TOLERANCE:
         raise _off_unit(float(norms[dev > NORM_TOLERANCE][0]), "state")
     _scale_rows(arr, norms)
+    return arr
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
 
@@ -53,8 +61,8 @@ def _unit_rows(arr: np.ndarray) -> np.ndarray:
 # -0.0 read as an int64
 _NEGATIVE_ZERO_BITS = np.int64(-(1 << 63))
 # rows per block of the column-by-column passes below: a block's rows stay in
-# a core's cache from one column pass to the next, and its buffers (64 KiB
-# each) are reused.  A 10^6-segment two-qubit loop built in 359 ms and was
+# a core's cache from one column pass to the next, beside the kernel's two
+# buffers (64 KiB each).  A 10^6-segment two-qubit loop built in 359 ms and was
 # transported in 32 ms in blocks of 4096 rows, in 409 and 48 ms in blocks of
 # 1024, and in 587 and 85 ms over whole columns, which leave the cache; a
 # complex division and einsum over the whole array took 459 and 55 ms
@@ -91,25 +99,25 @@ def _scale_rows(rows: np.ndarray, norms: np.ndarray) -> None:
         parts[:, 1::2][negative_zero[:, 1::2] & sign[:, 0::2]] = 0.0
 
 
-def _inner_products(left: np.ndarray, right: np.ndarray):
-    """Yield (start, sums) per block of rows: the inner products <left_i|right_i>
-    of the rows from start, in a buffer that the next block overwrites.  Each
-    adds numpy's complex products conj(a)*b (fused multiply-adds, if any, as in
+def _inner_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The inner products <a_i|b_i> of at most ``_BLOCK_ROWS`` rows.  Each adds
+    numpy's complex products conj(a)*b (fused multiply-adds, if any, as in
     ``np.linalg.norm`` and ``einsum``) over the columns left to right, the order
-    numpy's reduce adds them in, one column at a time in reused buffers."""
-    sums = np.empty(min(len(left), _BLOCK_ROWS), dtype=np.complex128)
-    conjugates, products = np.empty_like(sums), np.empty_like(sums)
-    for start in range(0, len(left), _BLOCK_ROWS):
-        a, b = left[start:start + _BLOCK_ROWS], right[start:start + _BLOCK_ROWS]
-        total, conjugate, product = sums[:len(a)], conjugates[:len(a)], products[:len(a)]
-        for k in range(a.shape[1]):
-            np.conjugate(a[:, k], out=conjugate)
-            # not in place: numpy's in-place product of a single element
-            # skips the fused multiply-add that longer products may use
-            np.multiply(conjugate, b[:, k], out=product if k else total)
-            if k:
-                total += product
-        yield start, total
+    numpy's reduce adds them in, one column at a time in two buffers."""
+    total = np.empty(len(a), dtype=np.complex128)
+    product = np.empty_like(total)
+    for k in range(a.shape[1]):
+        column = product if k else total
+        np.conjugate(a[:, k], out=column)
+        if len(a) > 1:
+            np.multiply(column, b[:, k], out=column)
+        else:
+            # numpy's in-place product of a single element skips the fused
+            # multiply-add that longer products may use
+            column[:] = column * b[:, k]
+        if k:
+            total += product
+    return total
 
 
 def _row_norms(arr: np.ndarray) -> np.ndarray:
@@ -117,8 +125,9 @@ def _row_norms(arr: np.ndarray) -> np.ndarray:
     without its reduce over a short axis: the square roots of the real parts
     of <x|x>.  The real part of a complex sum is the sum of the real parts."""
     norms = np.empty(len(arr))
-    for start, sums in _inner_products(arr, arr):
-        norms[start:start + len(sums)] = sums.real
+    for start in range(0, len(arr), _BLOCK_ROWS):
+        block = arr[start:start + _BLOCK_ROWS]
+        norms[start:start + len(block)] = _inner_products(block, block).real
     return np.sqrt(norms, out=norms)
 
 
@@ -145,6 +154,14 @@ def spinor_amplitudes(theta: float, phi, orientation: Orientation) -> np.ndarray
     return out
 
 
+def _spinor_rows(c: float, s: float, winding: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The rows (c, s w) over the w of winding, written into out, a C-ordered
+    (len(winding), 2) complex128 array, and not normalized."""
+    out.fill(c)
+    np.multiply(s, winding, out=out[:, 1])
+    return out
+
+
 class Loop(Sequence):
     """Read-only sequence of states backed by one (n, d) complex amplitude array.
 
@@ -153,43 +170,76 @@ class Loop(Sequence):
     A finite row whose squared parts overflow has norm inf and is rejected
     without a warning.  Items are ``PureState`` values with the bits of their
     rows, and slices are Loops that share the array.
+
+    A loop from ``spinor_loop`` holds only (c, s, N) until its amplitudes, an
+    item or a slice are read.  Then it builds its array (32 B a segment) from
+    the cached winding grid (16 B a segment, one segment count at a time),
+    with the bits it would have had if built at once.  ``holonomy_numeric``
+    reads an unbuilt one a block of rows at a time and leaves it unbuilt.
     """
 
-    __slots__ = ("_amps",)
+    __slots__ = ("_amps", "_spinor")
 
     def __init__(self, amplitudes) -> None:
         arr = np.array(amplitudes, dtype=np.complex128, order="C")  # _scale_rows' float view
         if arr.ndim != 2 or arr.shape[1] not in (2, 4):
             raise DomainError("loop amplitudes must have shape (n, 2) or (n, 4)")
         with np.errstate(over="ignore"):
-            self._amps = _unit_rows(arr)
+            self._amps = _frozen(_unit_rows(arr))
+        self._spinor = None
 
     @classmethod
-    def _adopt(cls, arr: np.ndarray) -> Loop:
-        """A Loop over a complex128 (n, 2) or (n, 4) array that nothing else holds,
-        without copying it."""
+    def _of(cls, amps: np.ndarray | None, spinor: tuple[float, float, int] | None = None) -> Loop:
+        """A Loop over amps, a read-only array of rows that already hold the
+        contract, or, with amps None, over the spinor rows (c, s e^{-i x_k}),
+        x_k = 2*pi*k/N, of spinor = (c, s, N)."""
         loop = object.__new__(cls)
-        loop._amps = _unit_rows(arr)
+        loop._amps, loop._spinor = amps, spinor
         return loop
 
     @property
     def amplitudes(self) -> np.ndarray:
         """Read-only (n, d) complex amplitudes, one state per row."""
+        if self._amps is None:
+            c, s, segments = self._spinor
+            rows = np.empty((segments + 1, 2), dtype=np.complex128)
+            self._amps = _frozen(_unit_rows(_spinor_rows(c, s, _winding(segments), rows)))
         return self._amps
 
     def __len__(self) -> int:
-        return self._amps.shape[0]
+        return len(self._amps) if self._spinor is None else self._spinor[2] + 1
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            view = object.__new__(Loop)
-            view._amps = self._amps[index]
-            return view
+            return Loop._of(self.amplitudes[index])
         # the row already holds the contract; renormalizing it again would move
         # the last bit of about one row in eight
         state = object.__new__(PureState)
-        state._amps = tuple(self._amps[operator.index(index)].tolist())
+        state._amps = tuple(self.amplitudes[operator.index(index)].tolist())
         return state
+
+    def _row_blocks(self) -> Iterator[np.ndarray]:
+        """The rows in blocks of ``_BLOCK_ROWS`` + 1 from row 0, each block's
+        first row the last of the block before: views of the array, or, while
+        a spinor loop is unbuilt, its rows made and normalized block by block
+        in one buffer, which the next block overwrites."""
+        starts = range(0, len(self) - 1, _BLOCK_ROWS)
+        if self._amps is not None:
+            return (self._amps[start:start + _BLOCK_ROWS + 1] for start in starts)
+        c, s, segments = self._spinor
+        winding = _winding(segments)
+        rows = np.empty((min(segments, _BLOCK_ROWS) + 1, 2), dtype=np.complex128)
+        return (_unit_rows(_spinor_rows(c, s, w, rows[:len(w)]))
+                for w in (winding[start:start + _BLOCK_ROWS + 1] for start in starts))
+
+
+def _block_phases(rows: np.ndarray) -> tuple[float, float]:
+    """The least |<r_k|r_{k+1}>| over a block's consecutive rows, and the sum of
+    those overlaps' phases.  Its arrays are freed on return, before the next
+    block is made."""
+    overlaps = _inner_products(rows[:-1], rows[1:])
+    reals = np.abs(overlaps)
+    return float(reals.min()), float(np.arctan2(overlaps.imag, overlaps.real, out=reals).sum())
 
 
 def holonomy_numeric(path: Sequence[PureState]) -> GeometricPhase:
@@ -199,37 +249,49 @@ def holonomy_numeric(path: Sequence[PureState]) -> GeometricPhase:
     1e-12 componentwise.  Consecutive overlaps below 1e-9 in magnitude leave
     the transported phase ill-defined and are rejected.  The result is
     insensitive to per-point global phases (endpoints rephased together).
-    A ``Loop`` is read as its amplitude array; any other sequence of states
-    is stacked first.
+    A ``Loop`` is read a block of rows at a time, so an unbuilt spinor loop
+    is never held whole; any other sequence of states is stacked first.
     """
     if len(path) < 2:
         raise DomainError("a loop needs at least two states")
-    if isinstance(path, Loop):
-        amps = path.amplitudes
-    else:
+    if not isinstance(path, Loop):
         if len({s.num_qubits for s in path}) != 1:
             raise DomainError("all loop states must have the same qubit count")
-        amps = np.stack([s.amplitudes for s in path])
-    if float(np.max(np.abs(amps[0] - amps[-1]))) > CLOSURE_TOLERANCE:
-        raise DomainError("open path: first and last states differ beyond 1e-12")
+        path = Loop._of(np.stack([s.amplitudes for s in path]))
     # the overlaps <psi_k | psi_{k+1}> a block of rows at a time, and their phases
-    smallest, block_sums = math.inf, []
-    for _, overlaps in _inner_products(amps[:-1], amps[1:]):
-        reals = np.abs(overlaps)
-        smallest = min(smallest, float(reals.min()))
-        block_sums.append(float(np.arctan2(overlaps.imag, overlaps.real, out=reals).sum()))
+    first, smallest, block_sums = None, math.inf, []
+    for rows in path._row_blocks():
+        if first is None:
+            first = rows[0].copy()
+        least, phases = _block_phases(rows)
+        smallest = min(smallest, least)
+        block_sums.append(phases)
+    if float(np.max(np.abs(first - rows[-1]))) > CLOSURE_TOLERANCE:
+        raise DomainError("open path: first and last states differ beyond 1e-12")
     if smallest < MIN_OVERLAP:
         raise DegeneratePathError("consecutive loop states are nearly orthogonal")
-    total = -math.fsum(block_sums)
-    return GeometricPhase.wrapped(total)
+    return GeometricPhase.wrapped(-math.fsum(block_sums))
 
 
-def _azimuths(sign: float, segments: int) -> np.ndarray:
-    """The closed azimuth grid sign * 2*pi * k/segments for k = 0..segments."""
+def _azimuths(segments: int) -> np.ndarray:
+    """The closed azimuth grid 2*pi * k/segments for k = 0..segments."""
     phi = np.arange(segments + 1, dtype=np.float64)
     phi /= segments
-    phi *= sign * TWO_PI
+    phi *= TWO_PI
     return phi
+
+
+@lru_cache(maxsize=1)
+def _winding(segments: int) -> np.ndarray:
+    """The read-only grid e^{-i x_k}, x_k = 2*pi*k/segments, for k = 0..segments.
+
+    These are the bits of ``spinor_amplitudes``' e^{-i phi} over the UP loop's
+    azimuths phi = x_k, and of its e^{+i phi} over the DOWN loop's phi = -x_k.
+    Only the most recent segment count is kept.
+    """
+    grid = np.multiply(-1j, _azimuths(segments))
+    np.exp(grid, out=grid)
+    return _frozen(grid)
 
 
 def spinor_loop(orientation: Orientation, theta: float, segments: int) -> Loop:
@@ -238,17 +300,18 @@ def spinor_loop(orientation: Orientation, theta: float, segments: int) -> Loop:
     The loop is traversed with its orientation referred to the spinor's own
     quantization axis: phi runs 0 -> +2*pi for UP and 0 -> -2*pi for DOWN.
     Transporting the DOWN family in the +phi direction instead would pick up
-    the negative of its phase (equal to the UP value mod 2*pi).
+    the negative of its phase (equal to the UP value mod 2*pi).  Both wind
+    their second amplitude as e^{-i x_k}, x_k = 2*pi*k/segments.
     """
     check_theta(theta)
     _check_segments(segments)
-    sign = 1.0 if orientation is Orientation.UP else -1.0
-    return Loop._adopt(spinor_amplitudes(theta, _azimuths(sign, segments), orientation))
+    c, s = _spinor_gauge(orientation, theta)
+    return Loop._of(None, (c, s, operator.index(segments)))
 
 
 def _antisymmetric_family(theta: float, segments: int) -> np.ndarray:
     """Rows kron(up_k, down_k) - kron(down_k, up_k) over the azimuth grid, unnormalized."""
-    phi = _azimuths(1.0, segments)
+    phi = _azimuths(segments)
     up = spinor_amplitudes(theta, phi, Orientation.UP)
     down = spinor_amplitudes(theta, phi, Orientation.DOWN)
     raw = np.multiply(up[:, :, np.newaxis], down[:, np.newaxis, :])
@@ -273,5 +336,5 @@ def entangled_family_loop(theta: float, segments: int) -> Loop:
     if float(norms.min()) < MIN_OVERLAP:
         raise DegeneratePathError("antisymmetric spinor family vanishes near theta = pi/2")
     _scale_rows(raw, norms)
-    # Loop renormalizes the rows once more, which sets their last bits
-    return Loop._adopt(raw)
+    # the rows are renormalized once more, which sets their last bits
+    return Loop._of(_frozen(_unit_rows(raw)))

@@ -592,8 +592,9 @@ class TestStreamedTransport:
     def test_streams_its_rows(self):
         segments = 200_000
         assert peak_bytes(lambda: spinor_holonomy(Orientation.UP, 1.0, segments)) < 1 << 20
-        # the probe sees a loop that is held whole: the array route keeps 32 B a row
-        assert peak_bytes(lambda: array_route(Orientation.UP, 1.0, segments)) > 32 * segments
+        # the probe sees a loop that is held whole: a built array keeps 32 B a row
+        assert peak_bytes(lambda: spinor_loop(Orientation.UP, 1.0, segments).amplitudes) > \
+            32 * segments
 
 
 # today's builders as they were written before the in-place rewrite: every
@@ -668,8 +669,11 @@ def value_bits(result):
 SPECIAL_THETAS = (0.0, 5e-324, 1e-300, 1e-8, math.pi / 2, math.nextafter(math.pi / 2, 0.0),
                   math.nextafter(math.pi / 2, 4.0), math.pi / 2 + 1e-10, 1e-5, math.pi,
                   math.nextafter(math.pi, 0.0))
-# seeded thetas per size, fewer where a build is long; 5199 builder cases in all
-DIFFERENTIAL_SIZES = {2: 400, 3: 400, 7: 400, 64: 400, 2000: 60, 20000: 7}
+# seeded thetas per size, fewer where a build is long; 5367 builder cases in all.
+# Loops of 4095 to 4097 and 8193 segments end their last block of rows, or of
+# row norms, on one row.
+DIFFERENTIAL_SIZES = {2: 400, 3: 400, 7: 400, 64: 400, 2000: 60, 4095: 3, 4096: 3, 4097: 3,
+                      8193: 3, 20000: 7}
 
 
 @pytest.mark.parametrize("family", ["up", "down", "entangled"])
@@ -682,13 +686,17 @@ def test_builders_are_bit_identical_to_the_reference(family, segments):
         raw = outcome(reference_raw_rows, family, theta, segments)
         want = outcome(Loop, raw) if isinstance(raw, np.ndarray) else raw
         got = outcome(build, family, theta, segments)
+        # transported before its amplitudes are read, a spinor loop is made a
+        # block of rows at a time from the winding grid
+        streamed = outcome(holonomy_numeric, got) if isinstance(got, Loop) else None
         assert bytes_of(got) == bytes_of(want), (family, theta, segments)
         if not isinstance(got, Loop):
             continue
         # the row norms against np.linalg.norm, not only against Loop's own
         assert got.amplitudes.tobytes() == reference_unit_rows(raw).tobytes()
-        assert value_bits(outcome(holonomy_numeric, got)) == value_bits(
-            outcome(holonomy_numeric, want)), (family, theta, segments)
+        transported = value_bits(outcome(holonomy_numeric, want))
+        assert value_bits(streamed) == transported, (family, theta, segments)
+        assert value_bits(outcome(holonomy_numeric, got)) == transported, (family, theta, segments)
 
 
 def test_row_norms_match_numpy_norm_bit_for_bit():
@@ -762,6 +770,28 @@ def test_build_and_transport_peak_below_one_and_three_quarter_loops():
     array_route(Orientation.UP, 1.0, 8)  # first-call allocations are not the loop's
     for orientation in Orientation:
         assert peak_bytes(lambda: array_route(orientation, 1.0, segments)) < 1.75 * loop_bytes
+
+
+def test_streamed_spinor_transport_peaks_below_half_a_loop():
+    # with the winding grid cached, the transport holds one block of rows and
+    # the kernel's two buffers (0.46 loops), never the loop's array
+    segments = 20000
+    loop_bytes = (segments + 1) * 2 * 16
+    for orientation in Orientation:
+        array_route(orientation, 1.0, segments)  # caches the grid
+        assert peak_bytes(lambda: array_route(orientation, 1.0, segments)) < 0.5 * loop_bytes
+
+
+def test_winding_cache_holds_one_read_only_grid():
+    for segments in (20000, 64):
+        holonomy_numeric(spinor_loop(Orientation.DOWN, 0.7, segments))
+    info = berry._winding.cache_info()
+    assert info.currsize == info.maxsize == 1
+    grid = berry._winding(64)
+    assert berry._winding.cache_info().hits == info.hits + 1
+    assert len(grid) == 65 and not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0] = 0.0
 
 
 # Rows are scaled by real multiplies, not numpy's complex division; every byte,
