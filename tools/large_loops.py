@@ -1,16 +1,23 @@
-"""Time and size the build and transport of one 10^6-segment library loop.
+"""Time and size the build and the transport of one 10^6-segment library loop.
 
     python3 tools/large_loops.py SRC FAMILY [--block-rows N] [--segments N] [--repeats R]
 
 SRC is the ``src`` directory of the checkout to measure and FAMILY is
 ``spinor`` (an UP spinor loop at theta = 1) or ``entangled`` (the two-qubit
-family at theta = 1).  With --block-rows, ``berry._BLOCK_ROWS`` is set before
-any loop is built; a value at least the loop's row count makes every column
-pass run over whole columns.  Run it once per process: the peak figures are
-the growth of the process's peak resident size over its size before the
-first large build.  Prints one JSON line with the median build and transport
-seconds over R repeats and the peak growth, in MiB, after the first build and
-after its transport.
+family at theta = 1).  The two are timed apart:
+
+- build: the loop's whole amplitude array, ``loop.amplitudes`` of a new loop.
+- transport: ``holonomy_numeric`` of a new loop.  A spinor loop whose array
+  has not been read is made a block of rows at a time as it is transported,
+  so this stage runs first and never holds the array; the two-qubit family
+  is built when it is made, so its transport reads the built loop.
+
+With --block-rows, ``berry._BLOCK_ROWS`` is set before any loop is built; a
+value at least the loop's row count makes every column pass run over whole
+columns.  Run it once per process: the peak figures are the growth of the
+process's peak resident size over its size before the first large loop,
+read after each stage's first run.  Prints one JSON line with the median
+build and transport seconds over R repeats and the two peaks, in MiB.
 """
 
 import argparse
@@ -43,31 +50,36 @@ def main() -> None:
     def peak_mib():
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
 
+    def built(_):
+        loop = build(args.segments)
+        loop.amplitudes  # the whole array
+        return loop
+
+    # (name, stage): each stage takes the previous one's result
+    if args.family == "entangled":
+        stages = [("build", built), ("transport", holonomy_numeric)]
+    else:
+        stages = [("transport", lambda _: holonomy_numeric(build(args.segments))), ("build", built)]
     holonomy_numeric(build(8))  # first-call allocations are not the loop's
     base = peak_mib()
-    builds, transports, peaks = [], [], []
+    seconds, peaks = {name: [] for name, _ in stages}, {}
     for _ in range(args.repeats):
-        start = time.perf_counter()
-        loop = build(args.segments)
-        built = time.perf_counter()
-        if not peaks:
-            peaks.append(peak_mib() - base)
-        holonomy_numeric(loop)
-        done = time.perf_counter()
-        if len(peaks) == 1:
-            peaks.append(peak_mib() - base)
-        builds.append(built - start)
-        transports.append(done - built)
-        del loop
+        result = None
+        for name, stage in stages:
+            start = time.perf_counter()
+            result = stage(result)
+            seconds[name].append(time.perf_counter() - start)
+            peaks.setdefault(name, peak_mib() - base)
+        del result
     print(json.dumps({
         "family": args.family,
         "segments": args.segments,
         "block_rows": getattr(berry, "_BLOCK_ROWS", None),
         "repeats": args.repeats,
-        "build_s": statistics.median(builds),
-        "transport_s": statistics.median(transports),
-        "build_peak_mib": peaks[0],
-        "transport_peak_mib": peaks[1],
+        "build_s": statistics.median(seconds["build"]),
+        "transport_s": statistics.median(seconds["transport"]),
+        "build_peak_mib": peaks["build"],
+        "transport_peak_mib": peaks["transport"],
     }))
 
 
