@@ -103,7 +103,9 @@ def _inner_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The inner products <a_i|b_i> of at most ``_BLOCK_ROWS`` rows.  Each adds
     numpy's complex products conj(a)*b (fused multiply-adds, if any, as in
     ``np.linalg.norm`` and ``einsum``) over the columns left to right, the order
-    numpy's reduce adds them in, one column at a time in two buffers."""
+    numpy's reduce adds them in, one column at a time.  Each product is made
+    in place, so the kernel holds two buffers, not three: a streamed block of
+    rows and the kernel stay under half a loop of 20000 segments."""
     total = np.empty(len(a), dtype=np.complex128)
     product = np.empty_like(total)
     for k in range(a.shape[1]):

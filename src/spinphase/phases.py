@@ -24,13 +24,15 @@ from .errors import DegeneratePathError, DomainError
 
 CLOSURE_TOLERANCE = 1e-12
 MIN_OVERLAP = 1e-9
-# A berry.Loop stores 32 B per segment (spinor) or 64 B (entangled family).
-# Building and transporting a 10^6-segment loop peaks about 50 MiB (spinor) or
-# 161 MiB (entangled) above the interpreter's resident size, temporaries
-# included, and the transport adds nothing to the build's peak; a spinor loop
-# builds in about 0.1 s (numpy 2.4, 2-vCPU Xeon, x86-64 Linux, ru_maxrss in a
-# fresh process: tools/large_loops.py).  spinor_holonomy holds one row at any
-# segment count.
+# A built berry.Loop stores 32 B per segment (spinor) or 64 B (entangled
+# family).  A spinor loop is built only when its rows are read, from berry's
+# cached winding grid: 16 B per segment, 16 MB here, for one segment count at
+# a time.  At 10^6 segments, transporting an unbuilt spinor loop peaks about
+# 23 MiB above the interpreter's resident size (the grid, and the azimuths
+# while it is made) and building its array about 65 MiB, the grid included;
+# the entangled family peaks about 160 MiB, and its transport adds nothing
+# (numpy 2.4, 2-vCPU Xeon, x86-64 Linux, ru_maxrss in a fresh process:
+# tools/large_loops.py).  spinor_holonomy holds one row at any segment count.
 MAX_SEGMENTS = 1_000_000
 
 
