@@ -31,9 +31,10 @@ GOLDEN = Path(__file__).with_name("golden") / "cli_corpus.json"
 
 
 class Circ(NamedTuple):
-    """A case's circuit file: its text, written to a fresh file on each run."""
+    """A case's circuit file: its text, or its bytes when they are not UTF-8,
+    written to a fresh file on each run."""
 
-    text: str
+    text: str | bytes
 
 
 CIRCUIT = Circ("# golden circuit\nH P(2*theta) H P(pi/2 + phi)\n")
@@ -111,6 +112,7 @@ CASES = {
     "domain-holonomy-segments": ["holonomy", "--spin", "up", "--theta", "1.0",
                                  "--segments", "1"],
     "domain-circuit-missing-file": ["circuit", "--file", "/nonexistent/x.circ"],
+    "domain-circuit-not-utf8": ["circuit", "--file", Circ(b"\xff\xfeH")],
     "domain-rgflow-separation": ["rgflow", "--a", "1", "--c", "1", "--separation", "0"],
     # finite flags whose flow overflows: to +inf an error, to -inf clamped to 0
     "domain-rgflow-overflow": ["rgflow", "--a", "1e308", "--c", "0", "--separation", "1e-310"],
@@ -156,7 +158,10 @@ def run_case(case, workdir: Path) -> dict:
         if not isinstance(value, Circ):
             return value
         file = workdir / "golden.circ"
-        file.write_text(value.text, encoding="utf-8")
+        if isinstance(value.text, bytes):
+            file.write_bytes(value.text)
+        else:
+            file.write_text(value.text, encoding="utf-8")
         return str(file)
 
     out, err = io.StringIO(), io.StringIO()
