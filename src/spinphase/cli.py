@@ -341,7 +341,7 @@ def _circuit():
         if file not in loaded:
             try:
                 source = Path(file).read_text(encoding="utf-8")
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise DomainError(f"cannot read circuit file: {exc}") from exc
             circuit = parse_circuit(source)
             loaded[file] = circuit, format_circuit(circuit)

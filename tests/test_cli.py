@@ -422,6 +422,14 @@ class TestCircuitCommand:
         path.write_text("H P(")
         with pytest.raises(DomainError, match=r"^at theta=0\.5: .*line 1"):
             sweep("circuit", spec, {"file": str(path)})
+        # bytes that are not UTF-8, on the library and the argv sweep routes
+        path.write_bytes(b"\xff\xfeH")
+        with pytest.raises(DomainError, match=r"^at theta=0\.5: cannot read circuit file: "
+                                              r"'utf-8' codec can't decode"):
+            sweep("circuit", spec, {"file": str(path)})
+        argv = ["sweep", "--cmd", "circuit", "--param", "theta", "--start", "0.5", "--stop",
+                "1", "--steps", "3", "--file", str(path)]
+        assert dispatch(argv) == 1
 
 
 class TestRabiCommand:
