@@ -3,16 +3,17 @@
 This is the one module that imports numpy when it loads.  A loop of N segments is an
 (N+1, d) complex array; ``holonomy_numeric`` multiplies its consecutive
 overlaps, and its value is checked against the closed forms of ``phases``.
-Row norms and overlaps are sums of one blocked inner-product kernel, and the
-spinor rows take their gauge from ``phases``.  A spinor loop is not held as
-an array: its rows are (c, s e^{-i x_k}) over one cached winding grid, made
-a block at a time as the transport reads them and in full only when its
-amplitudes, an item or a slice are read.  The grid costs 16 B a segment
-(16 MB at ``MAX_SEGMENTS``) and is kept for the most recent segment count.
-The transport is 2*pi periodic by construction and reports values in
-[0, 2*pi).  The ``holonomy`` command does not load this module: it uses
-``phases.spinor_holonomy``, which streams the loop of ``spinor_loop`` in plain
-Python, and the tests hold each route against the other.
+Rows are normalized a block at a time, their norms and overlaps sums of one
+inner-product kernel.  One builder makes every spinor row (c, s e^{-i x_k}),
+its gauge from ``phases``.  A spinor loop is not held as an array: its rows
+come from one cached winding grid, made a block at a time as the transport
+reads them and in full only when its amplitudes, an item or a slice are
+read.  The grid costs 16 B a segment (16 MB at ``MAX_SEGMENTS``) and is kept
+for the most recent segment count.  The transport is 2*pi periodic by
+construction and reports values in [0, 2*pi).  The ``holonomy`` command does
+not load this module: it uses ``phases.spinor_holonomy``, which streams the
+loop of ``spinor_loop`` in plain Python, and the tests hold each route
+against the other.
 """
 
 from __future__ import annotations
@@ -39,17 +40,18 @@ from .states import NORM_TOLERANCE, PureState, _off_unit
 
 
 def _unit_rows(arr: np.ndarray) -> np.ndarray:
-    """A C-ordered (n, 2) or (n, 4) complex128 array the caller owns, its rows
-    checked (the first offending row's norm is the one reported) and scaled to
-    unit norm in place with the bits of numpy's complex division by the norm."""
+    """A C-ordered (n, 2) or (n, 4) complex128 array the caller owns, checked to
+    be finite, then a block at a time checked (the first offending row's norm
+    is the one reported) and scaled to unit norm in place with the bits of
+    numpy's complex division by the norm."""
     if not np.isfinite(arr).all():
         raise DomainError("state must be finite")
-    norms = _row_norms(arr)
-    dev = norms - 1.0
-    np.abs(dev, out=dev)
-    if dev.max(initial=0.0) > NORM_TOLERANCE:
-        raise _off_unit(float(norms[dev > NORM_TOLERANCE][0]), "state")
-    _scale_rows(arr, norms)
+    for block in _blocks(arr):
+        norms = _row_norms(block)
+        dev = np.abs(norms - 1.0)
+        if dev.max() > NORM_TOLERANCE:
+            raise _off_unit(float(norms[dev > NORM_TOLERANCE][0]), "state")
+        _scale_rows(block, norms)
     return arr
 
 
@@ -71,11 +73,18 @@ _NEGATIVE_ZERO_BITS = np.int64(-(1 << 63))
 _BLOCK_ROWS = 4096
 
 
+def _blocks(arr: np.ndarray, overlap: int = 0) -> Iterator[np.ndarray]:
+    """Views of arr's rows in blocks of ``_BLOCK_ROWS`` + overlap from row 0,
+    each block's first overlap rows the last of the block before."""
+    starts = range(0, len(arr) - overlap, _BLOCK_ROWS)
+    return (arr[start:start + _BLOCK_ROWS + overlap] for start in starts)
+
+
 def _scale_rows(rows: np.ndarray, norms: np.ndarray) -> None:
     """``rows /= norms[:, np.newaxis]`` with the same bits, by real multiplies.
 
-    rows is a C-ordered (n, d) complex128 array, norms its n positive finite
-    norms, which are overwritten.  numpy divides x by a real r as by r + 0j,
+    rows is a C-ordered block of (n, d) complex128 rows, norms its n positive
+    finite norms, which are overwritten.  numpy divides x by a real r as by r + 0j,
     and computes that as ((re + im*0) * (1/r), (im - re*0) * (1/r)) with one
     reciprocal.  Off zero parts that is re*(1/r) and im*(1/r): one reciprocal
     per row, then one real multiply per float column.  On a zero part the
@@ -87,11 +96,9 @@ def _scale_rows(rows: np.ndarray, norms: np.ndarray) -> None:
     parts = rows.view(np.float64)
     # column by column: a broadcast over a short last axis runs an inner loop
     # per row
-    for start in range(0, len(parts), _BLOCK_ROWS):
-        block, scale = parts[start:start + _BLOCK_ROWS], inv[start:start + _BLOCK_ROWS]
-        for j in range(block.shape[1]):
-            column = block[:, j]
-            column *= scale
+    for j in range(parts.shape[1]):
+        column = parts[:, j]
+        column *= inv
     negative_zero = parts.view(np.int64) == _NEGATIVE_ZERO_BITS
     if negative_zero.any():
         sign = np.signbit(parts)
@@ -122,45 +129,21 @@ def _inner_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return total
 
 
-def _row_norms(arr: np.ndarray) -> np.ndarray:
-    """The bits of ``np.linalg.norm(arr, axis=-1)`` for an (n, 2) or (n, 4) arr,
+def _row_norms(block: np.ndarray) -> np.ndarray:
+    """The bits of ``np.linalg.norm(block, axis=-1)`` for one block of rows,
     without its reduce over a short axis: the square roots of the real parts
     of <x|x>.  The real part of a complex sum is the sum of the real parts."""
-    norms = np.empty(len(arr))
-    for start in range(0, len(arr), _BLOCK_ROWS):
-        block = arr[start:start + _BLOCK_ROWS]
-        norms[start:start + len(block)] = _inner_products(block, block).real
-    return np.sqrt(norms, out=norms)
+    return np.sqrt(_inner_products(block, block).real)
 
 
-def spinor_amplitudes(theta: float, phi, orientation: Orientation) -> np.ndarray:
-    """Gauge-fixed spinor amplitudes at polar angle theta, one row per azimuth in phi.
-
-    UP:   (cos(theta/2), sin(theta/2) e^{-i phi})
-    DOWN: (sin(theta/2), cos(theta/2) e^{+i phi})
-
-    The result has shape ``np.shape(phi) + (2,)``; its rows are neither checked
-    nor renormalized (``Loop`` does that).  Each row has the bits of
-    ``circuits.prepare_spinor``'s amplitudes before renormalization.
-    """
-    c, s = _spinor_gauge(orientation, theta)
-    phi = np.asarray(phi, dtype=np.float64)
-    out = np.empty(phi.shape + (2,), dtype=np.complex128)
-    out.fill(c)  # one contiguous pass; the second column is overwritten below
-    # e^{-i phi} (UP) or e^{+i phi} (DOWN), scaled by s, made in place in the
-    # second column: a view, so out= holds for a 0-d phi too
-    second = out[..., 1]
-    np.multiply(-1j if orientation is Orientation.UP else 1j, phi, out=second)
-    np.exp(second, out=second)
-    np.multiply(s, second, out=second)
-    return out
-
-
-def _spinor_rows(c: float, s: float, winding: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The rows (c, s w) over the w of winding, written into out, a C-ordered
-    (len(winding), 2) complex128 array, and not normalized."""
+def _spinor_rows(c: float, s: float, grid: np.ndarray, out=None) -> np.ndarray:
+    """The spinor rows (c, s w) over the w of grid, not normalized, written into
+    out, a C-ordered (len(grid), 2) complex128 array, or into a new one.  Every
+    spinor row of this module is made here."""
+    if out is None:
+        out = np.empty((len(grid), 2), dtype=np.complex128)
     out.fill(c)
-    np.multiply(s, winding, out=out[:, 1])
+    np.multiply(s, grid, out=out[:, 1])
     return out
 
 
@@ -204,8 +187,7 @@ class Loop(Sequence):
         """Read-only (n, d) complex amplitudes, one state per row."""
         if self._amps is None:
             c, s, segments = self._spinor
-            rows = np.empty((segments + 1, 2), dtype=np.complex128)
-            self._amps = _frozen(_unit_rows(_spinor_rows(c, s, _winding(segments), rows)))
+            self._amps = _frozen(_unit_rows(_spinor_rows(c, s, _winding(segments))))
         return self._amps
 
     def __len__(self) -> int:
@@ -225,14 +207,12 @@ class Loop(Sequence):
         first row the last of the block before: views of the array, or, while
         a spinor loop is unbuilt, its rows made and normalized block by block
         in one buffer, which the next block overwrites."""
-        starts = range(0, len(self) - 1, _BLOCK_ROWS)
         if self._amps is not None:
-            return (self._amps[start:start + _BLOCK_ROWS + 1] for start in starts)
+            return _blocks(self._amps, 1)
         c, s, segments = self._spinor
-        winding = _winding(segments)
+        grids = _blocks(_winding(segments), 1)  # the grid is made before the buffer
         rows = np.empty((min(segments, _BLOCK_ROWS) + 1, 2), dtype=np.complex128)
-        return (_unit_rows(_spinor_rows(c, s, w, rows[:len(w)]))
-                for w in (winding[start:start + _BLOCK_ROWS + 1] for start in starts))
+        return (_unit_rows(_spinor_rows(c, s, w, rows[:len(w)])) for w in grids)
 
 
 def _block_phases(rows: np.ndarray) -> tuple[float, float]:
@@ -275,25 +255,22 @@ def holonomy_numeric(path: Sequence[PureState]) -> GeometricPhase:
     return GeometricPhase.wrapped(-math.fsum(block_sums))
 
 
-def _azimuths(segments: int) -> np.ndarray:
-    """The closed azimuth grid 2*pi * k/segments for k = 0..segments."""
-    phi = np.arange(segments + 1, dtype=np.float64)
-    phi /= segments
-    phi *= TWO_PI
-    return phi
+def _winding_grid(segments: int) -> np.ndarray:
+    """A new grid e^{-i x_k}, x_k = 2*pi*k/segments, for k = 0..segments: numpy's
+    e^{-i phi} over the UP loop's azimuths phi = x_k and its e^{+i phi} over the
+    DOWN loop's phi = -x_k.  Its conjugate has the bits of e^{+i x_k}."""
+    x = np.arange(segments + 1, dtype=np.float64)
+    x /= segments
+    x *= TWO_PI
+    grid = np.multiply(-1j, x)
+    return np.exp(grid, out=grid)
 
 
 @lru_cache(maxsize=1)
 def _winding(segments: int) -> np.ndarray:
-    """The read-only grid e^{-i x_k}, x_k = 2*pi*k/segments, for k = 0..segments.
-
-    These are the bits of ``spinor_amplitudes``' e^{-i phi} over the UP loop's
-    azimuths phi = x_k, and of its e^{+i phi} over the DOWN loop's phi = -x_k.
-    Only the most recent segment count is kept.
-    """
-    grid = np.multiply(-1j, _azimuths(segments))
-    np.exp(grid, out=grid)
-    return _frozen(grid)
+    """The spinor loops' read-only ``_winding_grid``, kept for the most recent
+    segment count only."""
+    return _frozen(_winding_grid(segments))
 
 
 def spinor_loop(orientation: Orientation, theta: float, segments: int) -> Loop:
@@ -312,10 +289,14 @@ def spinor_loop(orientation: Orientation, theta: float, segments: int) -> Loop:
 
 
 def _antisymmetric_family(theta: float, segments: int) -> np.ndarray:
-    """Rows kron(up_k, down_k) - kron(down_k, up_k) over the azimuth grid, unnormalized."""
-    phi = _azimuths(segments)
-    up = spinor_amplitudes(theta, phi, Orientation.UP)
-    down = spinor_amplitudes(theta, phi, Orientation.DOWN)
+    """Rows kron(up_k, down_k) - kron(down_k, up_k), unnormalized, of up_k = (c,
+    s e^{-i x_k}) and down_k = (s, c e^{+i x_k}) over a grid of its own: the
+    cached one stays a spinor loop's.  The grid is freed before the products."""
+    c, s = _spinor_gauge(Orientation.UP, theta)
+    grid = _winding_grid(segments)
+    up = _spinor_rows(c, s, grid)
+    down = _spinor_rows(s, c, np.conjugate(grid, out=grid))
+    del grid
     raw = np.multiply(up[:, :, np.newaxis], down[:, np.newaxis, :])
     # the second product a row block at a time, down first: numpy's complex
     # product need not commute bit for bit
@@ -334,9 +315,10 @@ def entangled_family_loop(theta: float, segments: int) -> Loop:
     check_theta(theta)
     _check_segments(segments)
     raw = _antisymmetric_family(theta, segments)
-    norms = _row_norms(raw)
-    if float(norms.min()) < MIN_OVERLAP:
-        raise DegeneratePathError("antisymmetric spinor family vanishes near theta = pi/2")
-    _scale_rows(raw, norms)
+    for block in _blocks(raw):
+        norms = _row_norms(block)
+        if float(norms.min()) < MIN_OVERLAP:
+            raise DegeneratePathError("antisymmetric spinor family vanishes near theta = pi/2")
+        _scale_rows(block, norms)
     # the rows are renormalized once more, which sets their last bits
     return Loop._of(_frozen(_unit_rows(raw)))

@@ -395,7 +395,7 @@ def prepare_spinor(orientation: Orientation, theta: float, phi: float,
     check_real("phi", phi)
     if chi is not None:
         check_real("chi", chi)
-    # complex factors, as for _INV_SQRT2: the bits of berry.spinor_amplitudes' rows
+    # complex factors, as for _INV_SQRT2: the bits of numpy's real-by-complex products
     c, s = map(complex, _spinor_gauge(orientation, theta))
     winding = -1j if orientation is Orientation.UP else 1j
     amps = [c, s * cmath.exp(winding * phi)]

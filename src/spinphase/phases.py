@@ -29,8 +29,8 @@ MIN_OVERLAP = 1e-9
 # cached winding grid: 16 B per segment, 16 MB here, for one segment count at
 # a time.  At 10^6 segments, transporting an unbuilt spinor loop peaks about
 # 23 MiB above the interpreter's resident size (the grid, and the azimuths
-# while it is made) and building its array about 65 MiB, the grid included;
-# the entangled family peaks about 160 MiB, and its transport adds nothing
+# while it is made) and building its array about 48 MiB, the grid included;
+# the entangled family peaks about 153 MiB, and its transport adds nothing
 # (numpy 2.4, 2-vCPU Xeon, x86-64 Linux, ru_maxrss in a fresh process:
 # tools/large_loops.py).  spinor_holonomy holds one row at any segment count.
 MAX_SEGMENTS = 1_000_000
@@ -155,8 +155,8 @@ def spinor_holonomy(orientation: Orientation, theta: float, segments: int) -> Ge
 def _overlap_phases(c: float, s: float, segments: int):
     """arg <psi_{k-1}|psi_k> for k = 1..segments, over the rows (c, s e^{-i x_k}).
 
-    Row k is ``berry.spinor_amplitudes``' row at x_k = k/segments * 2*pi: UP
-    winds e^{-i phi} over phi = +x_k, DOWN e^{+i phi} over phi = -x_k.  Each row
+    Row k is ``berry.spinor_loop``'s row k, x_k = k/segments * 2*pi: UP winds
+    e^{-i phi} over phi = +x_k, DOWN e^{+i phi} over phi = -x_k.  Each row
     is held to the ``states.unit_vector`` contract (an fsum norm within
     ``NORM_TOLERANCE`` of 1, its message, then renormalized), and the closure
     and overlap checks are ``berry.holonomy_numeric``'s, with its messages.

@@ -700,13 +700,35 @@ def test_builders_are_bit_identical_to_the_reference(family, segments):
 
 
 def test_row_norms_match_numpy_norm_bit_for_bit():
+    # the norms of each block against numpy's over the whole array; the last
+    # block of 4097 rows has one row
     rng = np.random.default_rng(9)
+    count = berry._BLOCK_ROWS + 1
     for width in (2, 4):
-        parts = rng.normal(size=(20000, 2 * width)) * 10.0 ** rng.integers(-8, 8, (20000, 1))
+        parts = rng.normal(size=(count, 2 * width)) * 10.0 ** rng.integers(-8, 8, (count, 1))
         parts[rng.random(parts.shape) < 0.1] = 0.0
         parts[rng.random(parts.shape) < 0.05] = -0.0
         rows = parts.view(np.complex128)
-        assert berry._row_norms(rows).tobytes() == np.linalg.norm(rows, axis=-1).tobytes()
+        blocks = list(berry._blocks(rows))
+        assert [len(block) for block in blocks] == [berry._BLOCK_ROWS, 1]
+        got = np.concatenate([berry._row_norms(block) for block in blocks])
+        assert got.tobytes() == np.linalg.norm(rows, axis=-1).tobytes()
+
+
+def test_block_pass_reports_the_whole_arrays_first_error():
+    block = berry._BLOCK_ROWS
+    rows = np.zeros((3 * block, 2), dtype=np.complex128)
+    rows[:, 0] = 1.0
+    # off unit in the second block, nan in the third: finiteness is checked first
+    rows[block + 5, 0] = 1.5
+    rows[2 * block + 7, 1] = math.nan
+    with pytest.raises(DomainError, match=r"^state must be finite$"):
+        Loop(rows)
+    # off unit in the first block and in the second: the first one's norm is reported
+    rows[2 * block + 7, 1] = 0.0
+    rows[3, 0] = 1.25
+    with pytest.raises(DomainError, match=r"^state norm 1\.25 not within"):
+        Loop(rows)
 
 
 # holonomy_numeric sums the overlaps column by column; the einsum formula it
@@ -763,8 +785,11 @@ def test_overlaps_in_a_block_of_one_row_keep_their_bits():
 
 
 def test_build_and_transport_peak_below_one_and_three_quarter_loops():
-    # the loop's array, its norms and their deviations from 1 while it is
-    # built (1.63 loops); the transport adds three buffers of one block of rows
+    # the rows are made and transported a block at a time, so the peak is the
+    # first orientation's winding grid while it is made (0.96 loops: the
+    # azimuths, the grid and numpy's cast buffer); building the array from
+    # the cached grid peaks at 1.31 loops, 1.63 before rows were normalized
+    # a block at a time
     segments = 20000
     loop_bytes = (segments + 1) * 2 * 16
     array_route(Orientation.UP, 1.0, 8)  # first-call allocations are not the loop's
@@ -780,6 +805,17 @@ def test_streamed_spinor_transport_peaks_below_half_a_loop():
     for orientation in Orientation:
         array_route(orientation, 1.0, segments)  # caches the grid
         assert peak_bytes(lambda: array_route(orientation, 1.0, segments)) < 0.5 * loop_bytes
+
+
+def test_entangled_family_leaves_the_spinor_grid_cached():
+    # the family makes a grid of its own: the benchmark's 1-in-8 two-qubit op
+    # must not evict the 20000-segment spinor grid
+    holonomy_numeric(spinor_loop(Orientation.UP, 1.0, 20000))
+    entangled_family_loop(1.0, 2000)
+    info = berry._winding.cache_info()
+    holonomy_numeric(spinor_loop(Orientation.DOWN, 0.7, 20000))
+    after = berry._winding.cache_info()
+    assert (after.hits, after.misses) == (info.hits + 1, info.misses)
 
 
 def test_winding_cache_holds_one_read_only_grid():

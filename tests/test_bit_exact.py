@@ -2,7 +2,7 @@
 
 The small-state code runs in plain Python and must give the bits the array
 code gave: the sweep grid those of ``np.linspace``, ``prepare_spinor`` those
-of the array rows of ``berry.spinor_amplitudes``.  ``unit_vector`` takes its
+of the numpy spinor rows it replaced.  ``unit_vector`` takes its
 norm from ``math.fsum`` rather than numpy's BLAS dot, so it may differ from a
 numpy reference by a rounding or two, but in no sign and in no verdict.  Its
 fast path for 2 or 4 plain floats or complexes must give the checked path's
@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 from spinphase import DomainError, Orientation, PureState, SweepSpec, prepare_spinor
-from spinphase.berry import spinor_amplitudes
 from spinphase.cli import _grid
+from spinphase.phases import _spinor_gauge
 from spinphase.states import NORM_TOLERANCE, _checked_unit_vector, unit_vector
 
 MAX_ULP = 2
@@ -79,6 +79,20 @@ def test_grid_edges_are_linspace(start, stop, steps):
     assert np.array_equal(bits(got), bits(want))
 
 
+def reference_spinor_row(theta: float, phi: float, orientation: Orientation) -> np.ndarray:
+    """The numpy row prepare_spinor replaced: (c, s e^{-i phi}) for UP and
+    (c, s e^{+i phi}) for DOWN, each factor made in place as numpy made it."""
+    c, s = _spinor_gauge(orientation, theta)
+    phi = np.asarray(phi, dtype=np.float64)
+    out = np.empty(phi.shape + (2,), dtype=np.complex128)
+    out.fill(c)
+    second = out[..., 1]  # a 0-d view: out= holds
+    np.multiply(-1j if orientation is Orientation.UP else 1j, phi, out=second)
+    np.exp(second, out=second)
+    np.multiply(s, second, out=second)
+    return out
+
+
 def spinor_cases(rng: random.Random, n: int):
     special = (0.0, -0.0, math.pi / 2, math.pi, -math.pi, 2 * math.pi, 1e-300)
     for _ in range(n):
@@ -94,7 +108,7 @@ def test_prepare_spinor_is_the_array_row(orientation, overall):
     """The scalar spinor against the array route it replaced, signed zeros included."""
     rng = random.Random(f"spinor:{orientation.value}:{overall}")
     for theta, phi, chi in spinor_cases(rng, 3000):
-        row = spinor_amplitudes(theta, phi, orientation).tolist()
+        row = reference_spinor_row(theta, phi, orientation).tolist()
         if overall:
             sign = 0.5j if orientation is Orientation.UP else -0.5j
             phase = complex(np.exp(sign * (phi - chi)))

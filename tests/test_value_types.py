@@ -31,7 +31,6 @@ from spinphase import (
     spinor_loop,
     winding_phase,
 )
-from spinphase.berry import spinor_amplitudes
 from spinphase.phases import spinor_holonomy
 
 # (value, its fields in order, its repr)
@@ -177,10 +176,9 @@ def test_bools_rejected(call, message, flag):
     lambda o: prepare_spinor(o, 1.0, 0.5),
     lambda o: prepare_spinor(o, 1.0, 0.5, chi=0.2),
     lambda o: spinor_loop(o, 1.0, 8),
-    lambda o: spinor_amplitudes(1.0, [0.0, 1.0], o),
     lambda o: spinor_holonomy(o, 1.0, 8),
 ], ids=["berry_phase_analytic", "connection", "noisy_phase", "prepare_spinor",
-        "prepare_spinor-chi", "spinor_loop", "spinor_amplitudes", "spinor_holonomy"])
+        "prepare_spinor-chi", "spinor_loop", "spinor_holonomy"])
 def test_orientation_must_be_a_member(call, orientation):
     message = ("orientation must be Orientation.UP or Orientation.DOWN, "
                f"not {orientation!r}")
