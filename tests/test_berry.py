@@ -788,8 +788,7 @@ def test_build_and_transport_peak_below_one_and_three_quarter_loops():
     # the rows are made and transported a block at a time, so the peak is the
     # first orientation's winding grid while it is made (0.96 loops: the
     # azimuths, the grid and numpy's cast buffer); building the array from
-    # the cached grid peaks at 1.31 loops, 1.63 before rows were normalized
-    # a block at a time
+    # the cached grid, its rows normalized a block at a time, peaks at 1.31 loops
     segments = 20000
     loop_bytes = (segments + 1) * 2 * 16
     array_route(Orientation.UP, 1.0, 8)  # first-call allocations are not the loop's
