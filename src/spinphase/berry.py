@@ -210,7 +210,7 @@ class Loop(Sequence):
         if self._amps is not None:
             return _blocks(self._amps, 1)
         c, s, segments = self._spinor
-        grids = _blocks(_winding(segments), 1)  # the grid is made before the buffer
+        grids = _blocks(_winding(segments), 1)  # grid first: its making peaks alone
         rows = np.empty((min(segments, _BLOCK_ROWS) + 1, 2), dtype=np.complex128)
         return (_unit_rows(_spinor_rows(c, s, w, rows[:len(w)])) for w in grids)
 
