@@ -5,11 +5,9 @@ This is the one module that imports numpy when it loads.  A loop of N segments i
 overlaps, and its value is checked against the closed forms of ``phases``.
 Rows are normalized a block at a time, their norms and overlaps sums of one
 inner-product kernel.  One builder makes every spinor row (c, s e^{-i x_k}),
-its gauge from ``phases``.  A spinor loop is not held as an array: its rows
-come from one cached winding grid, made a block at a time as the transport
-reads them and in full only when its amplitudes, an item or a slice are
-read.  The grid costs 16 B a segment (16 MB at ``MAX_SEGMENTS``) and is kept
-for the most recent segment count.  The transport is 2*pi periodic by
+its gauge from ``phases``.  A spinor loop's rows come from one cached winding
+grid, which costs 16 B a segment (16 MB at ``MAX_SEGMENTS``) and is kept for
+the most recent segment count.  The transport is 2*pi periodic by
 construction and reports values in [0, 2*pi).  The ``holonomy`` command does
 not load this module: it uses ``phases.spinor_holonomy``, which streams the
 loop of ``spinor_loop`` in plain Python, and the tests hold each route
@@ -47,12 +45,17 @@ def _unit_rows(arr: np.ndarray) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise DomainError("state must be finite")
     for block in _blocks(arr):
-        norms = _row_norms(block)
-        dev = np.abs(norms - 1.0)
-        if dev.max() > NORM_TOLERANCE:
-            raise _off_unit(float(norms[dev > NORM_TOLERANCE][0]), "state")
-        _scale_rows(block, norms)
+        _unit_block(block)
     return arr
+
+
+def _unit_block(block: np.ndarray) -> None:
+    """One block of ``_unit_rows``, its arrays freed before the next block's are made."""
+    norms = _row_norms(block)
+    dev = np.abs(norms - 1.0)
+    if dev.max() > NORM_TOLERANCE:
+        raise _off_unit(float(norms[dev > NORM_TOLERANCE][0]), "state")
+    _scale_rows(block, norms)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -111,8 +114,7 @@ def _inner_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     numpy's complex products conj(a)*b (fused multiply-adds, if any, as in
     ``np.linalg.norm`` and ``einsum``) over the columns left to right, the order
     numpy's reduce adds them in, one column at a time.  Each product is made
-    in place, so the kernel holds two buffers, not three: a streamed block of
-    rows and the kernel stay under half a loop of 20000 segments."""
+    in place, so the kernel holds two buffers, not three."""
     total = np.empty(len(a), dtype=np.complex128)
     product = np.empty_like(total)
     for k in range(a.shape[1]):
@@ -136,13 +138,10 @@ def _row_norms(block: np.ndarray) -> np.ndarray:
     return np.sqrt(_inner_products(block, block).real)
 
 
-def _spinor_rows(c: float, s: float, grid: np.ndarray, out=None) -> np.ndarray:
-    """The spinor rows (c, s w) over the w of grid, not normalized, written into
-    out, a C-ordered (len(grid), 2) complex128 array, or into a new one.  Every
-    spinor row of this module is made here."""
-    if out is None:
-        out = np.empty((len(grid), 2), dtype=np.complex128)
-    out.fill(c)
+def _spinor_rows(c: float, s: float, grid: np.ndarray) -> np.ndarray:
+    """A new C-ordered array of the spinor rows (c, s w) over the w of grid, not
+    normalized.  Every spinor row of this module is made here."""
+    out = np.full((len(grid), 2), c, dtype=np.complex128)
     np.multiply(s, grid, out=out[:, 1])
     return out
 
@@ -155,64 +154,45 @@ class Loop(Sequence):
     A finite row whose squared parts overflow has norm inf and is rejected
     without a warning.  Items are ``PureState`` values with the bits of their
     rows, and slices are Loops that share the array.
-
-    A loop from ``spinor_loop`` holds only (c, s, N) until its amplitudes, an
-    item or a slice are read.  Then it builds its array (32 B a segment) from
-    the cached winding grid (16 B a segment, one segment count at a time),
-    with the bits it would have had if built at once.  ``holonomy_numeric``
-    reads an unbuilt one a block of rows at a time and leaves it unbuilt.
     """
 
-    __slots__ = ("_amps", "_spinor")
+    __slots__ = ("_amps",)
 
     def __init__(self, amplitudes) -> None:
-        arr = np.array(amplitudes, dtype=np.complex128, order="C")  # _scale_rows' float view
+        try:
+            arr = np.array(amplitudes, dtype=np.complex128, order="C")  # _scale_rows' float view
+        except OverflowError:  # an int too large for a float
+            raise DomainError("state must be finite") from None
+        except (TypeError, ValueError):
+            raise DomainError("loop amplitudes must be an array of numbers") from None
         if arr.ndim != 2 or arr.shape[1] not in (2, 4):
             raise DomainError("loop amplitudes must have shape (n, 2) or (n, 4)")
         with np.errstate(over="ignore"):
             self._amps = _frozen(_unit_rows(arr))
-        self._spinor = None
 
     @classmethod
-    def _of(cls, amps: np.ndarray | None, spinor: tuple[float, float, int] | None = None) -> Loop:
-        """A Loop over amps, a read-only array of rows that already hold the
-        contract, or, with amps None, over the spinor rows (c, s e^{-i x_k}),
-        x_k = 2*pi*k/N, of spinor = (c, s, N)."""
+    def _of(cls, amps: np.ndarray) -> Loop:
+        """A Loop over amps, a read-only array of rows that already hold the contract."""
         loop = object.__new__(cls)
-        loop._amps, loop._spinor = amps, spinor
+        loop._amps = amps
         return loop
 
     @property
     def amplitudes(self) -> np.ndarray:
         """Read-only (n, d) complex amplitudes, one state per row."""
-        if self._amps is None:
-            c, s, segments = self._spinor
-            self._amps = _frozen(_unit_rows(_spinor_rows(c, s, _winding(segments))))
         return self._amps
 
     def __len__(self) -> int:
-        return len(self._amps) if self._spinor is None else self._spinor[2] + 1
+        return len(self._amps)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Loop._of(self.amplitudes[index])
+            return Loop._of(self._amps[index])
         # the row already holds the contract; renormalizing it again would move
         # the last bit of about one row in eight
         state = object.__new__(PureState)
-        state._amps = tuple(self.amplitudes[operator.index(index)].tolist())
+        state._amps = tuple(self._amps[operator.index(index)].tolist())
         return state
-
-    def _row_blocks(self) -> Iterator[np.ndarray]:
-        """The rows in blocks of ``_BLOCK_ROWS`` + 1 from row 0, each block's
-        first row the last of the block before: views of the array, or, while
-        a spinor loop is unbuilt, its rows made and normalized block by block
-        in one buffer, which the next block overwrites."""
-        if self._amps is not None:
-            return _blocks(self._amps, 1)
-        c, s, segments = self._spinor
-        grids = _blocks(_winding(segments), 1)  # grid first: its making peaks alone
-        rows = np.empty((min(segments, _BLOCK_ROWS) + 1, 2), dtype=np.complex128)
-        return (_unit_rows(_spinor_rows(c, s, w, rows[:len(w)])) for w in grids)
 
 
 def _block_phases(rows: np.ndarray) -> tuple[float, float]:
@@ -231,8 +211,7 @@ def holonomy_numeric(path: Sequence[PureState]) -> GeometricPhase:
     1e-12 componentwise.  Consecutive overlaps below 1e-9 in magnitude leave
     the transported phase ill-defined and are rejected.  The result is
     insensitive to per-point global phases (endpoints rephased together).
-    A ``Loop`` is read a block of rows at a time, so an unbuilt spinor loop
-    is never held whole; any other sequence of states is stacked first.
+    A sequence of states that is not a ``Loop`` is stacked into one array first.
     """
     if len(path) < 2:
         raise DomainError("a loop needs at least two states")
@@ -240,16 +219,15 @@ def holonomy_numeric(path: Sequence[PureState]) -> GeometricPhase:
         if len({s.num_qubits for s in path}) != 1:
             raise DomainError("all loop states must have the same qubit count")
         path = Loop._of(np.stack([s.amplitudes for s in path]))
+    amps = path.amplitudes
+    if float(np.max(np.abs(amps[0] - amps[-1]))) > CLOSURE_TOLERANCE:
+        raise DomainError("open path: first and last states differ beyond 1e-12")
     # the overlaps <psi_k | psi_{k+1}> a block of rows at a time, and their phases
-    first, smallest, block_sums = None, math.inf, []
-    for rows in path._row_blocks():
-        if first is None:
-            first = rows[0].copy()
+    smallest, block_sums = math.inf, []
+    for rows in _blocks(amps, 1):
         least, phases = _block_phases(rows)
         smallest = min(smallest, least)
         block_sums.append(phases)
-    if float(np.max(np.abs(first - rows[-1]))) > CLOSURE_TOLERANCE:
-        raise DomainError("open path: first and last states differ beyond 1e-12")
     if smallest < MIN_OVERLAP:
         raise DegeneratePathError("consecutive loop states are nearly orthogonal")
     return GeometricPhase.wrapped(-math.fsum(block_sums))
@@ -285,7 +263,7 @@ def spinor_loop(orientation: Orientation, theta: float, segments: int) -> Loop:
     check_theta(theta)
     _check_segments(segments)
     c, s = _spinor_gauge(orientation, theta)
-    return Loop._of(None, (c, s, operator.index(segments)))
+    return Loop._of(_frozen(_unit_rows(_spinor_rows(c, s, _winding(segments)))))
 
 
 def _antisymmetric_family(theta: float, segments: int) -> np.ndarray:

@@ -92,6 +92,8 @@ def _checked_unit_vector(values, what: str) -> tuple[complex, ...]:
         if isinstance(values, (str, dict, set, frozenset)):
             raise TypeError(values)
         amps = [complex(v) for v in values]
+    except OverflowError:  # an int too large for a float
+        raise DomainError(f"{what} must be finite") from None
     except (TypeError, ValueError):
         raise DomainError(f"{what} must be a flat sequence of numbers") from None
     if not all(map(cmath.isfinite, amps)):

@@ -403,6 +403,11 @@ class TestLoopSequence:
         for shape in (1.0, [1.0, 0.0], [[1.0, 0.0, 0.0]], [[[1.0, 0.0]]]):
             with pytest.raises(DomainError, match="shape"):
                 Loop(shape)
+        with pytest.raises(DomainError, match="^state must be finite$"):
+            Loop([[10**400, 0], [1, 0]])  # an int too large for a float
+        for rows in ([[1, 0], [1, 0, 0]], [["a", 0], [1, 0]], [[{}, 0], [1, 0]]):
+            with pytest.raises(DomainError, match="^loop amplitudes must be an array of numbers$"):
+                Loop(rows)
 
     def test_overflowing_norm_is_rejected_without_a_warning(self):
         # finite parts whose squares overflow: norm inf, a DomainError and no
@@ -686,8 +691,9 @@ def test_builders_are_bit_identical_to_the_reference(family, segments):
         raw = outcome(reference_raw_rows, family, theta, segments)
         want = outcome(Loop, raw) if isinstance(raw, np.ndarray) else raw
         got = outcome(build, family, theta, segments)
-        # transported before its amplitudes are read, a spinor loop is made a
-        # block of rows at a time from the winding grid
+        # a spinor loop's array is made from the cached winding grid when the
+        # loop is made; its transport is read before its amplitudes, and again
+        # after
         streamed = outcome(holonomy_numeric, got) if isinstance(got, Loop) else None
         assert bytes_of(got) == bytes_of(want), (family, theta, segments)
         if not isinstance(got, Loop):
@@ -785,10 +791,10 @@ def test_overlaps_in_a_block_of_one_row_keep_their_bits():
 
 
 def test_build_and_transport_peak_below_one_and_three_quarter_loops():
-    # the rows are made and transported a block at a time, so the peak is the
-    # first orientation's winding grid while it is made (0.96 loops: the
-    # azimuths, the grid and numpy's cast buffer); building the array from
-    # the cached grid, its rows normalized a block at a time, peaks at 1.31 loops
+    # the first orientation misses the winding cache: the grid (half a loop)
+    # stays beside the array it builds, whose rows are normalized a block at
+    # a time, each block's arrays freed before the next block's are made
+    # (1.71 loops); the second reads the cached grid (1.21 loops)
     segments = 20000
     loop_bytes = (segments + 1) * 2 * 16
     array_route(Orientation.UP, 1.0, 8)  # first-call allocations are not the loop's
@@ -796,14 +802,15 @@ def test_build_and_transport_peak_below_one_and_three_quarter_loops():
         assert peak_bytes(lambda: array_route(orientation, 1.0, segments)) < 1.75 * loop_bytes
 
 
-def test_streamed_spinor_transport_peaks_below_half_a_loop():
-    # with the winding grid cached, the transport holds one block of rows and
-    # the kernel's two buffers (0.46 loops), never the loop's array
+def test_build_from_the_cached_grid_peaks_below_one_and_a_quarter_loops():
+    # the array, its finiteness mask and one block's norms and kernel buffers
+    # (1.21 loops)
     segments = 20000
     loop_bytes = (segments + 1) * 2 * 16
     for orientation in Orientation:
-        array_route(orientation, 1.0, segments)  # caches the grid
-        assert peak_bytes(lambda: array_route(orientation, 1.0, segments)) < 0.5 * loop_bytes
+        spinor_loop(orientation, 1.0, segments)  # caches the grid
+        assert peak_bytes(lambda: spinor_loop(orientation, 1.0, segments).amplitudes) < \
+            1.25 * loop_bytes
 
 
 def test_entangled_family_leaves_the_spinor_grid_cached():

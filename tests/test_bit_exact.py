@@ -174,6 +174,14 @@ def test_unit_vector_rejects_like_numpy():
     for bad in ([[1.0, 0.0]], "10", [1.0, "x"], 1.0, {1: 0, 0: 0}, {0, 1}):
         with pytest.raises(DomainError, match="flat sequence of numbers"):
             unit_vector(bad, "state")
+    # an int too large for a float is not finite: numpy raises OverflowError
+    for bad in ([10**400, 0], [0.0, 1.0, 0.0, -(10**400)]):
+        with pytest.raises(OverflowError):
+            reference_unit_vector(bad)
+        with pytest.raises(DomainError, match="^state must be finite$"):
+            unit_vector(bad, "state")
+        with pytest.raises(DomainError, match="^state must be finite$"):
+            PureState(bad)
 
 
 # ---------------------------------------------------------------------------

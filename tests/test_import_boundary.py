@@ -14,6 +14,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -173,6 +174,34 @@ def test_a_command_loads_only_its_own_modules(tmp_path, argv, code, own):
     argv = [str(circuit) if arg == "CIRCUIT" else arg for arg in argv]
     want = CLI | {f"spinphase.{name}" for name in own}
     assert loaded_by("import spinphase.cli", argv) == (code, want, False)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_modules() -> dict[str, set[str]]:
+    """README's command -> modules table, one entry per command it names."""
+    text = README.read_text(encoding="utf-8")
+    table = text.split("| command | modules it loads |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        commands, modules = line.strip("|").split("|")
+        for command in re.findall(r"`(\w+)`", commands):
+            rows[command] = set(re.findall(r"`(\w+)`", modules))
+    return rows
+
+
+def test_readme_table_is_the_tested_one():
+    # every command's successful calls, direct or swept, against its README row
+    tested = {}
+    for argv, code, own in OWN_MODULES:
+        if code == 0 and argv != ["--help"]:
+            command = argv[argv.index("--cmd") + 1] if argv[0] == "sweep" else argv[0]
+            tested.setdefault(command, []).append(own)
+    readme = readme_modules()
+    assert readme.keys() == tested.keys()
+    for command, owns in tested.items():
+        assert owns == [readme[command]] * len(owns), command
 
 
 JSON_LOADED = r"""

@@ -4,13 +4,10 @@
 
 SRC is the ``src`` directory of the checkout to measure and FAMILY is
 ``spinor`` (an UP spinor loop at theta = 1) or ``entangled`` (the two-qubit
-family at theta = 1).  The two are timed apart:
+family at theta = 1).  The two stages are timed apart, in this order:
 
-- build: the loop's whole amplitude array, ``loop.amplitudes`` of a new loop.
-- transport: ``holonomy_numeric`` of a new loop.  A spinor loop whose array
-  has not been read is made a block of rows at a time as it is transported,
-  so this stage runs first and never holds the array; the two-qubit family
-  is built when it is made, so its transport reads the built loop.
+- build: a new loop and its whole amplitude array, ``loop.amplitudes``.
+- transport: ``holonomy_numeric`` of the built loop.
 
 With --block-rows, ``berry._BLOCK_ROWS`` is set before any loop is built; a
 value at least the loop's row count makes every column pass run over whole
@@ -56,10 +53,7 @@ def main() -> None:
         return loop
 
     # (name, stage): each stage takes the previous one's result
-    if args.family == "entangled":
-        stages = [("build", built), ("transport", holonomy_numeric)]
-    else:
-        stages = [("transport", lambda _: holonomy_numeric(build(args.segments))), ("build", built)]
+    stages = [("build", built), ("transport", holonomy_numeric)]
     holonomy_numeric(build(8))  # first-call allocations are not the loop's
     base = peak_mib()
     seconds, peaks = {name: [] for name, _ in stages}, {}
