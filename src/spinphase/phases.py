@@ -24,15 +24,14 @@ from .errors import DegeneratePathError, DomainError
 
 CLOSURE_TOLERANCE = 1e-12
 MIN_OVERLAP = 1e-9
-# A built berry.Loop stores 32 B per segment (spinor) or 64 B (entangled
-# family).  A spinor loop is built only when its rows are read, from berry's
-# cached winding grid: 16 B per segment, 16 MB here, for one segment count at
-# a time.  At 10^6 segments, transporting an unbuilt spinor loop peaks about
-# 23 MiB above the interpreter's resident size (the grid, and the azimuths
-# while it is made) and building its array about 48 MiB, the grid included;
-# the entangled family peaks about 153 MiB, and its transport adds nothing
-# (numpy 2.4, 2-vCPU Xeon, x86-64 Linux, ru_maxrss in a fresh process:
-# tools/large_loops.py).  spinor_holonomy holds one row at any segment count.
+# A berry.Loop stores 32 B per segment (spinor) or 64 B (entangled family).
+# A spinor loop is built when it is made, from berry's cached winding grid:
+# 16 B per segment, 16 MB here, for one segment count at a time.  At 10^6
+# segments, building a spinor loop peaks about 48 MiB above the interpreter's
+# resident size, the grid included, and the entangled family about 153 MiB;
+# transporting either adds nothing (numpy 2.4, 2-vCPU Xeon, x86-64 Linux,
+# ru_maxrss in a fresh process: tools/large_loops.py).  spinor_holonomy holds
+# one row at any segment count.
 MAX_SEGMENTS = 1_000_000
 
 
