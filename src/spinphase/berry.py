@@ -198,7 +198,7 @@ class Loop(Sequence):
 def _block_phases(rows: np.ndarray) -> tuple[float, float]:
     """The least |<r_k|r_{k+1}>| over a block's consecutive rows, and the sum of
     those overlaps' phases.  Its arrays are freed on return, before the next
-    block is made."""
+    block's are made."""
     overlaps = _inner_products(rows[:-1], rows[1:])
     reals = np.abs(overlaps)
     return float(reals.min()), float(np.arctan2(overlaps.imag, overlaps.real, out=reals).sum())
