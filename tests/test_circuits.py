@@ -147,6 +147,25 @@ class TestParsing:
         with pytest.raises(CircuitSyntaxError, match="unexpected character"):
             parse_circuit("H @")
 
+    # a lexical error is reported before a syntax error earlier in the text (the Q);
+    # a tab and a carriage return each move the column by one; a comment that ends
+    # the text leaves the end of input where the comment starts
+    @pytest.mark.parametrize("text, message", [
+        ("P(1 # c", "expected ')', found 'end of input' (line 1, column 5)"),
+        ("Q @", "unexpected character '@' (line 1, column 3)"),
+        ("H\tP(\r@)", "unexpected character '@' (line 1, column 6)"),
+    ])
+    def test_lexical_error_order_and_positions(self, text, message):
+        with pytest.raises(CircuitSyntaxError) as err:
+            parse_circuit(text)
+        assert str(err.value) == message
+
+    # a name is a run of letters, any script's; a number starts with a decimal digit
+    def test_names_are_letters_and_numbers_decimal_digits(self):
+        with pytest.raises(UnknownSymbolError, match="^unknown symbol 'θ' "):
+            parse_circuit("P(θ)")
+        assert format_circuit(parse_circuit("P(٣)")) == "P(3.0)"
+
     def test_unterminated_phase(self):
         with pytest.raises(CircuitSyntaxError):
             parse_circuit("P(1")
