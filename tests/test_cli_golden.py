@@ -108,6 +108,8 @@ CASES = {
     # a sum of 10^4 terms parses without recursion; formatting and running it would not
     "domain-circuit-too-deep": ["circuit", "--file",
                                 Circ("H P(theta" + " + theta" * 10**4 + ")"), "--theta", "1"],
+    # one character over the bound on circuit text
+    "domain-circuit-too-long": ["circuit", "--file", Circ("H " * 65536 + "@")],
     "domain-phase-theta": ["phase", "--spin", "up", "--theta", "4.0"],
     "domain-holonomy-segments": ["holonomy", "--spin", "up", "--theta", "1.0",
                                  "--segments", "1"],
