@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 
 from .errors import DomainError
 
@@ -14,26 +13,21 @@ TWO_PI = 2.0 * math.pi
 def check_real(what: str, *values) -> None:
     """Reject the first of values that is not a finite real; what names them in the message.
 
-    A bool, Python's or numpy's, is not a real here, as for a circuit binding.
+    A real is a ``numbers.Real`` other than a bool, Python's or numpy's (numpy's
+    is no ``numbers.Real``), as for a circuit binding.
     """
     for value in values:
-        if type(value) is float:  # the common case, without the type checks
+        if type(value) is not float:  # the common case skips the type checks
+            import numbers  # not needed at import time: the CLI passes plain floats
+
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise DomainError(f"{what} must be real")
+        try:
             finite = math.isfinite(value)
-        elif isinstance(value, bool) or _is_numpy_bool(value):
-            raise DomainError(f"{what} must be real")
-        else:
-            try:
-                finite = math.isfinite(value)
-            except TypeError:  # a str, None or complex, say
-                raise DomainError(f"{what} must be real") from None
+        except OverflowError:  # an int too large for a float
+            finite = False
         if not finite:
             raise DomainError(f"{what} must be finite")
-
-
-def _is_numpy_bool(value) -> bool:
-    # a numpy bool exists only once numpy is loaded, and this does not load it
-    numpy = sys.modules.get("numpy")
-    return numpy is not None and isinstance(value, numpy.bool_)
 
 
 def check_integer(value, name: str) -> None:

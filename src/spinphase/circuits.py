@@ -8,7 +8,9 @@ Circuit text is applied left to right to the input state:
     term    := factor (("*"|"/") factor)*
     factor  := number | "pi" | "theta" | "phi" | "-" factor | "(" expr ")"
 
-"#" starts a comment running to end of line.  theta and phi stay free until
+"#" starts a comment running to end of line; a name is a run of letters and a
+number starts with a decimal digit.  Text longer than ``MAX_TEXT_LENGTH``
+characters is rejected before it is scanned.  theta and phi stay free until
 run time; every constant subexpression is folded during parsing, so division
 by zero among constants, or a number or fold that is not finite, is a parse
 error, not a runtime surprise; so is a phase argument nested deeper than
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from typing import Mapping, NamedTuple, Union
 
 from ._angles import check_real, check_theta
@@ -41,6 +44,8 @@ FREE_SYMBOLS = ("theta", "phi")
 # each level costs up to 3 Python frames to parse and 1 to format or run, of 1000
 MAX_DEPTH = 100
 _TOO_DEEP = f"phase argument nested deeper than {MAX_DEPTH} levels"
+# a parse peaks near 100 B a character, so text at the bound near 13 MiB
+MAX_TEXT_LENGTH = 2**17
 
 # A complex, so that scaling by it is a full complex product, as it was in numpy:
 # its signed zeros then do not depend on the Python version (3.14 changed the
@@ -134,64 +139,36 @@ class Circuit(NamedTuple):
 # parsing
 
 
+# A blank run matches no group; an unmatched group is None, so lastindex names the kind.
+_TOKEN = re.compile(r"[ \t\r]+|(#[^\n]*)|(\n)|([^\W\d_]+)"
+                    r"|((?:\d|\.\d)[\d.]*(?:[eE][+-]?\d+)?)|([()+*/-])|(.)")
+_COMMENT, _NEWLINE, _NAME, _NUMBER, _OPERATOR, _OTHER = range(1, 7)
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
     """Tokens (kind, text, line, column); kind is NAME, NUMBER, END or the character."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isalpha():
-            j = i
-            while j < n and text[j].isalpha():
-                j += 1
-            tokens.append(("NAME", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":  # exponent form shows up in round-tripped floats
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    while k < n and text[k].isdigit():
-                        k += 1
-                    j = k
-            word = text[i:j]
+    line, line_start, end = 1, 0, 0  # end: past the last token or blank, not a comment
+    for match in _TOKEN.finditer(text):
+        kind, word = match.lastindex, match.group()
+        column = match.start() - line_start + 1
+        if kind == _NEWLINE:
+            line, line_start = line + 1, match.end()
+        elif kind == _NAME:
+            tokens.append(("NAME", word, line, column))
+        elif kind == _NUMBER:
             try:
                 float(word)
             except ValueError:
-                raise CircuitSyntaxError(f"bad number {word!r}", line, start_col) from None
-            tokens.append(("NUMBER", word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in "()+-*/":
-            tokens.append((ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise CircuitSyntaxError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(("END", "", line, col))
+                raise CircuitSyntaxError(f"bad number {word!r}", line, column) from None
+            tokens.append(("NUMBER", word, line, column))
+        elif kind == _OPERATOR:
+            tokens.append((word, word, line, column))
+        elif kind == _OTHER:
+            raise CircuitSyntaxError(f"unexpected character {word!r}", line, column)
+        if kind != _COMMENT:
+            end = match.end()
+    tokens.append(("END", "", line, end - line_start + 1))
     return tokens
 
 
@@ -303,6 +280,8 @@ def _finite_constant(value: float, what: str, token: tuple) -> float:
 
 def parse_circuit(text: str) -> Circuit:
     """Parse circuit text into a Circuit, folding constant subexpressions."""
+    if len(text) > MAX_TEXT_LENGTH:
+        raise DomainError(f"circuit text longer than {MAX_TEXT_LENGTH} characters")
     return _Parser(_tokenize(text)).parse_circuit()
 
 

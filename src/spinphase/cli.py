@@ -328,7 +328,7 @@ def _holonomy():
 
 
 def _circuit():
-    from .circuits import format_circuit, parse_circuit, run_circuit
+    from .circuits import MAX_TEXT_LENGTH, format_circuit, parse_circuit, run_circuit
     from .states import ket
 
     zero = ket("0")  # one input state for every point of the invocation
@@ -339,8 +339,9 @@ def _circuit():
 
     def run(file: str, theta: float, phi: float) -> list[RunRecord]:
         if file not in loaded:
-            try:
-                source = Path(file).read_text(encoding="utf-8")
+            try:  # one character past the bound is enough to reject a longer text
+                with open(file, encoding="utf-8") as stream:
+                    source = stream.read(MAX_TEXT_LENGTH + 1)
             except (OSError, UnicodeDecodeError) as exc:
                 raise DomainError(f"cannot read circuit file: {exc}") from exc
             circuit = parse_circuit(source)

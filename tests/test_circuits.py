@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from spinphase import (
     run_circuit,
     spinor_state_circuit,
 )
-from spinphase.circuits import MAX_DEPTH, _angle
+from spinphase.circuits import MAX_DEPTH, MAX_TEXT_LENGTH, _angle
 
 FOUR_PI = 4.0 * math.pi
 INV_SQRT2 = complex(1.0 / math.sqrt(2.0))
@@ -166,6 +167,13 @@ class TestParsing:
             parse_circuit("P(θ)")
         assert format_circuit(parse_circuit("P(٣)")) == "P(3.0)"
 
+    # ², ½, ① and the other numeric symbols that are no decimal digit read as letters;
+    # no float takes one, so no text that holds one parses
+    def test_a_numeric_symbol_is_an_unknown_symbol(self):
+        with pytest.raises(UnknownSymbolError) as err:
+            parse_circuit("P(²)")
+        assert str(err.value) == "unknown symbol '²' (line 1, column 3)"
+
     def test_unterminated_phase(self):
         with pytest.raises(CircuitSyntaxError):
             parse_circuit("P(1")
@@ -234,6 +242,37 @@ class TestDepthBound:
         assert dispatch(["circuit", "--file", str(file), "--theta", "1"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1 and "nested deeper" in err
+
+
+class TestLengthBound:
+    TOO_LONG = f"circuit text longer than {MAX_TEXT_LENGTH} characters"
+
+    def test_text_at_the_bound_parses(self):
+        assert parse_circuit(" " * (MAX_TEXT_LENGTH - 1) + "H") == parse_circuit("H")
+
+    def test_one_character_past_the_bound_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=f"^{self.TOO_LONG}$"):
+            parse_circuit(" " * MAX_TEXT_LENGTH + "H")
+
+    # the loader reads one character past the bound, however long the file is
+    def test_a_longer_file_peaks_no_higher(self, tmp_path, capsys):
+        files = []
+        for length in (MAX_TEXT_LENGTH + 1, 8 * MAX_TEXT_LENGTH):
+            files.append(tmp_path / f"{length}.circ")
+            files[-1].write_text("H " * (length // 2) + "@" * (length % 2), encoding="utf-8")
+        dispatch(["circuit", "--file", str(files[0])])  # builds the parser, loads the module
+        peaks = []
+        for file in files:
+            tracemalloc.start()
+            try:
+                assert dispatch(["circuit", "--file", str(file)]) == 1
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"circuit: {self.TOO_LONG}\n" * 3
+        # reading the whole longer file would add 7 * MAX_TEXT_LENGTH bytes at least
+        assert peaks[1] < peaks[0] + MAX_TEXT_LENGTH // 16
 
 
 class TestFormatting:

@@ -7,6 +7,7 @@ import math
 import pickle
 import random
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from spinphase import (
     spinor_loop,
     winding_phase,
 )
+from spinphase._angles import mod_two_pi
 from spinphase.phases import spinor_holonomy
 
 # (value, its fields in order, its repr)
@@ -142,8 +144,21 @@ def test_checks_still_run():
     (lambda: winding_phase(0.5, 1j), "mu and delta_chi must be real"),
     (lambda: entanglement_entropy("0.5"), "concurrence magnitude must be real"),
     (lambda: ket(5), "basis label must be 1 or 2 bits, got 5"),
+    # a Decimal is no numbers.Real, as for a circuit binding
+    (lambda: noisy_phase(Orientation.UP, 1.0, Decimal("0.1")), "delta_theta must be real"),
+    (lambda: berry_phase_analytic(Orientation.UP, Decimal("1")), "theta must be real"),
+    # an int too large for a float is not finite, not an OverflowError
+    (lambda: berry_phase_analytic(Orientation.UP, 10**400), "theta must be finite"),
+    (lambda: SweepSpec("theta", 0, 10**400, 3), "start and stop must be finite"),
+    (lambda: evolve_coefficients(1.0, 0.0, 10**400, 1.0), "omega must be finite"),
+    (lambda: mod_two_pi(-10**400), "angle must be finite"),
+    (lambda: spinor_loop(Orientation.UP, 10**400, 8), "theta must be finite"),
+    (lambda: prepare_spinor(Orientation.UP, 1.0, 10**400), "phi must be finite"),
 ], ids=["evolve_coefficients", "SweepSpec", "noisy_phase", "berry_phase_analytic",
-        "GeometricPhase", "winding_phase", "entanglement_entropy", "ket"])
+        "GeometricPhase", "winding_phase", "entanglement_entropy", "ket",
+        "noisy_phase-Decimal", "berry_phase_analytic-Decimal", "berry_phase_analytic-huge-int",
+        "SweepSpec-huge-int", "evolve_coefficients-huge-int", "mod_two_pi-huge-int",
+        "spinor_loop-huge-int", "prepare_spinor-huge-int"])
 def test_non_real_inputs_rejected(call, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
         call()
