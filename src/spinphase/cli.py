@@ -340,7 +340,7 @@ def _circuit():
     def run(file: str, theta: float, phi: float) -> list[RunRecord]:
         if file not in loaded:
             try:  # one character past the bound is enough to reject a longer text
-                with open(file, encoding="utf-8") as stream:
+                with Path(file).open(encoding="utf-8") as stream:
                     source = stream.read(MAX_TEXT_LENGTH + 1)
             except (OSError, UnicodeDecodeError) as exc:
                 raise DomainError(f"cannot read circuit file: {exc}") from exc

@@ -384,13 +384,13 @@ class TestCircuitCommand:
         path = tmp_path / "prep.circ"
         path.write_text("H P(2*theta) H P(pi/2 + phi)\n")
         reads = []
-        read_text = Path.read_text
+        path_open = Path.open
 
         def counting(self, *args, **kwargs):
             reads.append(self)
-            return read_text(self, *args, **kwargs)
+            return path_open(self, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "read_text", counting)
+        monkeypatch.setattr(Path, "open", counting)
         argv = ["sweep", "--cmd", "circuit", "--param", "theta", "--start", "0", "--stop",
                 "3", "--steps", "50", "--file", str(path), "--phi", "0.4"]
         assert len(run_records(argv)) == 50
