@@ -6,11 +6,13 @@ OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts.  The argvs
 are those of ``tests/test_cli_fuzz.py``: PER_COMMAND calls of each computing
 command, drawn from that module's generator with its seeds (so the first 1000
 of each are the fuzz test's own), and SWEEPS sweeps of the sweepable commands,
-each a drawn call with its swept flag replaced by a grid.  Each tree runs
-every argv through ``spinphase.cli.dispatch`` in its own subprocess, with one
-circuit file shared by both.  Prints the number of argvs and of differences
-in exit code, stdout or stderr, and the first SHOW differences; exits 1 if
-any differ.
+each a drawn call with its swept flag replaced by a grid.  Then CIRCUITS
+circuit texts are drawn, each written to its own file and run as ``circuit
+--file`` with drawn ``--theta`` and ``--phi``, or one in five as a ``sweep
+--cmd circuit``.  Each tree runs every argv through ``spinphase.cli.dispatch``
+in its own subprocess, on the same files.  Prints the number of argvs and of
+differences in exit code, stdout or stderr, and the first SHOW differences;
+exits 1 if any differ.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent.parent / "tests"
 PER_COMMAND = 3000
 SWEEPS = 3000
+CIRCUITS = 3000
 SHOW = 5
 
 CHILD = r"""
@@ -59,9 +62,51 @@ SWEPT = {
 }
 
 
+# Pieces of drawn circuit texts: blanks, comments, a Greek letter, an Arabic-Indic
+# digit, bad numbers and stray characters.  No numeric symbol such as ² or ½: the
+# message for those once changed from "bad number" to "unknown symbol".
+BLANKS = (" ", "  ", "\t", "\r", "\n", " # c\n")
+VALUES = ("theta", "phi", "pi", "1", "2.5", ".5", "1e3", "1E-2", "3.0e+2", "0", "٣")
+STRAY = ("θ", "٣.٥", "1.2.3", "1e", "2e+", "..", ".", "@", "$", "_", "\x0b", "\xa0", "é",
+         "x", "pie", "HP", "1e400", "/0", "(", ")", "+", "P(", "# c")
+
+
+def expression(rng: random.Random, depth: int = 0) -> str:
+    draw = rng.random()
+    if depth > 3 or draw < 0.4:
+        return rng.choice(VALUES)
+    if draw < 0.55:
+        return "-" + expression(rng, depth + 1)
+    if draw < 0.7:
+        return "(" + expression(rng, depth + 1) + ")"
+    op = rng.choice(BLANKS[:4]) + rng.choice("+-*/") + rng.choice(BLANKS[:4])
+    return expression(rng, depth + 1) + op + expression(rng, depth + 1)
+
+
+def circuit_text(rng: random.Random, max_depth: int) -> str:
+    """Gates with blanks between them and some stray pieces, or stray pieces
+    alone; some with an argument nested near max_depth or ending in a comment."""
+    parts = []
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(1, 6)):
+            parts += ["H" if rng.random() < 0.4 else f"P({expression(rng)})", rng.choice(BLANKS)]
+        strays = 1 if rng.random() < 0.3 else 0
+    else:
+        strays = rng.randint(0, 20)
+    for _ in range(strays):
+        parts.insert(rng.randint(0, len(parts)), rng.choice(STRAY + VALUES + BLANKS))
+    if rng.random() < 0.05:
+        levels = max_depth + rng.choice((-1, 0, 1))
+        parts.append("P(" + rng.choice("(-") * levels + "theta" + ")" * levels + ")")
+    if rng.random() < 0.2:
+        parts.append(rng.choice(("# end", "#", " # @")))
+    return "".join(parts)
+
+
 def fuzz_argvs(src: str, circuit: str) -> list[list[str]]:
-    """The fuzz test's draws, PER_COMMAND for each command, then the sweeps; the
-    fuzz module imports spinphase, from src here, but runs none of it."""
+    """The fuzz test's draws, PER_COMMAND for each command, then the sweeps, then
+    the runs of the drawn circuit files, written beside circuit; the fuzz module
+    imports spinphase, from src here, but runs none of it."""
     sys.path[:0] = [str(TESTS), src]
     import test_cli_fuzz as fuzz
 
@@ -83,6 +128,20 @@ def fuzz_argvs(src: str, circuit: str) -> list[list[str]]:
         argvs.append(["sweep", "--cmd", command, "--param", param,
                       f"--start={start!r}", f"--stop={stop!r}",
                       "--steps", rng.choice(("1", "2", "3", "5")), *fixed])
+    from spinphase.circuits import MAX_DEPTH
+
+    rng = random.Random("cli-differential-circuit")
+    for k in range(CIRCUITS):
+        file = Path(circuit).with_name(f"{k}.circ")
+        file.write_text(circuit_text(rng, MAX_DEPTH), encoding="utf-8")
+        phi = ["--phi", fuzz.real(rng)]
+        if rng.random() < 0.2:
+            start, stop = sorted(rng.sample(fuzz.ORDINARY, 2))
+            argvs.append(["sweep", "--cmd", "circuit", "--param", "theta", f"--start={start!r}",
+                          f"--stop={stop!r}", "--steps", "3", "--file", str(file), *phi])
+        else:
+            argvs.append(["circuit", "--file", str(file), "--theta", fuzz.real(rng), *phi,
+                          "--format", rng.choice(("json", "csv"))])
     return argvs
 
 
