@@ -139,7 +139,7 @@ class Circuit(NamedTuple):
 # parsing
 
 
-# A blank run matches no group; an unmatched group is None, so lastindex names the kind.
+# Group k holds token kind k below; a blank run matches no group (its lastindex is None).
 _TOKEN = re.compile(r"[ \t\r]+|(#[^\n]*)|(\n)|([^\W\d_]+)"
                     r"|((?:\d|\.\d)[\d.]*(?:[eE][+-]?\d+)?)|([()+*/-])|(.)")
 _COMMENT, _NEWLINE, _NAME, _NUMBER, _OPERATOR, _OTHER = range(1, 7)

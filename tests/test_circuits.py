@@ -150,11 +150,13 @@ class TestParsing:
 
     # a lexical error is reported before a syntax error earlier in the text (the Q);
     # a tab and a carriage return each move the column by one; a comment that ends
-    # the text leaves the end of input where the comment starts
+    # the text leaves the end of input where the comment starts; ², ½, ① and the
+    # other numeric symbols that are no decimal digit read as letters
     @pytest.mark.parametrize("text, message", [
         ("P(1 # c", "expected ')', found 'end of input' (line 1, column 5)"),
         ("Q @", "unexpected character '@' (line 1, column 3)"),
         ("H\tP(\r@)", "unexpected character '@' (line 1, column 6)"),
+        ("P(²)", "unknown symbol '²' (line 1, column 3)"),
     ])
     def test_lexical_error_order_and_positions(self, text, message):
         with pytest.raises(CircuitSyntaxError) as err:
@@ -166,13 +168,6 @@ class TestParsing:
         with pytest.raises(UnknownSymbolError, match="^unknown symbol 'θ' "):
             parse_circuit("P(θ)")
         assert format_circuit(parse_circuit("P(٣)")) == "P(3.0)"
-
-    # ², ½, ① and the other numeric symbols that are no decimal digit read as letters;
-    # no float takes one, so no text that holds one parses
-    def test_a_numeric_symbol_is_an_unknown_symbol(self):
-        with pytest.raises(UnknownSymbolError) as err:
-            parse_circuit("P(²)")
-        assert str(err.value) == "unknown symbol '²' (line 1, column 3)"
 
     def test_unterminated_phase(self):
         with pytest.raises(CircuitSyntaxError):

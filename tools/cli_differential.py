@@ -63,8 +63,8 @@ SWEPT = {
 
 
 # Pieces of drawn circuit texts: blanks, comments, a Greek letter, an Arabic-Indic
-# digit, bad numbers and stray characters.  No numeric symbol such as ² or ½: the
-# message for those once changed from "bad number" to "unknown symbol".
+# digit, bad numbers and stray characters.  No numeric symbol such as ² or ½: a tree
+# from before the token pattern calls one a bad number, a later one an unknown symbol.
 BLANKS = (" ", "  ", "\t", "\r", "\n", " # c\n")
 VALUES = ("theta", "phi", "pi", "1", "2.5", ".5", "1e3", "1E-2", "3.0e+2", "0", "٣")
 STRAY = ("θ", "٣.٥", "1.2.3", "1e", "2e+", "..", ".", "@", "$", "_", "\x0b", "\xa0", "é",
