@@ -60,6 +60,9 @@ CASES = {
     "entangle-json": ["entangle", "--theta", "2.2", "--alpha", "0.6", "--beta", "0,0.8"],
     "entangle-csv": ["entangle", "--theta", "1.0471975511965976", "--alpha",
                      "0.7071067811865476", "--beta", "0.7071067811865476", "--format", "csv"],
+    # unit coefficients whose evolved amplitudes are renormalized again for the concurrence
+    "entangle-renormalized-concurrence": ["entangle", "--theta", "1.3", "--alpha", "0.8",
+                                          "--beta", "0.6"],
     "noise-json": ["noise", "--spin", "down", "--theta", "1.2", "--delta-theta", "0.03"],
     "noise-csv": ["noise", "--spin", "entangled", "--theta", "0.9", "--delta-theta", "0.02",
                   "--format", "csv"],
@@ -115,6 +118,9 @@ CASES = {
                                  "--segments", "1"],
     "domain-circuit-missing-file": ["circuit", "--file", "/nonexistent/x.circ"],
     "domain-circuit-not-utf8": ["circuit", "--file", Circ(b"\xff\xfeH")],
+    # the coefficients are checked before theta
+    "domain-entangle-coefficients-first": ["entangle", "--theta", "5", "--alpha", "1",
+                                           "--beta", "1"],
     "domain-rgflow-separation": ["rgflow", "--a", "1", "--c", "1", "--separation", "0"],
     # finite flags whose flow overflows: to +inf an error, to -inf clamped to 0
     "domain-rgflow-overflow": ["rgflow", "--a", "1e308", "--c", "0", "--separation", "1e-310"],
