@@ -19,9 +19,8 @@ _PUBLIC = {
     "circuits": """GENERAL_STATE_TEXT SPINOR_STATE_TEXT Circuit Gate apply_gate format_circuit
         general_state_circuit parse_circuit prepare_spinor run_circuit spinor_state_circuit""",
     "cli": "RunRecord SweepSpec dispatch emit main run_records sweep",
-    "entangle": """BellCoefficients BipartiteCoefficients concurrence_from_theta
-        concurrence_general entanglement_entropy evolve_bell monopole_strength_rg
-        swap_expectation""",
+    "entangle": """concurrence_from_theta concurrence_general entanglement_entropy
+        evolve_bell monopole_strength_rg swap_expectation""",
     "errors": """CircuitSyntaxError DegeneratePathError DomainError UnboundSymbolError
         UnknownSymbolError""",
     "noise": "entangled_noise_shift noisy_phase post_echo_noise_shift",

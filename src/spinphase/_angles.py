@@ -107,8 +107,8 @@ class Frozen:
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        # copy and pickle skip __init__: its checks passed, and renormalizing
-        # the weights again could move their last bits
+        # copy and pickle skip __init__, whose checks passed; the default
+        # restore would set the slots through __setattr__, which raises
         return _rebuild, (type(self), self._values())
 
 

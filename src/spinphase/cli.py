@@ -392,19 +392,12 @@ def _echo():
 
 
 def _entangle():
-    from .entangle import (
-        BellCoefficients,
-        BipartiteCoefficients,
-        concurrence_general,
-        entanglement_entropy,
-        evolve_bell,
-        swap_expectation,
-    )
+    from .entangle import concurrence_general, entanglement_entropy, evolve_bell, swap_expectation
     from .phases import berry_phase_entangled
 
     def run(theta: float, alpha: complex, beta: complex) -> list[RunRecord]:
-        state, relative_phase = evolve_bell(BellCoefficients(alpha, beta), theta)
-        conc = concurrence_general(BipartiteCoefficients.from_state(state))
+        state, relative_phase = evolve_bell(alpha, beta, theta)
+        conc = concurrence_general(*state.amplitudes)
         conc_norm = min(abs(conc), 1.0)  # guard the last-ulp overshoot
         a = state.amplitudes
         return [RunRecord(

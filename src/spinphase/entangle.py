@@ -12,61 +12,26 @@ from __future__ import annotations
 import cmath
 import math
 
-from ._angles import Frozen, check_real, mod_two_pi
+from ._angles import check_real, mod_two_pi
 from .errors import DomainError
 from .phases import Orientation, berry_phase_analytic, connection
 from .states import PureState, unit_vector
 
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-
-class BellCoefficients(Frozen):
-    """Weights of the antisymmetric combination alpha |10> - beta |01>, held at unit norm."""
-
-    __slots__ = ("alpha", "beta")
-
-    def __init__(self, alpha: complex, beta: complex) -> None:
-        alpha, beta = unit_vector([alpha, beta], "coefficients")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-
-    @classmethod
-    def equal_weight(cls) -> "BellCoefficients":
-        return cls(complex(_SQRT_HALF), complex(_SQRT_HALF))
-
-
-class BipartiteCoefficients(Frozen):
-    """General two-spin amplitudes in the (down-down, down-up, up-down, up-up) order,
-    held at unit norm."""
-
-    __slots__ = ("a_dd", "a_du", "a_ud", "a_uu")
-
-    def __init__(self, a_dd: complex, a_du: complex, a_ud: complex, a_uu: complex) -> None:
-        a_dd, a_du, a_ud, a_uu = unit_vector([a_dd, a_du, a_ud, a_uu], "coefficients")
-        object.__setattr__(self, "a_dd", a_dd)
-        object.__setattr__(self, "a_du", a_du)
-        object.__setattr__(self, "a_ud", a_ud)
-        object.__setattr__(self, "a_uu", a_uu)
-
-    @classmethod
-    def from_state(cls, state: PureState) -> "BipartiteCoefficients":
-        if state.num_qubits != 2:
-            raise DomainError("bipartite coefficients need a two-qubit state")
-        return cls(*state.amplitudes)
-
-
-def evolve_bell(coeffs: BellCoefficients, theta: float) -> tuple[PureState, float]:
-    """Apply one closed spinor loop at polar angle theta to the Bell weights.
+def evolve_bell(alpha: complex, beta: complex, theta: float) -> tuple[PureState, float]:
+    """Apply one closed spinor loop at polar angle theta to the Bell weights
+    alpha |10> - beta |01>, held at unit norm.
 
     The alpha (|10>) term picks up e^{i gamma_up}, the beta (|01>) term
     e^{i gamma_down}; the common phase e^{i gamma_down} is dropped.  Returns
     the evolved state and the residual relative phase 2 gamma_up mod 2*pi
     (equal to gamma_up - gamma_down mod 2*pi, since the two phases sum to 2*pi).
     """
+    alpha, beta = unit_vector([alpha, beta], "coefficients")
     gamma_up = berry_phase_analytic(Orientation.UP, theta).value
     gamma_down = berry_phase_analytic(Orientation.DOWN, theta).value
     residual = cmath.exp(1j * (gamma_up - gamma_down))
-    state = PureState([0.0, -coeffs.beta, residual * coeffs.alpha, 0.0])
+    state = PureState([0.0, -beta, residual * alpha, 0.0])
     return state, mod_two_pi(2.0 * gamma_up)
 
 
@@ -78,9 +43,15 @@ def swap_expectation(state: PureState) -> float:
     return abs(a[0]) ** 2 + abs(a[3]) ** 2 + 2.0 * (a[1].conjugate() * a[2]).real
 
 
-def concurrence_general(coeffs: BipartiteCoefficients) -> complex:
-    """Concurrence 2 (a_dd a_uu - a_du a_ud) of a general two-spin pure state."""
-    return 2.0 * (coeffs.a_dd * coeffs.a_uu - coeffs.a_du * coeffs.a_ud)
+def concurrence_general(a00: complex, a01: complex, a10: complex, a11: complex) -> complex:
+    """Concurrence 2 (a00 a11 - a01 a10) of a general two-spin pure state.
+
+    The amplitudes are held at unit norm, so a state's own amplitudes
+    (``*state.amplitudes``) are normalized again, which can move the last bits
+    of the concurrence.
+    """
+    a00, a01, a10, a11 = unit_vector([a00, a01, a10, a11], "coefficients")
+    return 2.0 * (a00 * a11 - a01 * a10)
 
 
 def concurrence_from_theta(theta: float) -> float:

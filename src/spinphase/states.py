@@ -7,11 +7,12 @@ arithmetic beats array calls, and nothing here imports numpy.  Only loops of
 states are arrays (``berry``).
 
 One normalization contract covers every unit vector in the package (states,
-Bell and bipartite weights, Rabi coefficients): ``unit_vector`` accepts finite
-values whose 2-norm is within 1e-6 of 1 and renormalizes them, and rejects
-anything else, so silent normalization drift is distinguished from caller
-bugs.  ``berry.Loop`` applies it to every row of a loop at once, and
-``phases.spinor_holonomy`` to each row of the loop it streams.
+the weights of ``entangle.evolve_bell`` and ``entangle.concurrence_general``,
+Rabi coefficients): ``unit_vector`` accepts finite values whose 2-norm is
+within 1e-6 of 1 and renormalizes them, and rejects anything else, so silent
+normalization drift is distinguished from caller bugs.  ``berry.Loop`` applies
+it to every row of a loop at once, and ``phases.spinor_holonomy`` to each row
+of the loop it streams.
 """
 
 from __future__ import annotations

@@ -13,8 +13,6 @@ import math
 import numpy as np
 
 from spinphase import (
-    BellCoefficients,
-    BipartiteCoefficients,
     Orientation,
     PureState,
     berry_phase_analytic,
@@ -165,16 +163,17 @@ def test_criterion_06_matched_echo_cancels_dynamical_phase():
 
 def test_criterion_07_bell_state_symmetry_response():
     failures = []
-    state, rel = evolve_bell(BellCoefficients.equal_weight(), math.pi / 3)
+    s = math.sqrt(0.5)  # equal Bell weights
+    state, rel = evolve_bell(s, s, math.pi / 3)
     if abs(rel - math.pi) > 1e-12:
         failures.append(f"relative phase at pi/3: {rel!r}")
     if abs(swap_expectation(state) - 1.0) > 1e-12:
         failures.append(f"swap at pi/3: {swap_expectation(state)!r}")
-    state, rel = evolve_bell(BellCoefficients.equal_weight(), math.pi)
+    state, rel = evolve_bell(s, s, math.pi)
     if circular_distance(rel, 0.0) > 1e-12:
         failures.append(f"relative phase at pi: {rel!r}")
     for theta in (0.0, math.pi):
-        state, _ = evolve_bell(BellCoefficients.equal_weight(), theta)
+        state, _ = evolve_bell(s, s, theta)
         if abs(swap_expectation(state) + 1.0) > 1e-12:
             failures.append(f"swap at theta={theta}: {swap_expectation(state)!r}")
     verdict(7, "loop turns the Bell state symmetric at pi/3 and back at the poles",
@@ -187,15 +186,14 @@ def test_criterion_08_entanglement_measures():
         failures.append("entropy at C=0 not exactly 0")
     if entanglement_entropy(1.0) != 1.0:
         failures.append("entropy at C=1 not exactly 1")
-    product = BipartiteCoefficients.from_state(ket("01"))
-    if abs(concurrence_general(product)) > 1e-15:
+    if abs(concurrence_general(*ket("01").amplitudes)) > 1e-15:
         failures.append("product state concurrence nonzero")
     rng = np.random.default_rng(303)
     worst = 0.0
     for _ in range(10000):
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         v /= np.linalg.norm(v)
-        c = abs(concurrence_general(BipartiteCoefficients.from_state(PureState(v))))
+        c = abs(concurrence_general(*PureState(v).amplitudes))
         worst = max(worst, c)
         if c > 1.0 + 1e-12:
             failures.append(f"concurrence {c!r} above 1")

@@ -8,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinphase import (
-    BellCoefficients,
-    BipartiteCoefficients,
     DomainError,
     PureState,
     concurrence_from_theta,
@@ -48,30 +46,42 @@ def kron(a, b):
 
 class TestCoefficients:
     def test_equal_weight(self):
-        c = BellCoefficients.equal_weight()
-        assert c.alpha == pytest.approx(SQRT_HALF)
-        assert c.beta == pytest.approx(SQRT_HALF)
+        # a loop moves only the phases of the weights
+        state, _ = evolve_bell(SQRT_HALF, SQRT_HALF, 1.0)
+        a = state.amplitudes
+        assert abs(a[1]) == pytest.approx(SQRT_HALF)
+        assert abs(a[2]) == pytest.approx(SQRT_HALF)
 
     def test_renormalizes_small_drift(self):
-        c = BellCoefficients(SQRT_HALF * (1 + 1e-7), SQRT_HALF * (1 + 1e-7))
-        assert abs(c.alpha) ** 2 + abs(c.beta) ** 2 == pytest.approx(1.0, abs=1e-15)
+        state, _ = evolve_bell(SQRT_HALF * (1 + 1e-7), SQRT_HALF * (1 + 1e-7), 0.0)
+        assert -state.amplitudes[1] == pytest.approx(SQRT_HALF, abs=1e-15)
+        c = concurrence_general(0.0, -SQRT_HALF * (1 + 1e-7), SQRT_HALF * (1 + 1e-7), 0.0)
+        assert abs(c) == pytest.approx(1.0, abs=1e-15)
 
     def test_rejects_large_drift(self):
-        with pytest.raises(DomainError):
-            BellCoefficients(1.0, 1.0)
+        with pytest.raises(DomainError, match="coefficients norm"):
+            evolve_bell(1.0, 1.0, 1.0)
+        with pytest.raises(DomainError, match="coefficients norm"):
+            concurrence_general(1.0, 0.0, 0.0, 1.0)
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(DomainError):
-            BellCoefficients(complex(math.nan), complex(1.0))
+        with pytest.raises(DomainError, match="coefficients must be finite"):
+            evolve_bell(complex(math.nan), complex(1.0), 1.0)
+        with pytest.raises(DomainError, match="coefficients must be finite"):
+            concurrence_general(complex(math.nan), 0.0, 0.0, 1.0)
+
+    def test_coefficients_checked_before_theta(self):
+        with pytest.raises(DomainError, match="coefficients norm"):
+            evolve_bell(1.0, 1.0, 3.5)
 
     def test_bipartite_from_state_ordering(self):
-        state = ket("01")  # first factor (most significant) down, second up
-        c = BipartiteCoefficients.from_state(state)
-        assert (c.a_dd, c.a_du, c.a_ud, c.a_uu) == (0.0, 1.0, 0.0, 0.0)
-
-    def test_bipartite_needs_two_qubits(self):
-        with pytest.raises(DomainError):
-            BipartiteCoefficients.from_state(ket("0"))
+        # a state's amplitudes in |00>, |01>, |10>, |11> order: the sign of
+        # C = 2 (a00 a11 - a01 a10) tells the outer pair from the inner
+        outer = PureState([SQRT_HALF, 0.0, 0.0, SQRT_HALF])
+        inner = PureState([0.0, SQRT_HALF, SQRT_HALF, 0.0])
+        assert concurrence_general(*outer.amplitudes) == pytest.approx(1.0, abs=1e-15)
+        assert concurrence_general(*inner.amplitudes) == pytest.approx(-1.0, abs=1e-15)
+        assert concurrence_general(*ket("01").amplitudes) == 0.0
 
 
 class TestSinglet:
@@ -82,8 +92,7 @@ class TestSinglet:
         np.testing.assert_allclose(SINGLET.amplitudes, want, atol=1e-15)
 
     def test_maximally_entangled(self):
-        c = BipartiteCoefficients.from_state(SINGLET)
-        assert abs(concurrence_general(c)) == pytest.approx(1.0, abs=1e-12)
+        assert abs(concurrence_general(*SINGLET.amplitudes)) == pytest.approx(1.0, abs=1e-12)
         assert entanglement_entropy(1.0) == 1.0
 
     def test_antisymmetric_under_swap(self):
@@ -92,7 +101,7 @@ class TestSinglet:
 
 class TestEvolveBell:
     def test_trivial_loop_returns_singlet(self):
-        state, rel = evolve_bell(BellCoefficients.equal_weight(), 0.0)
+        state, rel = evolve_bell(SQRT_HALF, SQRT_HALF, 0.0)
         np.testing.assert_allclose(
             state.amplitudes, SINGLET.amplitudes, atol=1e-12
         )
@@ -100,7 +109,7 @@ class TestEvolveBell:
 
     def test_quarter_loop_symmetrizes(self):
         # at theta = pi/3 the residual phase is pi: the state turns symmetric
-        state, rel = evolve_bell(BellCoefficients.equal_weight(), math.pi / 3)
+        state, rel = evolve_bell(SQRT_HALF, SQRT_HALF, math.pi / 3)
         assert rel == pytest.approx(math.pi, abs=1e-12)
         assert swap_expectation(state) == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(
@@ -108,7 +117,7 @@ class TestEvolveBell:
         )
 
     def test_full_solid_angle_restores_antisymmetry(self):
-        state, rel = evolve_bell(BellCoefficients.equal_weight(), math.pi)
+        state, rel = evolve_bell(SQRT_HALF, SQRT_HALF, math.pi)
         assert rel == pytest.approx(0.0, abs=1e-12)
         assert swap_expectation(state) == pytest.approx(-1.0, abs=1e-12)
 
@@ -117,14 +126,14 @@ class TestEvolveBell:
         from spinphase._angles import mod_two_pi
 
         for theta in (0.3, 1.0, 2.5):
-            _, rel = evolve_bell(BellCoefficients.equal_weight(), theta)
+            _, rel = evolve_bell(SQRT_HALF, SQRT_HALF, theta)
             gamma_up = berry_phase_analytic(Orientation.UP, theta).value
             assert rel == pytest.approx(mod_two_pi(2.0 * gamma_up), abs=1e-12)
 
     @given(st.floats(0.0, math.pi))
     @settings(max_examples=150)
     def test_swap_follows_cosine_of_relative_phase(self, theta):
-        state, _ = evolve_bell(BellCoefficients.equal_weight(), theta)
+        state, _ = evolve_bell(SQRT_HALF, SQRT_HALF, theta)
         gamma_up = math.pi * (1.0 - math.cos(theta))
         assert swap_expectation(state) == pytest.approx(
             -math.cos(2.0 * gamma_up), abs=1e-9
@@ -135,16 +144,14 @@ class TestEvolveBell:
     def test_loop_preserves_entanglement(self, theta, weight, phase):
         alpha = complex(math.cos(weight))
         beta = math.sin(weight) * complex(math.cos(phase), math.sin(phase))
-        before = abs(concurrence_general(BipartiteCoefficients(
-            0.0, -beta, alpha, 0.0
-        )))
-        state, _ = evolve_bell(BellCoefficients(alpha, beta), theta)
-        after = abs(concurrence_general(BipartiteCoefficients.from_state(state)))
+        before = abs(concurrence_general(0.0, -beta, alpha, 0.0))
+        state, _ = evolve_bell(alpha, beta, theta)
+        after = abs(concurrence_general(*state.amplitudes))
         assert after == pytest.approx(before, abs=1e-12)
 
     def test_theta_domain(self):
         with pytest.raises(DomainError, match=r"out of \[0, pi\]"):
-            evolve_bell(BellCoefficients.equal_weight(), 3.5)
+            evolve_bell(SQRT_HALF, SQRT_HALF, 3.5)
 
 
 class TestSwapExpectation:
@@ -172,7 +179,7 @@ class TestConcurrence:
         rng = np.random.default_rng(9)
         for _ in range(100):
             state = kron(random_qubit(rng), random_qubit(rng))
-            c = concurrence_general(BipartiteCoefficients.from_state(state))
+            c = concurrence_general(*state.amplitudes)
             assert abs(c) == pytest.approx(0.0, abs=1e-12)
 
     def test_magnitude_bounded_by_one(self):
@@ -180,7 +187,7 @@ class TestConcurrence:
         for _ in range(500):
             v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             state = PureState(v / np.linalg.norm(v))
-            c = concurrence_general(BipartiteCoefficients.from_state(state))
+            c = concurrence_general(*state.amplitudes)
             assert abs(c) <= 1.0 + 1e-12
 
     def test_loop_angle_form_checkpoints(self):
@@ -195,8 +202,7 @@ class TestConcurrence:
         # the general determinant form lands exactly on (1 - cos theta)/2
         s = math.sin(theta / 2.0)
         c = math.cos(theta / 2.0)
-        witness = BipartiteCoefficients(s * SQRT_HALF, c, 0.0, s * SQRT_HALF)
-        general = abs(concurrence_general(witness))
+        general = abs(concurrence_general(s * SQRT_HALF, c, 0.0, s * SQRT_HALF))
         assert general == pytest.approx(concurrence_from_theta(theta), abs=1e-12)
 
     def test_domain(self):

@@ -226,7 +226,8 @@ def test_json_loads_only_for_json_output(argv, code, json_loaded):
 
 # every public name as the eager __init__ of earlier releases imported it,
 # less the ten that no command, criterion or document used, NoiseTarget, which
-# nothing read, and the four parameter classes whose floats the functions now take
+# nothing read, and the four parameter classes and two coefficient classes whose
+# numbers the functions now take
 EXPORTS = {
     "_angles": "TWO_PI mod_two_pi wrap_pm_pi",
     "berry": "Loop entangled_family_loop holonomy_numeric spinor_loop",
@@ -234,9 +235,8 @@ EXPORTS = {
         format_circuit general_state_circuit parse_circuit prepare_spinor run_circuit
         spinor_state_circuit""",
     "cli": "RunRecord SweepSpec dispatch emit main run_records sweep",
-    "entangle": """BellCoefficients BipartiteCoefficients concurrence_from_theta
-        concurrence_general entanglement_entropy evolve_bell monopole_strength_rg
-        swap_expectation""",
+    "entangle": """concurrence_from_theta concurrence_general entanglement_entropy
+        evolve_bell monopole_strength_rg swap_expectation""",
     "errors": """CircuitSyntaxError DegeneratePathError DomainError UnboundSymbolError
         UnknownSymbolError""",
     "noise": "entangled_noise_shift noisy_phase post_echo_noise_shift",
@@ -248,7 +248,7 @@ EXPORTS = {
 # the public names that were removed, by the module that defined them
 DELETED = {
     "circuits": "evaluate_expr",
-    "entangle": "RgFlowParams bell_singlet_qubits",
+    "entangle": "BellCoefficients BipartiteCoefficients RgFlowParams bell_singlet_qubits",
     "noise": "NoiseSpec NoiseTarget perturbed_connection",
     "phases": "SpinorParams",
     "rabi": "PulseKind PulseSpec RabiParams apply_pulse hamiltonian_matrix pulse_ledger",

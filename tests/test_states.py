@@ -8,12 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinphase import (
-    BellCoefficients,
-    BipartiteCoefficients,
     DomainError,
     Loop,
     PureState,
+    concurrence_general,
     equal_up_to_global_phase,
+    evolve_bell,
     evolve_coefficients,
     ket,
 )
@@ -32,13 +32,14 @@ def _state_norm(values):
 
 
 def _bell_norm(values):
-    c = BellCoefficients(*values)
-    return np.linalg.norm([c.alpha, c.beta])
+    state, _ = evolve_bell(*values, 0.0)
+    return np.linalg.norm(state.amplitudes)
 
 
 def _bipartite_norm(values):
-    c = BipartiteCoefficients(*values)
-    return np.linalg.norm([c.a_dd, c.a_du, c.a_ud, c.a_uu])
+    # |C| of a unit vector with |C| = 1: unnormalized weights would miss 1 by
+    # about twice their drift
+    return abs(concurrence_general(*values))
 
 
 def _rabi_norm(values):
@@ -56,7 +57,7 @@ def _loop_row_norm(values):
 CONTRACT_SITES = {
     "state": (_state_norm, [0.6, 0.8j]),
     "bell": (_bell_norm, [0.6, 0.8j]),
-    "bipartite": (_bipartite_norm, [0.5, 0.5j, -0.5, 0.5]),
+    "bipartite": (_bipartite_norm, [SQRT_HALF, 0.0, 0.0, SQRT_HALF]),
     "rabi": (_rabi_norm, [0.6, 0.8j]),
     "loop": (_loop_row_norm, [0.6, 0.8j]),
 }

@@ -3,9 +3,7 @@ replaced: constructors and defaults, checks, equality, hash, repr, immutability,
 and copies and pickles that equal the original."""
 
 import copy
-import math
 import pickle
-import random
 import re
 from decimal import Decimal
 
@@ -13,8 +11,6 @@ import numpy as np
 import pytest
 
 from spinphase import (
-    BellCoefficients,
-    BipartiteCoefficients,
     DomainError,
     GeometricPhase,
     Orientation,
@@ -41,11 +37,6 @@ VALUES = [
      "GeometricPhase(value=1.5, convention=<PhaseConvention.RAW: 'raw'>)"),
     (PhaseLedger(-1.0, 0.5), dict(geometric=-1.0, dynamical=0.5),
      "PhaseLedger(geometric=-1.0, dynamical=0.5)"),
-    (BellCoefficients(0.6, 0.8j), dict(alpha=(0.6 + 0j), beta=0.8j),
-     "BellCoefficients(alpha=(0.6+0j), beta=0.8j)"),
-    (BipartiteCoefficients(0.0, 0.6, -0.8, 0.0),
-     dict(a_dd=0j, a_du=(0.6 + 0j), a_ud=(-0.8 + 0j), a_uu=0j),
-     "BipartiteCoefficients(a_dd=0j, a_du=(0.6+0j), a_ud=(-0.8+0j), a_uu=0j)"),
     (SweepSpec("theta", 0.0, 1.0, 3), dict(parameter="theta", start=0.0, stop=1.0, steps=3),
      "SweepSpec(parameter='theta', start=0.0, stop=1.0, steps=3)"),
     (RunRecord("phase", {"theta": 1.0}, {"gamma": 2.0}),
@@ -96,18 +87,6 @@ def test_copies_and_pickles_equal_the_original(value, fields, text):
         assert fields_of(twin, fields) == fields
 
 
-def test_copies_keep_the_bits_of_renormalized_weights():
-    # a copy is not built again: renormalizing the weights a second time would
-    # move the last bit of some of them
-    rng = random.Random(1)
-    for _ in range(200):
-        a, b = (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2))
-        scale = (1 + 3e-7) / math.hypot(abs(a), abs(b))
-        bell = BellCoefficients(a * scale, b * scale)
-        for twin in (copy.copy(bell), pickle.loads(pickle.dumps(bell))):
-            assert (twin.alpha, twin.beta) == (bell.alpha, bell.beta)
-
-
 def test_unhashable_record():
     with pytest.raises(TypeError, match="unhashable"):
         hash(RunRecord("phase", {}, {"gamma": 1.0}))
@@ -124,13 +103,8 @@ def test_keywords_and_defaults():
 def test_checks_still_run():
     with pytest.raises(DomainError, match="total"):
         PhaseLedger(1e308, 1e308)
-    with pytest.raises(DomainError, match="coefficients"):
-        BellCoefficients(0.9, 0.9)
     with pytest.raises(DomainError, match="mod-2pi"):
         GeometricPhase(7.0, PhaseConvention.MOD_2PI)
-    # weights are held at unit norm
-    bell = BellCoefficients(0.6 * (1 + 5e-7), 0.8 * (1 + 5e-7))
-    assert abs(abs(bell.alpha) ** 2 + abs(bell.beta) ** 2 - 1.0) < 1e-15
 
 
 # a value that is no real number is a DomainError, as a non-finite one is, not

@@ -9,7 +9,9 @@ of each are the fuzz test's own), and SWEEPS sweeps of the sweepable commands,
 each a drawn call with its swept flag replaced by a grid.  Then CIRCUITS
 circuit texts are drawn, each written to its own file and run as ``circuit
 --file`` with drawn ``--theta`` and ``--phi``, or one in five as a ``sweep
---cmd circuit``.  Each tree runs every argv through ``spinphase.cli.dispatch``
+--cmd circuit``.  Last, COEFFICIENTS generic coefficient pairs are drawn and
+given to ``entangle`` as ``--alpha``/``--beta`` or to ``rabi`` as
+``--c0``/``--c1``, one in five through ``sweep``.  Each tree runs every argv through ``spinphase.cli.dispatch``
 in its own subprocess, on the same files.  Prints the number of argvs and of
 differences in exit code, stdout or stderr, and the first SHOW differences;
 exits 1 if any differ.
@@ -18,6 +20,7 @@ exits 1 if any differ.
 from __future__ import annotations
 
 import json
+import math
 import random
 import subprocess
 import sys
@@ -28,6 +31,7 @@ TESTS = Path(__file__).resolve().parent.parent / "tests"
 PER_COMMAND = 3000
 SWEEPS = 3000
 CIRCUITS = 3000
+COEFFICIENTS = 3000
 SHOW = 5
 
 CHILD = r"""
@@ -103,10 +107,43 @@ def circuit_text(rng: random.Random, max_depth: int) -> str:
     return "".join(parts)
 
 
+def unit_pair(rng: random.Random) -> list[str]:
+    """A seeded Gaussian complex pair scaled to unit norm, half of them then off
+    it by up to 9e-7, as two "re,im" flag values.  The fuzz test's unit pairs
+    are four fixed ones; the last bits of these vary, and the check
+    renormalizes them."""
+    parts = [rng.gauss(0.0, 1.0) for _ in range(4)]
+    scale = 1.0 / math.sqrt(math.fsum(x * x for x in parts))
+    if rng.random() < 0.5:
+        scale *= 1.0 + rng.uniform(-9e-7, 9e-7)
+    return [f"{parts[0] * scale!r},{parts[1] * scale!r}",
+            f"{parts[2] * scale!r},{parts[3] * scale!r}"]
+
+
+def coefficient_argv(rng: random.Random) -> list[str]:
+    """An entangle at theta in [0, pi], or a rabi with omega in [-3, 3] and t in
+    [0, 5], with a drawn unit pair; one in five a sweep of theta or omega_t."""
+    a, b = unit_pair(rng)
+    if rng.random() < 0.5:
+        command, param, low, high = "entangle", "theta", 0.0, math.pi
+        flags = [f"--alpha={a}", f"--beta={b}"]
+    else:
+        command, param, low, high = "rabi", "omega_t", 0.0, 5.0
+        flags = ["--omega", repr(rng.uniform(-3.0, 3.0)), f"--c0={a}", f"--c1={b}"]
+    if rng.random() < 0.2:
+        start, stop = sorted(rng.uniform(low, high) for _ in range(2))
+        return ["sweep", "--cmd", command, "--param", param, f"--start={start!r}",
+                f"--stop={stop!r}", "--steps", "3", *flags]
+    swept = "--theta" if command == "entangle" else "--t"
+    return [command, swept, repr(rng.uniform(low, high)), *flags,
+            "--format", rng.choice(("json", "csv"))]
+
+
 def fuzz_argvs(src: str, circuit: str) -> list[list[str]]:
     """The fuzz test's draws, PER_COMMAND for each command, then the sweeps, then
-    the runs of the drawn circuit files, written beside circuit; the fuzz module
-    imports spinphase, from src here, but runs none of it."""
+    the runs of the drawn circuit files, written beside circuit, then the drawn
+    coefficients; the fuzz module imports spinphase, from src here, but runs
+    none of it."""
     sys.path[:0] = [str(TESTS), src]
     import test_cli_fuzz as fuzz
 
@@ -142,6 +179,8 @@ def fuzz_argvs(src: str, circuit: str) -> list[list[str]]:
         else:
             argvs.append(["circuit", "--file", str(file), "--theta", fuzz.real(rng), *phi,
                           "--format", rng.choice(("json", "csv"))])
+    rng = random.Random("cli-differential-coefficients")
+    argvs += [coefficient_argv(rng) for _ in range(COEFFICIENTS)]
     return argvs
 
 
