@@ -59,8 +59,9 @@ class TestCoefficients:
         assert abs(c) == pytest.approx(1.0, abs=1e-15)
 
     def test_rejects_large_drift(self):
-        with pytest.raises(DomainError, match="coefficients norm"):
-            evolve_bell(1.0, 1.0, 1.0)
+        for theta in (1.0, 3.5):  # the coefficients are checked before theta
+            with pytest.raises(DomainError, match="coefficients norm"):
+                evolve_bell(1.0, 1.0, theta)
         with pytest.raises(DomainError, match="coefficients norm"):
             concurrence_general(1.0, 0.0, 0.0, 1.0)
 
@@ -69,10 +70,6 @@ class TestCoefficients:
             evolve_bell(complex(math.nan), complex(1.0), 1.0)
         with pytest.raises(DomainError, match="coefficients must be finite"):
             concurrence_general(complex(math.nan), 0.0, 0.0, 1.0)
-
-    def test_coefficients_checked_before_theta(self):
-        with pytest.raises(DomainError, match="coefficients norm"):
-            evolve_bell(1.0, 1.0, 3.5)
 
     def test_bipartite_from_state_ordering(self):
         # a state's amplitudes in |00>, |01>, |10>, |11> order: the sign of

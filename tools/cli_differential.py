@@ -9,12 +9,12 @@ of each are the fuzz test's own), and SWEEPS sweeps of the sweepable commands,
 each a drawn call with its swept flag replaced by a grid.  Then CIRCUITS
 circuit texts are drawn, each written to its own file and run as ``circuit
 --file`` with drawn ``--theta`` and ``--phi``, or one in five as a ``sweep
---cmd circuit``.  Last, COEFFICIENTS generic coefficient pairs are drawn and
-given to ``entangle`` as ``--alpha``/``--beta`` or to ``rabi`` as
-``--c0``/``--c1``, one in five through ``sweep``.  Each tree runs every argv through ``spinphase.cli.dispatch``
-in its own subprocess, on the same files.  Prints the number of argvs and of
-differences in exit code, stdout or stderr, and the first SHOW differences;
-exits 1 if any differ.
+--cmd circuit``.  Last, COEFFICIENTS generic unit coefficient pairs are drawn
+and given to ``entangle`` as ``--alpha``/``--beta`` or to ``rabi`` as
+``--c0``/``--c1``, one in five through ``sweep``.  Each tree runs every argv
+through ``spinphase.cli.dispatch`` in its own subprocess, on the same files.
+Prints the number of argvs and of differences in exit code, stdout or stderr,
+and the first SHOW differences; exits 1 if any differ.
 """
 
 from __future__ import annotations
