@@ -122,6 +122,20 @@ CASES = {
     "domain-entangle-coefficients-first": ["entangle", "--theta", "5", "--alpha", "1",
                                            "--beta", "1"],
     "domain-rgflow-separation": ["rgflow", "--a", "1", "--c", "1", "--separation", "0"],
+    "domain-rgflow-negative-rate": ["rgflow", "--a", "-1", "--c", "0", "--separation", "1"],
+    "domain-rabi-negative-duration": ["rabi", "--omega", "1", "--t", "-1", "--c0", "1",
+                                      "--c1", "0"],
+    "domain-rabi-coefficients": ["rabi", "--omega", "1", "--t", "1", "--c0", "1", "--c1", "1"],
+    "domain-noise-shift-too-large": ["noise", "--spin", "up", "--theta", "1",
+                                     "--delta-theta", "0.9"],
+    "domain-echo-infinite-phi": ["echo", "--phi=inf", "--chi", "0"],
+    "domain-circuit-lexical": ["circuit", "--file", Circ("H P(theta) @\n")],
+    # a negative value after its flag reads as a value, not as a flag
+    "noise-negative-shift": ["noise", "--spin", "up", "--theta", "1", "--delta-theta",
+                             "-3e-05"],
+    "sweep-argv-negative-start": ["sweep", "--cmd", "noise", "--param", "delta_theta",
+                                  "--start", "-3e-05", "--stop", "0.2", "--steps", "3",
+                                  "--spin", "up", "--theta", "1"],
     # finite flags whose flow overflows: to +inf an error, to -inf clamped to 0
     "domain-rgflow-overflow": ["rgflow", "--a", "1e308", "--c", "0", "--separation", "1e-310"],
     "rgflow-clamped-overflow": ["rgflow", "--a", "1e308", "--c", "0", "--separation", "1e300"],
