@@ -20,12 +20,12 @@ _PUBLIC = {
         general_state_circuit parse_circuit prepare_spinor run_circuit spinor_state_circuit""",
     "cli": "RunRecord SweepSpec dispatch emit main run_records sweep",
     "entangle": """concurrence_from_theta concurrence_general entanglement_entropy
-        evolve_bell monopole_strength_rg swap_expectation""",
+        evolve_bell swap_expectation""",
     "errors": """CircuitSyntaxError DegeneratePathError DomainError UnboundSymbolError
         UnknownSymbolError""",
     "noise": "entangled_noise_shift noisy_phase post_echo_noise_shift",
-    "phases": """CLOSURE_TOLERANCE MIN_OVERLAP GeometricPhase Orientation PhaseConvention
-        berry_phase_analytic berry_phase_entangled connection winding_phase""",
+    "phases": """CLOSURE_TOLERANCE MIN_OVERLAP GeometricPhase Orientation berry_phase_analytic
+        berry_phase_entangled connection monopole_strength_rg winding_phase""",
     "rabi": "PhaseLedger evolve_coefficients matched_echo_params spin_echo_ledger",
     "states": "NORM_TOLERANCE PureState equal_up_to_global_phase ket",
 }

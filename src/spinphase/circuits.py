@@ -280,6 +280,8 @@ def _finite_constant(value: float, what: str, token: tuple) -> float:
 
 def parse_circuit(text: str) -> Circuit:
     """Parse circuit text into a Circuit, folding constant subexpressions."""
+    if not isinstance(text, str):
+        raise DomainError("circuit text must be str")
     if len(text) > MAX_TEXT_LENGTH:
         raise DomainError(f"circuit text longer than {MAX_TEXT_LENGTH} characters")
     return _Parser(_tokenize(text)).parse_circuit()

@@ -82,7 +82,7 @@ class SweepSpec(Frozen):
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "stop", stop)
         object.__setattr__(self, "steps", steps)
-        if parameter not in _SWEEPABLE:
+        if not isinstance(parameter, str) or parameter not in _SWEEPABLE:
             raise DomainError(f"parameter must be one of {sorted(_SWEEPABLE)}")
         check_real("start and stop", start, stop)
         if not start < stop:
@@ -441,7 +441,7 @@ def _noise():
 
 
 def _rgflow():
-    from .entangle import monopole_strength_unclamped
+    from .phases import monopole_strength_unclamped
 
     def run(a: float, c: float, separation: float) -> list[RunRecord]:
         mu = monopole_strength_unclamped(a, c, separation)

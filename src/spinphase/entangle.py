@@ -1,5 +1,5 @@
-"""Bell-state evolution under spinor loops, entanglement measures, and the
-renormalization flow of the monopole strength.
+"""Bell-state evolution under spinor loops, and entanglement measures of
+two-qubit states.
 
 The antisymmetric reference state is (|1>|0> - |0>|1>)/sqrt(2); its alpha term
 lives on |10> and its beta term on |01>.  One closed spinor loop multiplies
@@ -77,29 +77,3 @@ def entanglement_entropy(concurrence_norm: float) -> float:
         return 0.0  # binary entropy vanishes at both endpoints by continuity
     return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
 
-
-def monopole_strength_unclamped(a: float, c: float, separation: float) -> float:
-    """The flow mu(L) = -a ln(L) + c itself, at decay rate a >= 0 and length scale
-    L = separation > 0; negative past its zero crossing.  Finite inputs whose
-    flow overflows to -inf keep that value, which clamps to 0; +inf is an error.
-    """
-    check_real("a", a)
-    check_real("c", c)
-    check_real("separation", separation)
-    if a < 0.0:
-        raise DomainError("decay rate a must be nonnegative")
-    if separation <= 0.0:
-        raise DomainError("separation must be positive")
-    mu = -a * math.log(separation) + c
-    if mu == math.inf:  # a large a with a separation far below 1
-        raise DomainError("flow -a*ln(separation) + c overflows")
-    return mu
-
-
-def monopole_strength_rg(a: float, c: float, separation: float) -> float:
-    """Monopole strength mu(L) = -a ln(L) + c, clamped at zero from below.
-
-    The linear-in-ln(L) flow crosses zero at large separation; the physical
-    strength is reported as max(0, .) since mu only tends to zero there.
-    """
-    return max(0.0, monopole_strength_unclamped(a, c, separation))

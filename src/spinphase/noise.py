@@ -41,7 +41,7 @@ def noisy_phase(
     if orientation is not Orientation.UP:
         tilt, shift = -tilt, -shift
     # 2 pi times half the sum, not pi times it: halving rounds a subnormal sum
-    return GeometricPhase.raw(TWO_PI * (0.5 * (factor + tilt))), shift
+    return GeometricPhase(TWO_PI * (0.5 * (factor + tilt))), shift
 
 
 def entangled_noise_shift(theta: float, delta_theta: float) -> float:

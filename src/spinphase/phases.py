@@ -1,9 +1,12 @@
-"""Berry connections and closed-loop phases of quantized spinors, in closed form.
+"""Berry connections and closed-loop phases of quantized spinors, in closed form,
+and the flux line's monopole strength: the phase its winding picks up and its
+flow with length scale.
 
 The spinor's ``Orientation`` lives here too, so a closed-form call loads
 neither the circuit parser nor numpy.
 Analytic phases are reported raw: 0 and 2*pi label physically distinct loops
-(trivial versus full solid angle) and must not be collapsed.
+(trivial versus full solid angle) and must not be collapsed.  A transport's
+phase comes back reduced into [0, 2*pi) (``GeometricPhase.wrapped``).
 
 The discrete transport that checks them has two routes.  ``berry`` builds a
 loop as an array, for the library and for array speed; ``spinor_holonomy``
@@ -40,28 +43,17 @@ class Orientation(Enum):
     DOWN = "down"
 
 
-class PhaseConvention(Enum):
-    RAW = "raw"
-    MOD_2PI = "mod2pi"
-
-
 class GeometricPhase(Frozen):
-    __slots__ = ("value", "convention")
+    __slots__ = ("value",)
 
-    def __init__(self, value: float, convention: PhaseConvention) -> None:
+    def __init__(self, value: float) -> None:
         object.__setattr__(self, "value", value)
-        object.__setattr__(self, "convention", convention)
-        check_real("phase", self.value)
-        if self.convention is PhaseConvention.MOD_2PI and not 0.0 <= self.value < TWO_PI:
-            raise DomainError("mod-2pi phase must lie in [0, 2*pi)")
-
-    @classmethod
-    def raw(cls, value: float) -> "GeometricPhase":
-        return cls(value, PhaseConvention.RAW)
+        check_real("phase", value)
 
     @classmethod
     def wrapped(cls, value: float) -> "GeometricPhase":
-        return cls(mod_two_pi(value), PhaseConvention.MOD_2PI)
+        """The phase of value reduced into [0, 2*pi)."""
+        return cls(mod_two_pi(value))
 
     def mod_2pi(self) -> float:
         """The phase reduced into [0, 2*pi)."""
@@ -93,7 +85,37 @@ def winding_phase(mu: float, delta_chi: float) -> complex:
     sign under one revolution.
     """
     check_real("mu and delta_chi", mu, delta_chi)
-    return cmath.exp(1j * (mu * delta_chi))
+    angle = mu * delta_chi
+    if not math.isfinite(angle):  # finite inputs whose product overflows
+        raise DomainError("winding angle mu*delta_chi is not finite")
+    return cmath.exp(1j * angle)
+
+
+def monopole_strength_unclamped(a: float, c: float, separation: float) -> float:
+    """The flow mu(L) = -a ln(L) + c itself, at decay rate a >= 0 and length scale
+    L = separation > 0; negative past its zero crossing.  Finite inputs whose
+    flow overflows to -inf keep that value, which clamps to 0; +inf is an error.
+    """
+    check_real("a", a)
+    check_real("c", c)
+    check_real("separation", separation)
+    if a < 0.0:
+        raise DomainError("decay rate a must be nonnegative")
+    if separation <= 0.0:
+        raise DomainError("separation must be positive")
+    mu = -a * math.log(separation) + c
+    if mu == math.inf:  # a large a with a separation far below 1
+        raise DomainError("flow -a*ln(separation) + c overflows")
+    return mu
+
+
+def monopole_strength_rg(a: float, c: float, separation: float) -> float:
+    """Monopole strength mu(L) = -a ln(L) + c, clamped at zero from below.
+
+    The linear-in-ln(L) flow crosses zero at large separation; the physical
+    strength is reported as max(0, .) since mu only tends to zero there.
+    """
+    return max(0.0, monopole_strength_unclamped(a, c, separation))
 
 
 def _solid_angle_factor(orientation: Orientation, theta: float) -> float:
@@ -115,18 +137,18 @@ def connection(orientation: Orientation, theta: float) -> float:
 
 
 def berry_phase_analytic(orientation: Orientation, theta: float) -> GeometricPhase:
-    """Closed-loop geometric phase pi(1 -+ cos theta), raw convention.
+    """Closed-loop geometric phase pi(1 -+ cos theta), raw.
 
     This is half the solid angle swept about the spinor's own quantization
     axis, so the UP and DOWN values always add to 2*pi.
     """
-    return GeometricPhase.raw(math.pi * _solid_angle_factor(orientation, theta))
+    return GeometricPhase(math.pi * _solid_angle_factor(orientation, theta))
 
 
 def berry_phase_entangled(theta: float) -> GeometricPhase:
     """Geometric phase trapped by the two-spinor antisymmetric state: pi(1 + cos 2 theta)."""
     check_theta(theta)
-    return GeometricPhase.raw(math.pi * (1.0 + math.cos(2.0 * theta)))
+    return GeometricPhase(math.pi * (1.0 + math.cos(2.0 * theta)))
 
 
 def _check_segments(segments: int) -> None:

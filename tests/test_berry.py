@@ -21,7 +21,6 @@ from spinphase import (
     GeometricPhase,
     Loop,
     Orientation,
-    PhaseConvention,
     PureState,
     berry_phase_analytic,
     berry_phase_entangled,
@@ -92,28 +91,26 @@ FROZEN_PHASES = [
 
 class TestPhaseContainer:
     def test_raw_keeps_value(self):
-        gp = GeometricPhase.raw(TWO_PI)
-        assert gp.value == TWO_PI
-        assert gp.convention is PhaseConvention.RAW
+        assert GeometricPhase(TWO_PI).value == TWO_PI
+        assert GeometricPhase(-7.0).value == -7.0
 
     def test_raw_zero_and_two_pi_stay_distinct(self):
-        assert GeometricPhase.raw(0.0).value != GeometricPhase.raw(TWO_PI).value
-        assert GeometricPhase.raw(TWO_PI).mod_2pi() == 0.0
+        assert GeometricPhase(0.0) != GeometricPhase(TWO_PI)
+        assert GeometricPhase(TWO_PI).mod_2pi() == 0.0
 
     def test_wrapped_reduces(self):
         assert GeometricPhase.wrapped(-math.pi).value == pytest.approx(math.pi)
         assert GeometricPhase.wrapped(5.0 * math.pi).value == pytest.approx(math.pi)
 
     def test_wrapped_range_enforced(self):
-        with pytest.raises(DomainError):
-            GeometricPhase(TWO_PI, PhaseConvention.MOD_2PI)
-        with pytest.raises(DomainError):
-            GeometricPhase(-0.1, PhaseConvention.MOD_2PI)
+        # fmod(-tiny) + 2*pi rounds to 2*pi itself, which wrapped maps to 0
+        for value in (-1e-300, -5e-324, math.nextafter(TWO_PI, 0.0), TWO_PI, -0.1, 1e300):
+            assert 0.0 <= GeometricPhase.wrapped(value).value < TWO_PI
 
     def test_nonfinite_rejected(self):
         for value in (math.inf, -math.inf, math.nan):
             with pytest.raises(DomainError, match="phase must be finite"):
-                GeometricPhase.raw(value)
+                GeometricPhase(value)
             for reduce in (GeometricPhase.wrapped, mod_two_pi, wrap_pm_pi):
                 with pytest.raises(DomainError, match="angle must be finite"):
                     reduce(value)
@@ -139,8 +136,12 @@ class TestWindingPhase:
         assert abs(winding_phase(mu, dchi)) == pytest.approx(1.0, abs=1e-12)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^mu and delta_chi must be finite$"):
             winding_phase(math.nan, 1.0)
+        # finite inputs whose product overflows
+        for mu, delta_chi in ((1e308, 1e308), (1e200, -1e200)):
+            with pytest.raises(DomainError, match=r"^winding angle mu\*delta_chi is not finite$"):
+                winding_phase(mu, delta_chi)
 
 
 class TestConnection:
@@ -173,9 +174,8 @@ class TestAnalyticPhases:
         )
 
     def test_raw_convention(self):
-        gp = berry_phase_analytic(Orientation.UP, math.pi)
-        assert gp.convention is PhaseConvention.RAW
-        assert gp.value == pytest.approx(TWO_PI)
+        # the full solid angle reads 2*pi, not the 0 of a wrapped phase
+        assert berry_phase_analytic(Orientation.UP, math.pi).value == pytest.approx(TWO_PI)
 
     @given(st.floats(0.0, math.pi))
     @settings(max_examples=200)
@@ -667,7 +667,7 @@ def bytes_of(result):
 
 def value_bits(result):
     if isinstance(result, GeometricPhase):
-        return np.float64(result.value).view(np.uint64), result.convention
+        return np.float64(result.value).view(np.uint64)
     return result
 
 

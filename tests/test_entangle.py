@@ -18,7 +18,7 @@ from spinphase import (
     monopole_strength_rg,
     swap_expectation,
 )
-from spinphase.entangle import monopole_strength_unclamped
+from spinphase.phases import monopole_strength_unclamped
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 # the antisymmetric reference state (|1>|0> - |0>|1>)/sqrt(2)

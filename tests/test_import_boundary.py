@@ -155,14 +155,14 @@ OWN_MODULES = [
     (["echo", "--phi", "0.3", "--chi", "-1.0"], 0, {"rabi", "states"}),
     (["entangle", "--theta", "1.0", "--alpha", "0.6", "--beta", "0.8"], 0,
      {"entangle", "phases", "states"}),
-    (["rgflow", "--a", "0.3", "--c", "1.0", "--separation", "2.0"], 0,
-     {"entangle", "phases", "states"}),
+    (["rgflow", "--a", "0.3", "--c", "1.0", "--separation", "2.0"], 0, {"phases"}),
     (["--help"], 0, set()),
     (["phase", "--spin", "sideways", "--theta", "1.0"], 2, set()),
     (sweep("echo", "theta", "--phi", "0.3", "--chi", "-1.0"), 2, set()),
     (sweep("holonomy", "theta", "--spin", "up", "--segments", "64"), 0, {"phases", "states"}),
     (["holonomy", "--spin", "up", "--theta", "1.0", "--segments", "1"], 1, {"phases"}),
     (["holonomy", "--spin", "up", "--theta", "4"], 1, {"phases"}),
+    (sweep("rgflow", "separation", "--a", "0.3", "--c", "1.0"), 0, {"phases"}),
 ]
 
 
@@ -225,9 +225,10 @@ def test_json_loads_only_for_json_output(argv, code, json_loaded):
 
 
 # every public name as the eager __init__ of earlier releases imported it,
-# less the ten that no command, criterion or document used, NoiseTarget, which
-# nothing read, and the four parameter classes and two coefficient classes whose
-# numbers the functions now take
+# less the ten that no command, criterion or document used, NoiseTarget and
+# PhaseConvention, which nothing read, and the four parameter classes and two
+# coefficient classes whose numbers the functions now take; monopole_strength_rg
+# moved from entangle to phases
 EXPORTS = {
     "_angles": "TWO_PI mod_two_pi wrap_pm_pi",
     "berry": "Loop entangled_family_loop holonomy_numeric spinor_loop",
@@ -236,12 +237,12 @@ EXPORTS = {
         spinor_state_circuit""",
     "cli": "RunRecord SweepSpec dispatch emit main run_records sweep",
     "entangle": """concurrence_from_theta concurrence_general entanglement_entropy
-        evolve_bell monopole_strength_rg swap_expectation""",
+        evolve_bell swap_expectation""",
     "errors": """CircuitSyntaxError DegeneratePathError DomainError UnboundSymbolError
         UnknownSymbolError""",
     "noise": "entangled_noise_shift noisy_phase post_echo_noise_shift",
-    "phases": """CLOSURE_TOLERANCE MIN_OVERLAP GeometricPhase PhaseConvention
-        berry_phase_analytic berry_phase_entangled connection winding_phase""",
+    "phases": """CLOSURE_TOLERANCE MIN_OVERLAP GeometricPhase berry_phase_analytic
+        berry_phase_entangled connection monopole_strength_rg winding_phase""",
     "rabi": "PhaseLedger evolve_coefficients matched_echo_params spin_echo_ledger",
     "states": "NORM_TOLERANCE PureState equal_up_to_global_phase ket",
 }
@@ -250,7 +251,7 @@ DELETED = {
     "circuits": "evaluate_expr",
     "entangle": "BellCoefficients BipartiteCoefficients RgFlowParams bell_singlet_qubits",
     "noise": "NoiseSpec NoiseTarget perturbed_connection",
-    "phases": "SpinorParams",
+    "phases": "PhaseConvention SpinorParams",
     "rabi": "PulseKind PulseSpec RabiParams apply_pulse hamiltonian_matrix pulse_ledger",
     "states": "inner_product tensor_product",
 }

@@ -3,9 +3,11 @@ replaced: constructors and defaults, checks, equality, hash, repr, immutability,
 and copies and pickles that equal the original."""
 
 import copy
+import math
 import pickle
 import re
 from decimal import Decimal
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from spinphase import (
     DomainError,
     GeometricPhase,
     Orientation,
-    PhaseConvention,
     PhaseLedger,
     RunRecord,
     SweepSpec,
@@ -24,6 +25,7 @@ from spinphase import (
     evolve_coefficients,
     ket,
     noisy_phase,
+    parse_circuit,
     prepare_spinor,
     spinor_loop,
     winding_phase,
@@ -33,8 +35,7 @@ from spinphase.phases import spinor_holonomy
 
 # (value, its fields in order, its repr)
 VALUES = [
-    (GeometricPhase(1.5, PhaseConvention.RAW), dict(value=1.5, convention=PhaseConvention.RAW),
-     "GeometricPhase(value=1.5, convention=<PhaseConvention.RAW: 'raw'>)"),
+    (GeometricPhase(1.5), dict(value=1.5), "GeometricPhase(value=1.5)"),
     (PhaseLedger(-1.0, 0.5), dict(geometric=-1.0, dynamical=0.5),
      "PhaseLedger(geometric=-1.0, dynamical=0.5)"),
     (SweepSpec("theta", 0.0, 1.0, 3), dict(parameter="theta", start=0.0, stop=1.0, steps=3),
@@ -103,8 +104,8 @@ def test_keywords_and_defaults():
 def test_checks_still_run():
     with pytest.raises(DomainError, match="total"):
         PhaseLedger(1e308, 1e308)
-    with pytest.raises(DomainError, match="mod-2pi"):
-        GeometricPhase(7.0, PhaseConvention.MOD_2PI)
+    with pytest.raises(DomainError, match="phase must be finite"):
+        GeometricPhase(math.inf)
 
 
 # a value that is no real number is a DomainError, as a non-finite one is, not
@@ -114,7 +115,7 @@ def test_checks_still_run():
     (lambda: SweepSpec("theta", "0", 1.0, 3), "start and stop must be real"),
     (lambda: noisy_phase(Orientation.UP, 1.0, "0.1"), "delta_theta must be real"),
     (lambda: berry_phase_analytic(Orientation.UP, None), "theta must be real"),
-    (lambda: GeometricPhase("1", PhaseConvention.RAW), "phase must be real"),
+    (lambda: GeometricPhase("1"), "phase must be real"),
     (lambda: winding_phase(0.5, 1j), "mu and delta_chi must be real"),
     (lambda: entanglement_entropy("0.5"), "concurrence magnitude must be real"),
     (lambda: ket(5), "basis label must be 1 or 2 bits, got 5"),
@@ -128,11 +129,17 @@ def test_checks_still_run():
     (lambda: mod_two_pi(-10**400), "angle must be finite"),
     (lambda: spinor_loop(Orientation.UP, 10**400, 8), "theta must be finite"),
     (lambda: prepare_spinor(Orientation.UP, 1.0, 10**400), "phi must be finite"),
+    # inputs of the wrong type: a DomainError, not the TypeError of len or hash
+    (lambda: parse_circuit(None), "circuit text must be str"),
+    (lambda: parse_circuit(b"H"), "circuit text must be str"),
+    (lambda: SweepSpec([], 0.0, 1.0, 2),
+     r"parameter must be one of \['delta_theta', 'omega_t', 'separation', 'theta'\]"),
 ], ids=["evolve_coefficients", "SweepSpec", "noisy_phase", "berry_phase_analytic",
         "GeometricPhase", "winding_phase", "entanglement_entropy", "ket",
         "noisy_phase-Decimal", "berry_phase_analytic-Decimal", "berry_phase_analytic-huge-int",
         "SweepSpec-huge-int", "evolve_coefficients-huge-int", "mod_two_pi-huge-int",
-        "spinor_loop-huge-int", "prepare_spinor-huge-int"])
+        "spinor_loop-huge-int", "prepare_spinor-huge-int", "parse_circuit-None",
+        "parse_circuit-bytes", "SweepSpec-list"])
 def test_non_real_inputs_rejected(call, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
         call()
@@ -156,7 +163,7 @@ def test_bools_rejected(call, message, flag):
 # phases._solid_angle_factor; a value that is no member is an error there, not
 # the DOWN branch
 @pytest.mark.parametrize("orientation", ["up", "down", None, 1, Orientation.UP.value,
-                                         PhaseConvention.RAW],
+                                         Enum("Spin", {"UP": "up"}).UP],
                          ids=["up", "down", "None", "int", "member-value", "other-enum"])
 @pytest.mark.parametrize("call", [
     lambda o: berry_phase_analytic(o, 1.0),
