@@ -149,6 +149,9 @@ CASES = {
     "domain-sweep-grid-point-csv": ["sweep", "--cmd", "phase", "--param", "theta", "--start",
                                     "3.0", "--stop", "4.0", "--steps", "3", "--spin", "up",
                                     "--format", "csv"],
+    # finite bounds whose width stop - start overflows a float
+    "sweep-overflowing-span": ["sweep", "--cmd", "circuit", "--param", "theta", "--start",
+                               "-1e308", "--stop", "1e308", "--steps", "3", "--file", CIRCUIT],
     "domain-sweep-circuit-missing-file": ["sweep", "--cmd", "circuit", "--param", "theta",
                                           "--start", "0", "--stop", "1", "--steps", "3",
                                           "--file", "/nonexistent/x.circ"],
