@@ -23,9 +23,9 @@ _PUBLIC = {
         evolve_bell swap_expectation""",
     "errors": """CircuitSyntaxError DegeneratePathError DomainError UnboundSymbolError
         UnknownSymbolError""",
-    "noise": "entangled_noise_shift noisy_phase post_echo_noise_shift",
     "phases": """CLOSURE_TOLERANCE MIN_OVERLAP GeometricPhase Orientation berry_phase_analytic
-        berry_phase_entangled connection monopole_strength_rg winding_phase""",
+        berry_phase_entangled connection entangled_noise_shift monopole_strength_rg
+        noisy_phase post_echo_noise_shift winding_phase""",
     "rabi": "PhaseLedger evolve_coefficients matched_echo_params spin_echo_ledger",
     "states": "NORM_TOLERANCE PureState equal_up_to_global_phase ket",
 }

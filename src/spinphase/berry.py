@@ -273,7 +273,7 @@ def _antisymmetric_family(theta: float, segments: int) -> np.ndarray:
     c, s = _spinor_gauge(Orientation.UP, theta)
     grid = _winding_grid(segments)
     up = _spinor_rows(c, s, grid)
-    down = _spinor_rows(s, c, np.conjugate(grid, out=grid))
+    down = _spinor_rows(*_spinor_gauge(Orientation.DOWN, theta), np.conjugate(grid, out=grid))
     del grid
     raw = np.multiply(up[:, :, np.newaxis], down[:, np.newaxis, :])
     # the second product a row block at a time, down first: numpy's complex

@@ -37,7 +37,7 @@ from .errors import (
     UnboundSymbolError,
     UnknownSymbolError,
 )
-from .phases import Orientation, _spinor_gauge
+from .phases import Orientation, _sign, _spinor_gauge
 from .states import PureState
 
 FREE_SYMBOLS = ("theta", "phi")
@@ -378,12 +378,9 @@ def prepare_spinor(orientation: Orientation, theta: float, phi: float,
         check_real("chi", chi)
     # complex factors, as for _INV_SQRT2: the bits of numpy's real-by-complex products
     c, s = map(complex, _spinor_gauge(orientation, theta))
-    winding = -1j if orientation is Orientation.UP else 1j
-    amps = [c, s * cmath.exp(winding * phi)]
+    sign = _sign(orientation)
+    amps = [c, s * cmath.exp(-sign * 1j * phi)]
     if chi is not None:
-        if orientation is Orientation.UP:
-            phase = cmath.exp(0.5j * (phi - chi))
-        else:
-            phase = cmath.exp(-0.5j * (phi - chi))
+        phase = cmath.exp(sign * 0.5j * (phi - chi))
         amps = [a * phase for a in amps]
     return PureState(amps)

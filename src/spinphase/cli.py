@@ -417,8 +417,7 @@ def _entangle():
 
 
 def _noise():
-    from .noise import entangled_noise_shift, noisy_phase, post_echo_noise_shift
-    from .phases import Orientation
+    from .phases import Orientation, entangled_noise_shift, noisy_phase, post_echo_noise_shift
 
     def run(spin: str, theta: float, delta_theta: float) -> list[RunRecord]:
         metadata = {"spin": spin, "phase_convention": "raw"}

@@ -1,9 +1,10 @@
 """Berry connections and closed-loop phases of quantized spinors, in closed form,
-and the flux line's monopole strength: the phase its winding picks up and its
-flow with length scale.
+their first-order shifts under polar-angle noise, and the flux line's monopole
+strength: the phase its winding picks up and its flow with length scale.
 
 The spinor's ``Orientation`` lives here too, so a closed-form call loads
-neither the circuit parser nor numpy.
+neither the circuit parser nor numpy, and so does ``_sign``, +1 for UP and -1
+for DOWN: the one place in the package that tells the two apart.
 Analytic phases are reported raw: 0 and 2*pi label physically distinct loops
 (trivial versus full solid angle) and must not be collapsed.  A transport's
 phase comes back reduced into [0, 2*pi) (``GeometricPhase.wrapped``).
@@ -65,17 +66,23 @@ def _not_an_orientation(orientation: object) -> DomainError:
                        f"not {orientation!r}")
 
 
+def _sign(orientation: Orientation) -> float:
+    """+1.0 for UP, -1.0 for DOWN: the one place the two orientations are told
+    apart, so every route rejects an orientation that is neither here.
+    Multiplying by it negates exactly, signed zeros included."""
+    if orientation is Orientation.UP:
+        return 1.0
+    if orientation is Orientation.DOWN:
+        return -1.0
+    raise _not_an_orientation(orientation)
+
+
 def _spinor_gauge(orientation: Orientation, theta: float) -> tuple[float, float]:
     """The spinor gauge (c, s): (cos(theta/2), sin(theta/2)) for UP, swapped for
-    DOWN.  Every route builds its spinor rows (c, s e^{-+i phi}) from these, so
-    every route rejects an orientation that is neither here."""
+    DOWN.  Every route builds its spinor rows (c, s e^{-+i phi}) from these."""
     half = theta / 2.0
     c, s = math.cos(half), math.sin(half)
-    if orientation is Orientation.UP:
-        return c, s
-    if orientation is Orientation.DOWN:
-        return s, c
-    raise _not_an_orientation(orientation)
+    return (c, s) if _sign(orientation) > 0.0 else (s, c)
 
 
 def winding_phase(mu: float, delta_chi: float) -> complex:
@@ -123,12 +130,7 @@ def _solid_angle_factor(orientation: Orientation, theta: float) -> float:
     sweeps about the spinor's own axis, over 2*pi.  The connection, the loop
     phase and its noise all scale this one factor."""
     check_theta(theta)
-    c = math.cos(theta)
-    if orientation is Orientation.UP:
-        return 1.0 - c
-    if orientation is Orientation.DOWN:
-        return 1.0 + c
-    raise _not_an_orientation(orientation)
+    return 1.0 - _sign(orientation) * math.cos(theta)
 
 
 def connection(orientation: Orientation, theta: float) -> float:
@@ -149,6 +151,47 @@ def berry_phase_entangled(theta: float) -> GeometricPhase:
     """Geometric phase trapped by the two-spinor antisymmetric state: pi(1 + cos 2 theta)."""
     check_theta(theta)
     return GeometricPhase(math.pi * (1.0 + math.cos(2.0 * theta)))
+
+
+MAX_SHIFT = 0.5
+
+
+def _single_shift(theta: float, delta_theta: float) -> float:
+    """pi sin(theta) delta_theta, with delta_theta checked before theta."""
+    check_real("delta_theta", delta_theta)
+    if abs(delta_theta) > MAX_SHIFT:
+        raise DomainError(f"|delta_theta| above {MAX_SHIFT} leaves the small-perturbation regime")
+    check_theta(theta)
+    return math.pi * math.sin(theta) * delta_theta
+
+
+def noisy_phase(
+    orientation: Orientation, theta: float, delta_theta: float
+) -> tuple[GeometricPhase, float]:
+    """Noise-shifted loop phase and its shift, signed + for UP and - for DOWN.
+
+    UP:   pi (1 - cos theta + sin theta delta_theta), shift +pi sin theta delta_theta
+    DOWN: pi (1 + cos theta - sin theta delta_theta), shift -pi sin theta delta_theta
+    """
+    shift = _single_shift(theta, delta_theta)
+    factor = _solid_angle_factor(orientation, theta)
+    sign = _sign(orientation)
+    tilt = sign * (math.sin(theta) * delta_theta)
+    # 2 pi times half the sum, not pi times it: halving rounds a subnormal sum
+    return GeometricPhase(TWO_PI * (0.5 * (factor + tilt))), sign * shift
+
+
+def entangled_noise_shift(theta: float, delta_theta: float) -> float:
+    """Relative-phase shift of the antisymmetric two-spinor state: exactly twice
+    the single-orientation shift, 2 pi sin(theta) delta_theta."""
+    return 2.0 * _single_shift(theta, delta_theta)
+
+
+def post_echo_noise_shift(theta: float, delta_theta: float) -> float:
+    """Shift surviving an echo, where a single residual term carries the noise:
+    pi sin(theta) delta_theta.  The halving relative to the entangled shift is
+    a qualitative robustness statement, not a derived bound."""
+    return _single_shift(theta, delta_theta)
 
 
 def _check_segments(segments: int) -> None:

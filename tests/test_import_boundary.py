@@ -142,10 +142,8 @@ OWN_MODULES = [
     (["phase", "--spin", "up", "--theta", "1.0"], 0, {"phases"}),
     (["phase", "--spin", "up", "--theta", "4.0"], 1, {"phases"}),
     (sweep("phase", "theta", "--spin", "down"), 0, {"phases"}),
-    (["noise", "--spin", "up", "--theta", "0.9", "--delta-theta", "0.02"], 0,
-     {"noise", "phases"}),
-    (sweep("noise", "theta", "--spin", "entangled", "--delta-theta", "0.02"), 0,
-     {"noise", "phases"}),
+    (["noise", "--spin", "up", "--theta", "0.9", "--delta-theta", "0.02"], 0, {"phases"}),
+    (sweep("noise", "theta", "--spin", "entangled", "--delta-theta", "0.02"), 0, {"phases"}),
     (["holonomy", "--spin", "up", "--theta", "1.0", "--segments", "64"], 0,
      {"phases", "states"}),
     (["circuit", "--file", "CIRCUIT", "--theta", "0.7"], 0, {"circuits", "phases", "states"}),
@@ -228,7 +226,7 @@ def test_json_loads_only_for_json_output(argv, code, json_loaded):
 # less the ten that no command, criterion or document used, NoiseTarget and
 # PhaseConvention, which nothing read, and the four parameter classes and two
 # coefficient classes whose numbers the functions now take; monopole_strength_rg
-# moved from entangle to phases
+# moved from entangle to phases, and the noise forms from the deleted noise module
 EXPORTS = {
     "_angles": "TWO_PI mod_two_pi wrap_pm_pi",
     "berry": "Loop entangled_family_loop holonomy_numeric spinor_loop",
@@ -240,13 +238,14 @@ EXPORTS = {
         evolve_bell swap_expectation""",
     "errors": """CircuitSyntaxError DegeneratePathError DomainError UnboundSymbolError
         UnknownSymbolError""",
-    "noise": "entangled_noise_shift noisy_phase post_echo_noise_shift",
     "phases": """CLOSURE_TOLERANCE MIN_OVERLAP GeometricPhase berry_phase_analytic
-        berry_phase_entangled connection monopole_strength_rg winding_phase""",
+        berry_phase_entangled connection entangled_noise_shift monopole_strength_rg
+        noisy_phase post_echo_noise_shift winding_phase""",
     "rabi": "PhaseLedger evolve_coefficients matched_echo_params spin_echo_ledger",
     "states": "NORM_TOLERANCE PureState equal_up_to_global_phase ket",
 }
-# the public names that were removed, by the module that defined them
+# the public names that were removed, by the module that defined them; the
+# noise module itself is gone too
 DELETED = {
     "circuits": "evaluate_expr",
     "entangle": "BellCoefficients BipartiteCoefficients RgFlowParams bell_singlet_qubits",
@@ -272,7 +271,11 @@ def test_deleted_names_are_gone():
     for module, names in DELETED.items():
         for name in names.split():
             assert not hasattr(spinphase, name)
-            assert not hasattr(import_module(f"spinphase.{module}"), name)
+            if module != "noise":
+                assert not hasattr(import_module(f"spinphase.{module}"), name)
+    assert not hasattr(spinphase, "noise")
+    with pytest.raises(ModuleNotFoundError):
+        import_module("spinphase.noise")
 
 
 def test_star_import_gives_every_public_name():
