@@ -19,8 +19,7 @@ _PUBLIC = {
     "circuits": """GENERAL_STATE_TEXT SPINOR_STATE_TEXT Circuit Gate apply_gate format_circuit
         general_state_circuit parse_circuit prepare_spinor run_circuit spinor_state_circuit""",
     "cli": "RunRecord SweepSpec dispatch emit main run_records sweep",
-    "entangle": """concurrence_from_theta concurrence_general entanglement_entropy
-        evolve_bell swap_expectation""",
+    "entangle": "concurrence_general entanglement_entropy evolve_bell swap_expectation",
     "errors": """CircuitSyntaxError DegeneratePathError DomainError UnboundSymbolError
         UnknownSymbolError""",
     "phases": """CLOSURE_TOLERANCE MIN_OVERLAP GeometricPhase Orientation berry_phase_analytic

@@ -14,7 +14,7 @@ import math
 
 from ._angles import check_real, mod_two_pi
 from .errors import DomainError
-from .phases import Orientation, berry_phase_analytic, connection
+from .phases import Orientation, berry_phase_analytic
 from .states import PureState, unit_vector
 
 
@@ -52,15 +52,6 @@ def concurrence_general(a00: complex, a01: complex, a10: complex, a11: complex) 
     """
     a00, a01, a10, a11 = unit_vector([a00, a01, a10, a11], "coefficients")
     return 2.0 * (a00 * a11 - a01 * a10)
-
-
-def concurrence_from_theta(theta: float) -> float:
-    """Asserted loop-angle form of the concurrence magnitude, (1 - cos theta)/2.
-
-    This is the anisotropy measure of the UP spinor; it is kept separate from
-    concurrence_general so the two routes can be compared rather than conflated.
-    """
-    return connection(Orientation.UP, theta)
 
 
 def entanglement_entropy(concurrence_norm: float) -> float:

@@ -1,6 +1,7 @@
 """Bell-state loop evolution, entanglement measures, and the strength flow."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 
 from spinphase import (
     DomainError,
+    Orientation,
     PureState,
-    concurrence_from_theta,
     concurrence_general,
+    connection,
     entanglement_entropy,
     evolve_bell,
     ket,
@@ -23,6 +25,8 @@ from spinphase.phases import monopole_strength_unclamped
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 # the antisymmetric reference state (|1>|0> - |0>|1>)/sqrt(2)
 SINGLET = PureState([0.0, -SQRT_HALF, SQRT_HALF, 0.0])
+# the loop-angle form of the concurrence magnitude, (1 - cos theta)/2
+loop_angle_form = partial(connection, Orientation.UP)
 
 # binary entropy at (1 + sqrt(1 - C^2))/2, evaluated independently and frozen
 FROZEN_ENTROPY = [
@@ -119,7 +123,7 @@ class TestEvolveBell:
         assert swap_expectation(state) == pytest.approx(-1.0, abs=1e-12)
 
     def test_residual_phase_equals_twice_up_phase(self):
-        from spinphase import Orientation, berry_phase_analytic
+        from spinphase import berry_phase_analytic
         from spinphase._angles import mod_two_pi
 
         for theta in (0.3, 1.0, 2.5):
@@ -188,9 +192,9 @@ class TestConcurrence:
             assert abs(c) <= 1.0 + 1e-12
 
     def test_loop_angle_form_checkpoints(self):
-        assert concurrence_from_theta(0.0) == pytest.approx(0.0, abs=1e-15)
-        assert concurrence_from_theta(math.pi / 2) == pytest.approx(0.5, abs=1e-15)
-        assert concurrence_from_theta(math.pi) == pytest.approx(1.0, abs=1e-15)
+        assert loop_angle_form(0.0) == pytest.approx(0.0, abs=1e-15)
+        assert loop_angle_form(math.pi / 2) == pytest.approx(0.5, abs=1e-15)
+        assert loop_angle_form(math.pi) == pytest.approx(1.0, abs=1e-15)
 
     @given(st.floats(0.0, math.pi))
     @settings(max_examples=150)
@@ -200,11 +204,11 @@ class TestConcurrence:
         s = math.sin(theta / 2.0)
         c = math.cos(theta / 2.0)
         general = abs(concurrence_general(s * SQRT_HALF, c, 0.0, s * SQRT_HALF))
-        assert general == pytest.approx(concurrence_from_theta(theta), abs=1e-12)
+        assert general == pytest.approx(loop_angle_form(theta), abs=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            concurrence_from_theta(-0.5)
+            loop_angle_form(-0.5)
 
 
 class TestEntropy:

@@ -225,7 +225,8 @@ def test_json_loads_only_for_json_output(argv, code, json_loaded):
 # every public name as the eager __init__ of earlier releases imported it,
 # less the ten that no command, criterion or document used, NoiseTarget and
 # PhaseConvention, which nothing read, and the four parameter classes and two
-# coefficient classes whose numbers the functions now take; monopole_strength_rg
+# coefficient classes whose numbers the functions now take, and
+# concurrence_from_theta, a second name of connection(UP, theta); monopole_strength_rg
 # moved from entangle to phases, and the noise forms from the deleted noise module
 EXPORTS = {
     "_angles": "TWO_PI mod_two_pi wrap_pm_pi",
@@ -234,8 +235,7 @@ EXPORTS = {
         format_circuit general_state_circuit parse_circuit prepare_spinor run_circuit
         spinor_state_circuit""",
     "cli": "RunRecord SweepSpec dispatch emit main run_records sweep",
-    "entangle": """concurrence_from_theta concurrence_general entanglement_entropy
-        evolve_bell swap_expectation""",
+    "entangle": "concurrence_general entanglement_entropy evolve_bell swap_expectation",
     "errors": """CircuitSyntaxError DegeneratePathError DomainError UnboundSymbolError
         UnknownSymbolError""",
     "phases": """CLOSURE_TOLERANCE MIN_OVERLAP GeometricPhase berry_phase_analytic
@@ -248,7 +248,8 @@ EXPORTS = {
 # noise module itself is gone too
 DELETED = {
     "circuits": "evaluate_expr",
-    "entangle": "BellCoefficients BipartiteCoefficients RgFlowParams bell_singlet_qubits",
+    "entangle": """BellCoefficients BipartiteCoefficients RgFlowParams bell_singlet_qubits
+        concurrence_from_theta""",
     "noise": "NoiseSpec NoiseTarget perturbed_connection",
     "phases": "PhaseConvention SpinorParams",
     "rabi": "PulseKind PulseSpec RabiParams apply_pulse hamiltonian_matrix pulse_ledger",

@@ -1,6 +1,6 @@
 """The solid-angle factor 1 -+ cos theta is shared by the connection, the loop
-phase, its noise and the loop-angle concurrence.  Each must keep every bit of
-the formula it had when it made the UP/DOWN choice itself.
+phase and its noise; the loop-angle concurrence is the UP connection.  Each
+must keep every bit of the formula it had when it made the UP/DOWN choice itself.
 
 The reference formulas below are those per-function forms, written out.  The
 noisy phase is 2 pi times half the tilted factor: where the tilted factor is
@@ -18,7 +18,6 @@ import sys
 from spinphase import (
     Orientation,
     berry_phase_analytic,
-    concurrence_from_theta,
     connection,
     noisy_phase,
 )
@@ -45,7 +44,7 @@ def reference(orientation: Orientation, theta: float, delta_theta: float) -> tup
 def computed(orientation: Orientation, theta: float, delta_theta: float) -> tuple:
     gp, shift = noisy_phase(orientation, theta, delta_theta)
     return (connection(orientation, theta), berry_phase_analytic(orientation, theta).value,
-            gp.value, shift, concurrence_from_theta(theta))
+            gp.value, shift, connection(Orientation.UP, theta))
 
 
 LEAST_NORMAL = sys.float_info.min  # nonzero floats below it are subnormal
