@@ -87,6 +87,8 @@ class SweepSpec(Frozen):
         check_real("start and stop", start, stop)
         if not start < stop:
             raise DomainError("start must be below stop")
+        if math.isinf(float(stop) - float(start)):  # the grid would step by inf
+            raise DomainError("stop - start overflows a float")
         check_integer(steps, "steps")
         if steps < 2:
             raise DomainError("steps must be at least 2")

@@ -67,16 +67,14 @@ def test_grid_is_linspace_bit_for_bit():
     (-1e-300, 1e-300, 1000),
     (-3e-05, 0.2, 3),
     (0.0, 1.0, 2),
-    (-1e308, 1e308, 5),
+    (-8.9e307, 8.9e307, 5),  # the widest span whose width is finite
     (0, 3, 2),  # int bounds come out as floats, as linspace gives them
     (-2, 2**60 + 1, 4),
 ])
 def test_grid_edges_are_linspace(start, stop, steps):
     got = _grid(SweepSpec("theta", start, stop, steps))
     assert all(type(value) is float for value in got)
-    with np.errstate(all="ignore"):  # the last span overflows: both give nan and inf
-        want = np.linspace(start, stop, steps)
-    assert np.array_equal(bits(got), bits(want))
+    assert np.array_equal(bits(got), bits(np.linspace(start, stop, steps)))
 
 
 def reference_spinor_row(theta: float, phi: float, orientation: Orientation) -> np.ndarray:

@@ -176,6 +176,15 @@ class TestSweepSpec:
         with pytest.raises(DomainError, match="at most 100000"):
             SweepSpec("theta", 0.0, 1.0, MAX_STEPS + 1)
 
+    def test_overflowing_span_is_rejected(self, capsys):
+        # finite bounds whose width overflows would make grid points nan and inf
+        with pytest.raises(DomainError, match="stop - start overflows a float"):
+            sweep("phase", SweepSpec("theta", -1e308, 1e308, 5), {"spin": "up"})
+        code = dispatch(["sweep", "--cmd", "phase", "--param", "theta", "--start", "-1e308",
+                         "--stop", "1e308", "--steps", "5", "--spin", "up"])
+        err = capsys.readouterr().err
+        assert (code, err) == (2, "spinphase: stop - start overflows a float\n")
+
 
 class TestEmit:
     def records(self):
