@@ -47,15 +47,21 @@ CASES = {
     "phase-json": ["phase", "--spin", "up", "--theta", "1.0471975511965976"],
     "phase-csv": ["phase", "--spin", "down", "--theta", "2.5", "--format", "csv"],
     "phase-degrees": ["phase", "--spin", "up", "--theta", "60", "--degrees"],
+    # the raw phase 2*pi and its reduction 0: the two sides of the 0/2*pi seam
+    "phase-down-full-turn": ["phase", "--spin", "down", "--theta", "0"],
     "holonomy-json": ["holonomy", "--spin", "down", "--theta", "2.0", "--segments", "800"],
     "holonomy-csv": ["holonomy", "--spin", "up", "--theta", "0.7", "--segments", "64",
                      "--format", "csv"],
+    # a transport just below 2*pi against the analytic 2*pi: the circular distance
+    "holonomy-down-full-turn": ["holonomy", "--spin", "down", "--theta", "0"],
     "circuit-json": ["circuit", "--file", CIRCUIT, "--theta", "0.7", "--phi", "1.1"],
     "circuit-csv": ["circuit", "--file", CIRCUIT, "--phi", "0.3", "--format", "csv"],
     "rabi-json": ["rabi", "--omega", "1.5", "--t", "2.0", "--c0", "0.6", "--c1", "0,0.8"],
     "rabi-csv": ["rabi", "--omega", "1", "--t", "3.141592653589793", "--c0=-0.6,0.0",
                  "--c1", "0,0.8", "--format", "csv"],
     "echo-json": ["echo", "--phi", "0", "--chi", "-3.141592653589793"],
+    # a geometric phase on the branch seam -pi, reported as pi
+    "echo-branch-seam": ["echo", "--phi", "-3.141592653589793", "--chi", "-3.141592653589793"],
     "echo-csv": ["echo", "--phi", "0.4", "--chi", "1.3", "--format", "csv"],
     "entangle-json": ["entangle", "--theta", "2.2", "--alpha", "0.6", "--beta", "0,0.8"],
     "entangle-csv": ["entangle", "--theta", "1.0471975511965976", "--alpha",
