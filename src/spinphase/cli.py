@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from ._angles import TWO_PI, Frozen, check_integer, check_real
+from ._angles import TWO_PI, Frozen, check_integer, check_real, mod_two_pi
 from .errors import DomainError
 
 MAX_STEPS = 100_000  # grid points per sweep
@@ -291,13 +291,13 @@ def _phase():
     def run(spin: str, theta: float, degrees: bool) -> list[RunRecord]:
         orientation = Orientation(spin)
         theta = math.radians(theta) if degrees else theta
-        gp = berry_phase_analytic(orientation, theta)
+        gamma = berry_phase_analytic(orientation, theta)
         return [RunRecord(
             command="phase",
             inputs={"theta": theta},
             outputs={
-                "gamma": gp.value,
-                "gamma_mod_2pi": gp.mod_2pi(),
+                "gamma": gamma,
+                "gamma_mod_2pi": mod_two_pi(gamma),
                 "connection": connection(orientation, theta),
             },
             metadata={"spin": spin, "phase_convention": "raw", "angle_unit": "radians"},
@@ -314,14 +314,14 @@ def _holonomy():
         orientation = Orientation(spin)
         transported = spinor_holonomy(orientation, theta, segments)
         reference = berry_phase_analytic(orientation, theta)
-        deviation = abs(transported.value - reference.mod_2pi())
+        deviation = abs(transported.value - mod_two_pi(reference))
         deviation = min(deviation, TWO_PI - deviation)  # circular distance
         return [RunRecord(
             command="holonomy",
             inputs={"theta": theta, "segments": float(segments)},
             outputs={
                 "holonomy": transported.value,
-                "gamma_analytic": reference.value,
+                "gamma_analytic": reference,
                 "deviation": deviation,
             },
             metadata={"spin": spin, "phase_convention": "mod2pi"},
@@ -411,7 +411,7 @@ def _entangle():
                 "swap_expectation": swap_expectation(state),
                 "concurrence_norm": conc_norm,
                 "entropy_bits": entanglement_entropy(conc_norm),
-                "gamma_ent": berry_phase_entangled(theta).value,
+                "gamma_ent": berry_phase_entangled(theta),
             },
             metadata={"phase_convention": "gamma_ent=raw,relative_phase=mod2pi"},
         )]
@@ -430,8 +430,8 @@ def _noise():
             }
             metadata["post_echo_comparison"] = "qualitative"
         else:
-            gp, shift = noisy_phase(Orientation(spin), theta, delta_theta)
-            outputs = {"gamma_noisy": gp.value, "shift": shift}
+            gamma, shift = noisy_phase(Orientation(spin), theta, delta_theta)
+            outputs = {"gamma_noisy": gamma, "shift": shift}
         return [RunRecord(
             command="noise",
             inputs={"theta": theta, "delta_theta": delta_theta},

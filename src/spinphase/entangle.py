@@ -28,8 +28,8 @@ def evolve_bell(alpha: complex, beta: complex, theta: float) -> tuple[PureState,
     (equal to gamma_up - gamma_down mod 2*pi, since the two phases sum to 2*pi).
     """
     alpha, beta = unit_vector([alpha, beta], "coefficients")
-    gamma_up = berry_phase_analytic(Orientation.UP, theta).value
-    gamma_down = berry_phase_analytic(Orientation.DOWN, theta).value
+    gamma_up = berry_phase_analytic(Orientation.UP, theta)
+    gamma_down = berry_phase_analytic(Orientation.DOWN, theta)
     residual = cmath.exp(1j * (gamma_up - gamma_down))
     state = PureState([0.0, -beta, residual * alpha, 0.0])
     return state, mod_two_pi(2.0 * gamma_up)

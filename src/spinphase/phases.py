@@ -5,9 +5,9 @@ strength: the phase its winding picks up and its flow with length scale.
 The spinor's ``Orientation`` lives here too, so a closed-form call loads
 neither the circuit parser nor numpy, and so does ``_sign``, +1 for UP and -1
 for DOWN: the one place in the package that tells the two apart.
-Analytic phases are reported raw: 0 and 2*pi label physically distinct loops
-(trivial versus full solid angle) and must not be collapsed.  A transport's
-phase comes back reduced into [0, 2*pi) (``GeometricPhase.wrapped``).
+Closed-form phases are plain floats, reported raw: 0 and 2*pi label physically
+distinct loops (trivial versus full solid angle) and must not be collapsed.  A
+transport's phase is a ``GeometricPhase``, reduced into [0, 2*pi).
 
 The discrete transport that checks them has two routes.  ``berry`` builds a
 loop as an array, for the library and for array speed; ``spinor_holonomy``
@@ -45,6 +45,11 @@ class Orientation(Enum):
 
 
 class GeometricPhase(Frozen):
+    """A transport's phase in [0, 2*pi), built through ``wrapped``: what
+    ``spinor_holonomy`` and ``berry.holonomy_numeric`` return.  A closed form
+    returns a plain float.  The class stays while the benchmark reads its value.
+    """
+
     __slots__ = ("value",)
 
     def __init__(self, value: float) -> None:
@@ -55,10 +60,6 @@ class GeometricPhase(Frozen):
     def wrapped(cls, value: float) -> "GeometricPhase":
         """The phase of value reduced into [0, 2*pi)."""
         return cls(mod_two_pi(value))
-
-    def mod_2pi(self) -> float:
-        """The phase reduced into [0, 2*pi)."""
-        return mod_two_pi(self.value)
 
 
 def _not_an_orientation(orientation: object) -> DomainError:
@@ -138,19 +139,19 @@ def connection(orientation: Orientation, theta: float) -> float:
     return 0.5 * _solid_angle_factor(orientation, theta)
 
 
-def berry_phase_analytic(orientation: Orientation, theta: float) -> GeometricPhase:
+def berry_phase_analytic(orientation: Orientation, theta: float) -> float:
     """Closed-loop geometric phase pi(1 -+ cos theta), raw.
 
     This is half the solid angle swept about the spinor's own quantization
     axis, so the UP and DOWN values always add to 2*pi.
     """
-    return GeometricPhase(math.pi * _solid_angle_factor(orientation, theta))
+    return math.pi * _solid_angle_factor(orientation, theta)
 
 
-def berry_phase_entangled(theta: float) -> GeometricPhase:
+def berry_phase_entangled(theta: float) -> float:
     """Geometric phase trapped by the two-spinor antisymmetric state: pi(1 + cos 2 theta)."""
     check_theta(theta)
-    return GeometricPhase(math.pi * (1.0 + math.cos(2.0 * theta)))
+    return math.pi * (1.0 + math.cos(2.0 * theta))
 
 
 MAX_SHIFT = 0.5
@@ -165,9 +166,7 @@ def _single_shift(theta: float, delta_theta: float) -> float:
     return math.pi * math.sin(theta) * delta_theta
 
 
-def noisy_phase(
-    orientation: Orientation, theta: float, delta_theta: float
-) -> tuple[GeometricPhase, float]:
+def noisy_phase(orientation: Orientation, theta: float, delta_theta: float) -> tuple[float, float]:
     """Noise-shifted loop phase and its shift, signed + for UP and - for DOWN.
 
     UP:   pi (1 - cos theta + sin theta delta_theta), shift +pi sin theta delta_theta
@@ -178,7 +177,7 @@ def noisy_phase(
     sign = _sign(orientation)
     tilt = sign * (math.sin(theta) * delta_theta)
     # 2 pi times half the sum, not pi times it: halving rounds a subnormal sum
-    return GeometricPhase(TWO_PI * (0.5 * (factor + tilt))), sign * shift
+    return TWO_PI * (0.5 * (factor + tilt)), sign * shift
 
 
 def entangled_noise_shift(theta: float, delta_theta: float) -> float:

@@ -29,6 +29,7 @@ from spinphase import (
     holonomy_numeric,
     ket,
     matched_echo_params,
+    mod_two_pi,
     monopole_strength_rg,
     noisy_phase,
     run_circuit,
@@ -59,7 +60,7 @@ def test_criterion_01_holonomy_matches_analytic_phases():
         theta = k * math.pi / 12.0
         for orientation in (Orientation.UP, Orientation.DOWN):
             got = holonomy_numeric(spinor_loop(orientation, theta, 20000)).value
-            want = berry_phase_analytic(orientation, theta).mod_2pi()
+            want = mod_two_pi(berry_phase_analytic(orientation, theta))
             dev = circular_distance(got, want)
             if dev > 1e-6:
                 failures.append(
@@ -72,8 +73,8 @@ def test_criterion_02_phase_pair_sums_to_two_pi():
     failures = []
     rng = np.random.default_rng(101)
     for theta in rng.uniform(0.0, math.pi, size=1000):
-        up = berry_phase_analytic(Orientation.UP, float(theta)).value
-        down = berry_phase_analytic(Orientation.DOWN, float(theta)).value
+        up = berry_phase_analytic(Orientation.UP, float(theta))
+        down = berry_phase_analytic(Orientation.DOWN, float(theta))
         if abs(up + down - TWO_PI) > 1e-12:
             failures.append(f"theta={theta!r}: sum off by {up + down - TWO_PI:.3e}")
     verdict(2, "up and down loop phases sum to 2*pi within 1e-12", failures)
@@ -81,11 +82,11 @@ def test_criterion_02_phase_pair_sums_to_two_pi():
 
 def test_criterion_03_checkpoint_values():
     checks = [
-        ("up(0)", berry_phase_analytic(Orientation.UP, 0.0).value, 0.0),
-        ("up(pi)", berry_phase_analytic(Orientation.UP, math.pi).value, TWO_PI),
-        ("up(pi/3)", berry_phase_analytic(Orientation.UP, math.pi / 3).value, math.pi / 2),
-        ("ent(0)", berry_phase_entangled(0.0).value, TWO_PI),
-        ("ent(pi/2)", berry_phase_entangled(math.pi / 2).value, 0.0),
+        ("up(0)", berry_phase_analytic(Orientation.UP, 0.0), 0.0),
+        ("up(pi)", berry_phase_analytic(Orientation.UP, math.pi), TWO_PI),
+        ("up(pi/3)", berry_phase_analytic(Orientation.UP, math.pi / 3), math.pi / 2),
+        ("ent(0)", berry_phase_entangled(0.0), TWO_PI),
+        ("ent(pi/2)", berry_phase_entangled(math.pi / 2), 0.0),
     ]
     failures = [
         f"{name}: got {got!r}, want {want!r}"
@@ -206,16 +207,16 @@ def test_criterion_08_entanglement_measures():
 
 def test_criterion_09_noise_response():
     failures = []
-    gp, _ = noisy_phase(Orientation.UP, math.pi / 2, 0.01)
-    if abs(gp.value - 1.01 * math.pi) > 1e-12:
-        failures.append(f"equator value {gp.value!r} != 1.01*pi")
+    gamma, _ = noisy_phase(Orientation.UP, math.pi / 2, 0.01)
+    if abs(gamma - 1.01 * math.pi) > 1e-12:
+        failures.append(f"equator value {gamma!r} != 1.01*pi")
 
     rng = np.random.default_rng(404)
     for _ in range(1000):
         theta = float(rng.uniform(0.0, math.pi))
         d = float(rng.uniform(-0.4, 0.4))
-        up = noisy_phase(Orientation.UP, theta, d)[0].value
-        down = noisy_phase(Orientation.DOWN, theta, d)[0].value
+        up = noisy_phase(Orientation.UP, theta, d)[0]
+        down = noisy_phase(Orientation.DOWN, theta, d)[0]
         if abs(up + down - TWO_PI) > 1e-12:
             failures.append(f"noisy pair sum off at theta={theta}, d={d}")
             break
@@ -227,8 +228,8 @@ def test_criterion_09_noise_response():
     for _ in range(1000):
         theta = float(rng.uniform(0.0, math.pi - 0.1))
         d = float(rng.uniform(0.0, 0.1))
-        noisy = noisy_phase(Orientation.UP, theta, d)[0].value
-        exact = berry_phase_analytic(Orientation.UP, theta + d).value
+        noisy = noisy_phase(Orientation.UP, theta, d)[0]
+        exact = berry_phase_analytic(Orientation.UP, theta + d)
         if abs(noisy - exact) > 0.5 * math.pi * d * d + 1e-12:
             failures.append(f"first-order bound broken at theta={theta}, d={d}")
             break

@@ -96,7 +96,7 @@ class TestPhaseContainer:
 
     def test_raw_zero_and_two_pi_stay_distinct(self):
         assert GeometricPhase(0.0) != GeometricPhase(TWO_PI)
-        assert GeometricPhase(TWO_PI).mod_2pi() == 0.0
+        assert mod_two_pi(TWO_PI) == 0.0
 
     def test_wrapped_reduces(self):
         assert GeometricPhase.wrapped(-math.pi).value == pytest.approx(math.pi)
@@ -166,22 +166,22 @@ class TestConnection:
 class TestAnalyticPhases:
     @pytest.mark.parametrize("theta,up_value,down_value", FROZEN_PHASES)
     def test_frozen_values(self, theta, up_value, down_value):
-        assert berry_phase_analytic(Orientation.UP, theta).value == pytest.approx(
-            up_value, abs=1e-12
-        )
-        assert berry_phase_analytic(Orientation.DOWN, theta).value == pytest.approx(
-            down_value, abs=1e-12
-        )
+        up = berry_phase_analytic(Orientation.UP, theta)
+        down = berry_phase_analytic(Orientation.DOWN, theta)
+        # closed forms return plain floats, not a float subclass or a wrapper
+        assert {type(up), type(down), type(berry_phase_entangled(theta))} == {float}
+        assert up == pytest.approx(up_value, abs=1e-12)
+        assert down == pytest.approx(down_value, abs=1e-12)
 
     def test_raw_convention(self):
         # the full solid angle reads 2*pi, not the 0 of a wrapped phase
-        assert berry_phase_analytic(Orientation.UP, math.pi).value == pytest.approx(TWO_PI)
+        assert berry_phase_analytic(Orientation.UP, math.pi) == pytest.approx(TWO_PI)
 
     @given(st.floats(0.0, math.pi))
     @settings(max_examples=200)
     def test_pair_sums_to_two_pi(self, theta):
-        up = berry_phase_analytic(Orientation.UP, theta).value
-        down = berry_phase_analytic(Orientation.DOWN, theta).value
+        up = berry_phase_analytic(Orientation.UP, theta)
+        down = berry_phase_analytic(Orientation.DOWN, theta)
         assert up + down == pytest.approx(TWO_PI, abs=1e-12)
 
     @given(st.floats(0.0, math.pi))
@@ -190,18 +190,18 @@ class TestAnalyticPhases:
         eps = 1e-6
         if theta + eps > math.pi:
             return
-        lo = berry_phase_analytic(Orientation.UP, theta).value
-        hi = berry_phase_analytic(Orientation.UP, theta + eps).value
+        lo = berry_phase_analytic(Orientation.UP, theta)
+        hi = berry_phase_analytic(Orientation.UP, theta + eps)
         assert hi >= lo
 
     def test_entangled_checkpoints(self):
-        assert berry_phase_entangled(0.0).value == pytest.approx(TWO_PI, abs=1e-12)
-        assert berry_phase_entangled(math.pi / 2).value == pytest.approx(0.0, abs=1e-12)
-        assert berry_phase_entangled(math.pi).value == pytest.approx(TWO_PI, abs=1e-12)
+        assert berry_phase_entangled(0.0) == pytest.approx(TWO_PI, abs=1e-12)
+        assert berry_phase_entangled(math.pi / 2) == pytest.approx(0.0, abs=1e-12)
+        assert berry_phase_entangled(math.pi) == pytest.approx(TWO_PI, abs=1e-12)
 
     @given(st.floats(0.0, math.pi))
     def test_entangled_range(self, theta):
-        v = berry_phase_entangled(theta).value
+        v = berry_phase_entangled(theta)
         assert 0.0 <= v <= TWO_PI + 1e-12
 
 
@@ -209,18 +209,18 @@ class TestHolonomyOracle:
     def test_loop_phase_matches_analytic_up(self):
         theta = 1.1
         got = holonomy_numeric(spinor_loop(Orientation.UP, theta, 4000))
-        want = berry_phase_analytic(Orientation.UP, theta).mod_2pi()
+        want = mod_two_pi(berry_phase_analytic(Orientation.UP, theta))
         assert got.value == pytest.approx(want, abs=1e-6)
 
     def test_loop_phase_matches_analytic_down(self):
         theta = 2.0
         got = holonomy_numeric(spinor_loop(Orientation.DOWN, theta, 4000))
-        want = berry_phase_analytic(Orientation.DOWN, theta).mod_2pi()
+        want = mod_two_pi(berry_phase_analytic(Orientation.DOWN, theta))
         assert got.value == pytest.approx(want, abs=1e-6)
 
     def test_convergence_improves_with_segments(self):
         theta = 0.8
-        want = berry_phase_analytic(Orientation.UP, theta).mod_2pi()
+        want = mod_two_pi(berry_phase_analytic(Orientation.UP, theta))
         coarse = abs(holonomy_numeric(spinor_loop(Orientation.UP, theta, 50)).value - want)
         fine = abs(holonomy_numeric(spinor_loop(Orientation.UP, theta, 5000)).value - want)
         assert fine < coarse / 100.0
@@ -273,7 +273,7 @@ class TestHolonomyOracle:
     @settings(max_examples=25, deadline=None)
     def test_oracle_agreement_property(self, theta):
         got = holonomy_numeric(spinor_loop(Orientation.UP, theta, 2000)).value
-        want = berry_phase_analytic(Orientation.UP, theta).mod_2pi()
+        want = mod_two_pi(berry_phase_analytic(Orientation.UP, theta))
         dev = abs(got - want)
         assert min(dev, TWO_PI - dev) < 1e-4
 
@@ -435,7 +435,7 @@ class TestDiscreteOracle:
     @pytest.mark.parametrize("theta", [0.4, 1.0, 2.0, 2.8])
     def test_error_falls_as_inverse_square(self, orientation, theta):
         # the N^-2 coefficient vanishes at theta = pi/2 and pi, so those are left out
-        continuum = berry_phase_analytic(orientation, theta).mod_2pi()
+        continuum = mod_two_pi(berry_phase_analytic(orientation, theta))
 
         def error(segments):
             got = holonomy_numeric(spinor_loop(orientation, theta, segments)).value
@@ -505,7 +505,7 @@ class TestEntangledFamily:
         theta = 0.4
         diag = holonomy_numeric(entangled_family_loop(theta, 400))
         assert diag.value == pytest.approx(0.0, abs=1e-9)
-        assert berry_phase_entangled(theta).value > 1.0
+        assert berry_phase_entangled(theta) > 1.0
 
 
 # The holonomy command's streamed route, phases.spinor_holonomy, transports

@@ -128,7 +128,7 @@ class TestEvolveBell:
 
         for theta in (0.3, 1.0, 2.5):
             _, rel = evolve_bell(SQRT_HALF, SQRT_HALF, theta)
-            gamma_up = berry_phase_analytic(Orientation.UP, theta).value
+            gamma_up = berry_phase_analytic(Orientation.UP, theta)
             assert rel == pytest.approx(mod_two_pi(2.0 * gamma_up), abs=1e-12)
 
     @given(st.floats(0.0, math.pi))

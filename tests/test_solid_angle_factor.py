@@ -42,9 +42,9 @@ def reference(orientation: Orientation, theta: float, delta_theta: float) -> tup
 
 
 def computed(orientation: Orientation, theta: float, delta_theta: float) -> tuple:
-    gp, shift = noisy_phase(orientation, theta, delta_theta)
-    return (connection(orientation, theta), berry_phase_analytic(orientation, theta).value,
-            gp.value, shift, connection(Orientation.UP, theta))
+    gamma, shift = noisy_phase(orientation, theta, delta_theta)
+    return (connection(orientation, theta), berry_phase_analytic(orientation, theta),
+            gamma, shift, connection(Orientation.UP, theta))
 
 
 LEAST_NORMAL = sys.float_info.min  # nonzero floats below it are subnormal
