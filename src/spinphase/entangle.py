@@ -63,8 +63,8 @@ def entanglement_entropy(concurrence_norm: float) -> float:
     check_real("concurrence magnitude", concurrence_norm)
     if not 0.0 <= concurrence_norm <= 1.0:
         raise DomainError("concurrence magnitude out of [0, 1]")
-    x = 0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - concurrence_norm**2)))
-    if x <= 0.0 or x >= 1.0:
-        return 0.0  # binary entropy vanishes at both endpoints by continuity
+    x = 0.5 * (1.0 + math.sqrt(1.0 - concurrence_norm**2))  # in [1/2, 1]: C <= 1 gives C^2 <= 1
+    if x >= 1.0:
+        return 0.0  # the binary entropy vanishes at x = 1 by continuity
     return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
 
