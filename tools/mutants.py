@@ -6,13 +6,13 @@ Each row of MUTANTS names one text edit of one file under src/: the old text,
 which must occur exactly once, and the new text that replaces it.  A row
 brings back a bug that was fixed, or breaks a seam that a test pins.  The
 committed tree (``git archive HEAD``) is unpacked once for the unmutated
-baseline and once per row, and tier-1 runs there with ``-x``, JOBS copies at a
-time, each run cut after TIMEOUT seconds.  A mutant is killed when tier-1
-fails or times out.  Prints one line per row, with the first failing test of
-a killed mutant.  Exits 1 if the baseline fails, if a row's old text is not
-found exactly once, if a mutant survives that is not marked equivalent, or if
-one marked equivalent is killed; an equivalent row says in its reason why no
-input can tell it apart.
+baseline and once per row, and tier-1 runs there with ``-x``, after the golden
+corpus alone, JOBS copies at a time, each run cut after TIMEOUT seconds.  A
+mutant is killed when a run fails or times out.  Prints one line per row,
+with the first failing test of a killed mutant.  Exits 1 if the baseline
+fails, if a row's old text is not found exactly once, if a mutant survives
+that is not marked equivalent, or if one marked equivalent is killed; an
+equivalent row says in its reason why no input can tell it apart.
 
 A bugfix adds the row that brings its bug back.
 """
@@ -37,6 +37,9 @@ TIMEOUT = 900
 EXTRACT = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
+# run before tier-1: it alone kills the seam mutants, and tier-1 reaches it
+# only after most of its files
+GOLDEN = [*TIER1, "tests/test_cli_golden.py"]
 
 
 class Mutant(NamedTuple):
@@ -132,15 +135,15 @@ def run(tree: bytes, mutant: Mutant | None) -> tuple[str, str, float]:
             path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
         env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
         start = time.perf_counter()
-        try:
-            proc = subprocess.run(TIER1, cwd=tmp, env=env, capture_output=True, text=True,
-                                  timeout=TIMEOUT)
-        except subprocess.TimeoutExpired:
-            return "timeout", f"cut after {TIMEOUT} s", time.perf_counter() - start
-        seconds = time.perf_counter() - start
-        if proc.returncode == 0:
-            return "passed", "", seconds
-        return "failed", first_failure(proc.stdout), seconds
+        for command in (GOLDEN, TIER1):
+            try:
+                proc = subprocess.run(command, cwd=tmp, env=env, capture_output=True,
+                                      text=True, timeout=TIMEOUT)
+            except subprocess.TimeoutExpired:
+                return "timeout", f"cut after {TIMEOUT} s", time.perf_counter() - start
+            if proc.returncode != 0:
+                return "failed", first_failure(proc.stdout), time.perf_counter() - start
+        return "passed", "", time.perf_counter() - start
 
 
 def main() -> None:
