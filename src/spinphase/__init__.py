@@ -25,7 +25,7 @@ _PUBLIC = {
     "phases": """CLOSURE_TOLERANCE MIN_OVERLAP GeometricPhase Orientation berry_phase_analytic
         berry_phase_entangled connection entangled_noise_shift monopole_strength_rg
         noisy_phase post_echo_noise_shift winding_phase""",
-    "rabi": "PhaseLedger evolve_coefficients matched_echo_params spin_echo_ledger",
+    "rabi": "evolve_coefficients matched_echo_params spin_echo_ledger",
     "states": "NORM_TOLERANCE PureState equal_up_to_global_phase ket",
 }
 # public name -> the module that defines it

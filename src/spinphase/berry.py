@@ -32,6 +32,8 @@ from .phases import (  # noqa: F401  MAX_SEGMENTS stays readable as berry.MAX_SE
     GeometricPhase,
     Orientation,
     _check_segments,
+    _nearly_orthogonal,
+    _open_path,
     _spinor_gauge,
 )
 from .states import NORM_TOLERANCE, PureState, _off_unit
@@ -221,7 +223,7 @@ def holonomy_numeric(path: Sequence[PureState]) -> GeometricPhase:
         path = Loop._of(np.stack([s.amplitudes for s in path]))
     amps = path.amplitudes
     if float(np.max(np.abs(amps[0] - amps[-1]))) > CLOSURE_TOLERANCE:
-        raise DomainError("open path: first and last states differ beyond 1e-12")
+        raise _open_path()
     # the overlaps <psi_k | psi_{k+1}> a block of rows at a time, and their phases
     smallest, block_sums = math.inf, []
     for rows in _blocks(amps, 1):
@@ -229,7 +231,7 @@ def holonomy_numeric(path: Sequence[PureState]) -> GeometricPhase:
         smallest = min(smallest, least)
         block_sums.append(phases)
     if smallest < MIN_OVERLAP:
-        raise DegeneratePathError("consecutive loop states are nearly orthogonal")
+        raise _nearly_orthogonal()
     return GeometricPhase.wrapped(-math.fsum(block_sums))
 
 

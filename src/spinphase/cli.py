@@ -314,13 +314,13 @@ def _holonomy():
         orientation = Orientation(spin)
         transported = spinor_holonomy(orientation, theta, segments)
         reference = berry_phase_analytic(orientation, theta)
-        deviation = abs(transported.value - mod_two_pi(reference))
+        deviation = abs(transported - mod_two_pi(reference))
         deviation = min(deviation, TWO_PI - deviation)  # circular distance
         return [RunRecord(
             command="holonomy",
             inputs={"theta": theta, "segments": float(segments)},
             outputs={
-                "holonomy": transported.value,
+                "holonomy": transported,
                 "gamma_analytic": reference,
                 "deviation": deviation,
             },
@@ -378,15 +378,15 @@ def _echo():
     from .rabi import spin_echo_ledger
 
     def run(phi: float, chi: float) -> list[RunRecord]:
-        ledger = spin_echo_ledger(phi, chi)
+        geometric, dynamical = spin_echo_ledger(phi, chi)
         return [RunRecord(
             command="echo",
             inputs={"phi": phi, "chi": chi},
             outputs={
-                "geometric": ledger.geometric,
-                "dynamical": ledger.dynamical,
-                "total": ledger.total,
-                "geometric_magnitude": abs(ledger.geometric),
+                "geometric": geometric,
+                "dynamical": dynamical,
+                "total": geometric + dynamical,
+                "geometric_magnitude": abs(geometric),
             },
             metadata={"phase_convention": "raw_signed"},
         )]

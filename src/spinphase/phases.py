@@ -7,7 +7,8 @@ neither the circuit parser nor numpy, and so does ``_sign``, +1 for UP and -1
 for DOWN: the one place in the package that tells the two apart.
 Closed-form phases are plain floats, reported raw: 0 and 2*pi label physically
 distinct loops (trivial versus full solid angle) and must not be collapsed.  A
-transport's phase is a ``GeometricPhase``, reduced into [0, 2*pi).
+transport's phase is reduced into [0, 2*pi): a plain float from
+``spinor_holonomy``, a ``GeometricPhase`` from ``berry.holonomy_numeric`` only.
 
 The discrete transport that checks them has two routes.  ``berry`` builds a
 loop as an array, for the library and for array speed; ``spinor_holonomy``
@@ -46,8 +47,8 @@ class Orientation(Enum):
 
 class GeometricPhase(Frozen):
     """A transport's phase in [0, 2*pi), built through ``wrapped``: what
-    ``spinor_holonomy`` and ``berry.holonomy_numeric`` return.  A closed form
-    returns a plain float.  The class stays while the benchmark reads its value.
+    ``berry.holonomy_numeric`` returns, and nothing else.  Every other phase is
+    a plain float.  The class stays while the benchmark reads its value.
     """
 
     __slots__ = ("value",)
@@ -55,6 +56,8 @@ class GeometricPhase(Frozen):
     def __init__(self, value: float) -> None:
         object.__setattr__(self, "value", value)
         check_real("phase", value)
+        if not 0.0 <= value < TWO_PI:
+            raise DomainError("phase must be in [0, 2*pi)")
 
     @classmethod
     def wrapped(cls, value: float) -> "GeometricPhase":
@@ -201,7 +204,15 @@ def _check_segments(segments: int) -> None:
         raise DomainError(f"a loop takes at most {MAX_SEGMENTS} segments")
 
 
-def spinor_holonomy(orientation: Orientation, theta: float, segments: int) -> GeometricPhase:
+def _open_path() -> DomainError:
+    return DomainError("open path: first and last states differ beyond 1e-12")
+
+
+def _nearly_orthogonal() -> DegeneratePathError:
+    return DegeneratePathError("consecutive loop states are nearly orthogonal")
+
+
+def spinor_holonomy(orientation: Orientation, theta: float, segments: int) -> float:
     """The transport of ``berry.spinor_loop(orientation, theta, segments)``, in [0, 2*pi).
 
     The same loop, streamed in plain Python: only the previous row and the
@@ -212,7 +223,7 @@ def spinor_holonomy(orientation: Orientation, theta: float, segments: int) -> Ge
     check_theta(theta)
     _check_segments(segments)
     c, s = _spinor_gauge(orientation, theta)
-    return GeometricPhase.wrapped(-math.fsum(_overlap_phases(c, s, segments)))
+    return mod_two_pi(-math.fsum(_overlap_phases(c, s, segments)))
 
 
 def _overlap_phases(c: float, s: float, segments: int):
@@ -244,10 +255,10 @@ def _overlap_phases(c: float, s: float, segments: int):
             o_re = a0 * b0 + (a_re * b_re + a_im * b_im)
             o_im = a_re * b_im - a_im * b_re
             if o_re < MIN_OVERLAP and math.hypot(o_re, o_im) < MIN_OVERLAP:  # |z| >= re z
-                raise DegeneratePathError("consecutive loop states are nearly orthogonal")
+                raise _nearly_orthogonal()
             yield atan2(o_im, o_re)
         else:
             first = b0, b_re, b_im
         a0, a_re, a_im = b0, b_re, b_im
     if max(abs(first[0] - a0), math.hypot(first[1] - a_re, first[2] - a_im)) > CLOSURE_TOLERANCE:
-        raise DomainError("open path: first and last states differ beyond 1e-12")
+        raise _open_path()

@@ -14,26 +14,9 @@ from __future__ import annotations
 
 import math
 
-from ._angles import Frozen, check_real, wrap_pm_pi
+from ._angles import check_real, wrap_pm_pi
 from .errors import DomainError
 from .states import unit_vector
-
-
-class PhaseLedger(Frozen):
-    """Split of an accumulated phase into geometric and dynamical parts, and their sum."""
-
-    __slots__ = ("geometric", "dynamical")
-
-    def __init__(self, geometric: float, dynamical: float) -> None:
-        object.__setattr__(self, "geometric", geometric)
-        object.__setattr__(self, "dynamical", dynamical)
-        check_real("geometric", geometric)
-        check_real("dynamical", dynamical)
-        check_real("total", self.total)
-
-    @property
-    def total(self) -> float:
-        return self.geometric + self.dynamical
 
 
 def evolve_coefficients(c0: complex, c1: complex, omega: float,
@@ -62,17 +45,19 @@ def matched_echo_params() -> tuple[float, float]:
     return 0.0, -math.pi
 
 
-def spin_echo_ledger(phi: float, chi: float) -> PhaseLedger:
-    """Phase ledger of the two-pulse round trip (ground -> excited -> ground).
+def spin_echo_ledger(phi: float, chi: float) -> tuple[float, float]:
+    """Phase ledger (geometric, dynamical) of the two-pulse round trip
+    (ground -> excited -> ground).
 
     The first pulse imprints the half-sum (phi+chi)/2, the second the
     half-difference (phi-chi)/2, each on its canonical branch (-pi, pi].
     Their sum is the surviving dynamical phase (zero exactly when the two
     matchings cancel, i.e. phi = 0) and their difference is the trapped
-    geometric phase (chi; -pi under the matched protocol, magnitude pi).
+    geometric phase (chi; -pi under the matched protocol, magnitude pi).  Each
+    part lies in (-2*pi, 2*pi], so their sum is finite too.
     """
     check_real("phi", phi)
     check_real("chi", chi)
     half_sum = wrap_pm_pi(0.5 * (phi + chi))
     half_diff = wrap_pm_pi(0.5 * (phi - chi))
-    return PhaseLedger(geometric=half_sum - half_diff, dynamical=half_sum + half_diff)
+    return half_sum - half_diff, half_sum + half_diff

@@ -153,12 +153,12 @@ def test_criterion_05_resonant_rotation():
 
 
 def test_criterion_06_matched_echo_cancels_dynamical_phase():
-    ledger = spin_echo_ledger(*matched_echo_params())
+    geometric, dynamical = spin_echo_ledger(*matched_echo_params())
     failures = []
-    if abs(ledger.dynamical) > 1e-12:
-        failures.append(f"dynamical = {ledger.dynamical!r}")
-    if abs(abs(ledger.geometric) - math.pi) > 1e-12:
-        failures.append(f"|geometric| = {abs(ledger.geometric)!r}")
+    if abs(dynamical) > 1e-12:
+        failures.append(f"dynamical = {dynamical!r}")
+    if abs(abs(geometric) - math.pi) > 1e-12:
+        failures.append(f"|geometric| = {abs(geometric)!r}")
     verdict(6, "matched echo: zero dynamical phase, |geometric| = pi", failures)
 
 

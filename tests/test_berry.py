@@ -90,12 +90,18 @@ FROZEN_PHASES = [
 
 
 class TestPhaseContainer:
-    def test_raw_keeps_value(self):
-        assert GeometricPhase(TWO_PI).value == TWO_PI
-        assert GeometricPhase(-7.0).value == -7.0
+    def test_out_of_range_rejected(self):
+        # a transport's phase is in [0, 2*pi); a closed form's raw value is a float
+        for value in (-7.0, -5e-324, TWO_PI, 7.0, 1e300):
+            with pytest.raises(DomainError, match=r"^phase must be in \[0, 2\*pi\)$"):
+                GeometricPhase(value)
+        for value in (0.0, math.nextafter(TWO_PI, 0.0)):
+            assert GeometricPhase(value).value == value
 
-    def test_raw_zero_and_two_pi_stay_distinct(self):
-        assert GeometricPhase(0.0) != GeometricPhase(TWO_PI)
+    def test_two_pi_rejected_and_reduced_to_zero(self):
+        with pytest.raises(DomainError, match="phase must be in"):
+            GeometricPhase(TWO_PI)
+        assert GeometricPhase.wrapped(TWO_PI) == GeometricPhase(0.0)
         assert mod_two_pi(TWO_PI) == 0.0
 
     def test_wrapped_reduces(self):
@@ -527,7 +533,7 @@ def complex_reference(orientation, theta, segments):
             for k in range(segments + 1)]
     total = math.fsum(cmath.phase(a[0].conjugate() * b[0] + a[1].conjugate() * b[1])
                       for a, b in zip(rows, rows[1:]))
-    return GeometricPhase.wrapped(-total).value
+    return mod_two_pi(-total)
 
 
 HALF_PI = math.pi / 2.0
@@ -559,7 +565,7 @@ class TestStreamedTransport:
                         continue
                     exact = exact_discrete_transport(orientation, theta, segments)
                     case = (orientation, theta, segments)
-                    assert circular_distance(streamed.value, exact) <= 1e-12, case
+                    assert circular_distance(streamed, exact) <= 1e-12, case
                     assert circular_distance(array.value, exact) <= 1e-12, case
         # two segments at the equator: the overlap c^2 - s^2 = cos(theta) nearly vanishes
         assert degenerate == {(theta, 2) for theta in EDGE_THETAS[2:5]}
@@ -570,7 +576,9 @@ class TestStreamedTransport:
             for segments in (3, 16, 64, 801):
                 for theta in (0.0, 0.3, 2.0, math.pi, *(rng.uniform(0.0, math.pi) for _ in range(6))):
                     case = (orientation, theta, segments)
-                    assert spinor_holonomy(*case).value.hex() == complex_reference(*case).hex(), case
+                    streamed = spinor_holonomy(*case)
+                    assert type(streamed) is float, case
+                    assert streamed.hex() == complex_reference(*case).hex(), case
 
     @pytest.mark.parametrize(("theta", "segments"), [
         (math.nan, 64), (math.inf, 64), (-0.1, 64), (4.0, 64),

@@ -131,7 +131,7 @@ def test_import_loads_no_other_module():
     assert loaded_by("import spinphase") == (None, {"spinphase"}, False)
     assert loaded_by("from spinphase.cli import main") == (None, CLI, False)
     # a module's name loads that module, as the eager import bound them all
-    code, modules, _ = loaded_by("import spinphase; spinphase.rabi.PhaseLedger")
+    code, modules, _ = loaded_by("import spinphase; spinphase.rabi.spin_echo_ledger")
     assert modules == {"spinphase", "spinphase.rabi", "spinphase.states", "spinphase._angles",
                        "spinphase.errors"}
 
@@ -226,7 +226,8 @@ def test_json_loads_only_for_json_output(argv, code, json_loaded):
 # less the ten that no command, criterion or document used, NoiseTarget and
 # PhaseConvention, which nothing read, and the four parameter classes and two
 # coefficient classes whose numbers the functions now take, and
-# concurrence_from_theta, a second name of connection(UP, theta); monopole_strength_rg
+# concurrence_from_theta, a second name of connection(UP, theta), and PhaseLedger,
+# now the plain (geometric, dynamical) pair of spin_echo_ledger; monopole_strength_rg
 # moved from entangle to phases, and the noise forms from the deleted noise module
 EXPORTS = {
     "_angles": "TWO_PI mod_two_pi wrap_pm_pi",
@@ -241,7 +242,7 @@ EXPORTS = {
     "phases": """CLOSURE_TOLERANCE MIN_OVERLAP GeometricPhase berry_phase_analytic
         berry_phase_entangled connection entangled_noise_shift monopole_strength_rg
         noisy_phase post_echo_noise_shift winding_phase""",
-    "rabi": "PhaseLedger evolve_coefficients matched_echo_params spin_echo_ledger",
+    "rabi": "evolve_coefficients matched_echo_params spin_echo_ledger",
     "states": "NORM_TOLERANCE PureState equal_up_to_global_phase ket",
 }
 # the public names that were removed, by the module that defined them; the
@@ -252,7 +253,8 @@ DELETED = {
         concurrence_from_theta""",
     "noise": "NoiseSpec NoiseTarget perturbed_connection",
     "phases": "PhaseConvention SpinorParams",
-    "rabi": "PulseKind PulseSpec RabiParams apply_pulse hamiltonian_matrix pulse_ledger",
+    "rabi": """PhaseLedger PulseKind PulseSpec RabiParams apply_pulse hamiltonian_matrix
+        pulse_ledger""",
     "states": "inner_product tensor_product",
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names.split()]

@@ -16,7 +16,7 @@ def test_library_tour_runs():
     namespace = {}
     exec(compile(block, "README.md (Library tour)", "exec"), namespace)
     assert namespace["swap_expectation"](namespace["bell"]) > 0.999
-    assert namespace["ledger"].dynamical == 0.0
+    assert namespace["dynamical"] == 0.0
 
 
 def test_circuit_lexicon_is_the_scanner_pattern():

@@ -15,7 +15,6 @@ from spinphase import (
     DomainError,
     GeometricPhase,
     Orientation,
-    PhaseLedger,
     RunRecord,
     SweepSpec,
     berry_phase_analytic,
@@ -35,8 +34,6 @@ from spinphase.phases import spinor_holonomy
 # (value, its fields in order, its repr)
 VALUES = [
     (GeometricPhase(1.5), dict(value=1.5), "GeometricPhase(value=1.5)"),
-    (PhaseLedger(-1.0, 0.5), dict(geometric=-1.0, dynamical=0.5),
-     "PhaseLedger(geometric=-1.0, dynamical=0.5)"),
     (SweepSpec("theta", 0.0, 1.0, 3), dict(parameter="theta", start=0.0, stop=1.0, steps=3),
      "SweepSpec(parameter='theta', start=0.0, stop=1.0, steps=3)"),
     (RunRecord("phase", {"theta": 1.0}, {"gamma": 2.0}),
@@ -97,12 +94,14 @@ def test_keywords_and_defaults():
     # each record gets its own metadata dict
     assert RunRecord("x", {}, {"y": 1.0}).metadata is not RunRecord("x", {}, {"y": 1.0}).metadata
     with pytest.raises(TypeError):
-        PhaseLedger(1.0)
+        SweepSpec("theta", 0.0, 1.0)
 
 
 def test_checks_still_run():
-    with pytest.raises(DomainError, match="total"):
-        PhaseLedger(1e308, 1e308)
+    with pytest.raises(DomainError, match="steps"):
+        SweepSpec("theta", 0.0, 1.0, 1)
+    with pytest.raises(DomainError, match=r"^phase must be in \[0, 2\*pi\)$"):
+        GeometricPhase(-1.5)
 
 
 # a value that is no real number is a DomainError, as a non-finite one is, not

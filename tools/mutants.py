@@ -62,6 +62,9 @@ MUTANTS = [
     Mutant("phase-unreduced", "src/spinphase/cli.py",
            '"gamma_mod_2pi": mod_two_pi(gamma),', '"gamma_mod_2pi": gamma,',
            "phase reports gamma_mod_2pi 2*pi for a full DOWN turn, not 0"),
+    Mutant("echo-total-sign", "src/spinphase/cli.py",
+           '"total": geometric + dynamical,', '"total": geometric - dynamical,',
+           "echo reports the difference of its two parts as their total"),
     # the reduction into [0, 2*pi) and the raw closed forms
     Mutant("mod-two-pi-negative-zero", "src/spinphase/_angles.py",
            "    return r + 0.0  # -0.0 becomes +0.0", "    return r  # -0.0 becomes +0.0",
@@ -74,10 +77,14 @@ MUTANTS = [
            "    return mod_two_pi(math.pi * _solid_angle_factor(orientation, theta))",
            "the full solid angle reads 0, not the raw 2*pi"),
     Mutant("spinor-holonomy-unreduced", "src/spinphase/phases.py",
-           "GeometricPhase.wrapped(-math.fsum(_overlap_phases(c, s, segments)))",
-           "GeometricPhase(-math.fsum(_overlap_phases(c, s, segments)))",
+           "mod_two_pi(-math.fsum(_overlap_phases(c, s, segments)))",
+           "-math.fsum(_overlap_phases(c, s, segments))",
            "a transport's phase leaves [0, 2*pi)"),
     # fixed bugs
+    Mutant("geometric-phase-range", "src/spinphase/phases.py",
+           "        if not 0.0 <= value < TWO_PI:\n"
+           '            raise DomainError("phase must be in [0, 2*pi)")\n', "",
+           "a GeometricPhase outside [0, 2*pi) is built"),
     Mutant("rgflow-overflow", "src/spinphase/phases.py",
            "    if mu == math.inf:", "    if False:",
            "an rgflow whose flow overflows to +inf is no longer a domain error"),
